@@ -150,27 +150,28 @@ impl InstPattern {
             .collect()
     }
 
-    /// Rebuilds an instruction from wildcard values (consumed in order).
+    /// Rebuilds an instruction, asking `value` for each field position
+    /// in order (burned or wildcard). The fields are gathered on the
+    /// stack, so this allocates only if `value` does.
     ///
     /// # Errors
     ///
-    /// [`BriscError::Corrupt`] when values run short or mismatch.
+    /// Whatever `value` returns; [`BriscError::Corrupt`] when the values
+    /// do not fit the base instruction's shape.
     pub fn instantiate(
         &self,
-        values: &mut impl Iterator<Item = Field>,
+        mut value: impl FnMut(&PatternField) -> Result<Field, BriscError>,
     ) -> Result<Inst, BriscError> {
-        let mut full = Vec::with_capacity(self.fields.len());
-        for p in &self.fields {
-            match p {
-                PatternField::Burned(f) => full.push(f.clone()),
-                PatternField::Wildcard(_) => full.push(
-                    values
-                        .next()
-                        .ok_or_else(|| BriscError::Corrupt("operand underflow".into()))?,
-                ),
+        // No base instruction has more than three fields; values past
+        // the third are still produced (and so checked) but unused.
+        let mut full = [Field::Imm(0), Field::Imm(0), Field::Imm(0)];
+        for (i, p) in self.fields.iter().enumerate() {
+            let v = value(p)?;
+            if let Some(slot) = full.get_mut(i) {
+                *slot = v;
             }
         }
-        codecomp_vm::encode::rebuild(self.base, &full)
+        codecomp_vm::encode::rebuild(self.base, &full[..self.fields.len().min(full.len())])
             .map_err(|e| BriscError::Corrupt(e.to_string()))
     }
 
@@ -356,7 +357,8 @@ mod tests {
         assert_eq!(vals[2], Field::Reg(Reg::SP));
         // Rebuild.
         let mut iter = vals.into_iter();
-        assert_eq!(pat.instantiate(&mut iter).unwrap(), ld);
+        let rebuilt = pat.instantiate(|_| Ok(iter.next().unwrap())).unwrap();
+        assert_eq!(rebuilt, ld);
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //! granularity — the property that makes in-place interpretation work.
 
 use crate::entry::{DictEntry, FieldKind, ImmEnc, InstPattern, PatternField};
-use crate::markov::{MarkovTables, BLOCK_START};
+use crate::markov::{MarkovTables, SuccessorTable, BLOCK_START};
 use crate::BriscError;
 use codecomp_coding::bits::{BitReader, BitWriter};
 use codecomp_core::cov_hit;
 use codecomp_vm::encode::{BaseOp, Field};
-use codecomp_vm::isa::Inst;
+use codecomp_vm::isa::{FuncRef, Inst};
 use codecomp_vm::program::VmGlobal;
 use codecomp_vm::reg::Reg;
 use std::collections::HashMap;
@@ -89,7 +89,7 @@ pub struct BriscImage {
     pub code: Vec<u8>,
 }
 
-/// One decoded program element.
+/// One decoded program element, with call targets named.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedItem {
     /// Dictionary entry index.
@@ -98,6 +98,86 @@ pub struct DecodedItem {
     pub insts: Vec<Inst>,
     /// Encoded size in bytes.
     pub size: usize,
+}
+
+/// What a decoded `Inst::Call` calls, resolved the way a call by name
+/// resolves: to the first function of that name, else to the host
+/// function of that name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Callee {
+    /// Not a direct call.
+    None,
+    /// A function index into [`BriscImage::functions`].
+    Function(u32),
+    /// An index into [`codecomp_ir::eval::HOST_FUNCTIONS`].
+    Host(u32),
+}
+
+/// A reusable buffer that [`BriscImage::decode_into`] fills with one
+/// item. `Inst::Call`s carry an empty symbol; their targets are in
+/// [`Self::callees`], so decoding never allocates once the buffer has
+/// grown to the largest entry.
+#[derive(Debug, Default)]
+pub struct ItemBuf {
+    /// Dictionary entry index.
+    pub entry: u32,
+    /// Encoded size in bytes.
+    pub size: usize,
+    /// The expanded instructions; branch targets are local byte offsets.
+    pub insts: Vec<Inst>,
+    /// Parallel to `insts`: each call's target, [`Callee::None`] for
+    /// everything else.
+    pub callees: Vec<Callee>,
+}
+
+/// Lookup tables derived from an image's dictionary, Markov tables and
+/// function names — what "the decompressor can build" (§4) — so each
+/// in-place decode step indexes arrays instead of hashing, summing or
+/// comparing strings. Build once per image with [`DecodeTables::new`];
+/// they go stale if the image's dictionary, Markov tables or function
+/// table change.
+#[derive(Debug)]
+pub struct DecodeTables {
+    successors: SuccessorTable,
+    /// Operand bytes of each dictionary entry.
+    operand_bytes: Vec<u32>,
+    /// Call target of each function index.
+    function_callee: Vec<Callee>,
+    /// Call target of each host index.
+    host_callee: Vec<Callee>,
+}
+
+impl DecodeTables {
+    /// Builds the tables for `image`.
+    pub fn new(image: &BriscImage) -> DecodeTables {
+        let mut by_name: HashMap<&str, Callee> =
+            HashMap::with_capacity(image.functions.len() + codecomp_ir::eval::HOST_FUNCTIONS.len());
+        for (i, f) in image.functions.iter().enumerate() {
+            by_name
+                .entry(f.name.as_str())
+                .or_insert(Callee::Function(i as u32));
+        }
+        for (h, name) in codecomp_ir::eval::HOST_FUNCTIONS.iter().enumerate() {
+            by_name.entry(name).or_insert(Callee::Host(h as u32));
+        }
+        DecodeTables {
+            successors: SuccessorTable::new(&image.markov, image.dictionary.len()),
+            operand_bytes: image
+                .dictionary
+                .iter()
+                .map(|e| e.wildcard_bits().div_ceil(8))
+                .collect(),
+            function_callee: image
+                .functions
+                .iter()
+                .map(|f| by_name[f.name.as_str()])
+                .collect(),
+            host_callee: codecomp_ir::eval::HOST_FUNCTIONS
+                .iter()
+                .map(|name| by_name[name])
+                .collect(),
+        }
+    }
 }
 
 impl BriscImage {
@@ -111,12 +191,18 @@ impl BriscImage {
         }
     }
 
-    /// The function whose code contains global offset `pos`.
+    /// The function whose code contains global offset `pos`, by binary
+    /// search over the function starts. The functions must be in code
+    /// order and must not overlap, as assembled images are (and as
+    /// [`crate::interp::BriscMachine::new`] checks).
     pub fn function_at(&self, pos: usize) -> Option<usize> {
         let pos = pos as u64;
-        self.functions
-            .iter()
-            .position(|f| pos >= u64::from(f.start) && pos < u64::from(f.start) + u64::from(f.len))
+        let i = self
+            .functions
+            .partition_point(|f| u64::from(f.start) <= pos)
+            .checked_sub(1)?;
+        let f = &self.functions[i];
+        (pos < u64::from(f.start) + u64::from(f.len)).then_some(i)
     }
 
     /// Finds a function index by name.
@@ -143,48 +229,97 @@ impl BriscImage {
         self.to_bytes().len()
     }
 
-    /// Decodes the item at global offset `pos` in Markov context `ctx`.
+    /// Decodes the item at global offset `pos` in Markov context `ctx`
+    /// into `item`, reusing its buffers. `tables` must have been built
+    /// from this image.
     ///
     /// # Errors
     ///
-    /// [`BriscError::Corrupt`] on invalid opcodes or truncation.
-    pub fn decode_at(&self, pos: usize, ctx: u32) -> Result<DecodedItem, BriscError> {
+    /// [`BriscError::Corrupt`] on invalid opcodes, entry ids, function
+    /// or host indices, or truncation.
+    pub fn decode_into(
+        &self,
+        pos: usize,
+        ctx: u32,
+        tables: &DecodeTables,
+        item: &mut ItemBuf,
+    ) -> Result<(), BriscError> {
+        item.insts.clear();
+        item.callees.clear();
         let mut cursor = pos;
-        let ctx = self.effective_ctx(ctx);
-        let entry_id = self.markov.decode_opcode(ctx, &self.code, &mut cursor)?;
-        let Some(entry) = self.dictionary.get(entry_id as usize) else {
+        let entry_id =
+            tables
+                .successors
+                .decode_opcode(self.effective_ctx(ctx), &self.code, &mut cursor)?;
+        let (Some(entry), Some(&operand_bytes)) = (
+            self.dictionary.get(entry_id as usize),
+            tables.operand_bytes.get(entry_id as usize),
+        ) else {
             cov_hit!("brisc.decode.bad_entry_id");
             return Err(BriscError::Corrupt(format!("bad entry id {entry_id}")));
         };
-        let operand_bytes = (entry.wildcard_bits() as usize).div_ceil(8);
+        let operand_bytes = operand_bytes as usize;
         let Some(operand_slice) = self.code.get(cursor..cursor + operand_bytes) else {
             cov_hit!("brisc.decode.operand_overrun");
             return Err(BriscError::Corrupt("operands past end of code".into()));
         };
         let mut bits = BitReader::new(operand_slice);
-        let mut values = Vec::new();
         for p in &entry.patterns {
-            for f in &p.fields {
-                if let PatternField::Wildcard(kind) = f {
-                    values.push(self.read_field(*kind, &mut bits)?);
-                }
+            let mut callee = Callee::None;
+            let inst = p.instantiate(|field| match field {
+                PatternField::Wildcard(kind) => read_field(*kind, &mut bits, tables, &mut callee),
+                // The compressor never burns a call target and the
+                // image format cannot carry one.
+                PatternField::Burned(Field::Func(_)) => Err(BriscError::Corrupt(
+                    "call target burned into the dictionary".into(),
+                )),
+                PatternField::Burned(v) => Ok(v.clone()),
+            })?;
+            item.insts.push(inst);
+            item.callees.push(callee);
+        }
+        item.entry = entry_id;
+        item.size = cursor - pos + operand_bytes;
+        Ok(())
+    }
+
+    /// [`Self::decode_into`] a fresh buffer, with each call's symbol
+    /// filled in from its resolved target — for consumers that rebuild
+    /// named instructions, such as [`crate::translate`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::decode_into`].
+    pub fn decode_at(
+        &self,
+        pos: usize,
+        ctx: u32,
+        tables: &DecodeTables,
+    ) -> Result<DecodedItem, BriscError> {
+        let mut item = ItemBuf::default();
+        self.decode_into(pos, ctx, tables, &mut item)?;
+        let mut insts = item.insts;
+        for (inst, callee) in insts.iter_mut().zip(item.callees) {
+            let name = match callee {
+                Callee::None => continue,
+                Callee::Function(i) => self.functions[i as usize].name.clone(),
+                Callee::Host(h) => codecomp_ir::eval::HOST_FUNCTIONS[h as usize].to_string(),
+            };
+            if let Inst::Call { target } = inst {
+                *target = FuncRef::Symbol(name);
             }
         }
-        let mut iter = values.into_iter();
-        let mut insts = Vec::with_capacity(entry.patterns.len());
-        for p in &entry.patterns {
-            insts.push(p.instantiate(&mut iter)?);
-        }
         Ok(DecodedItem {
-            entry: entry_id,
+            entry: item.entry,
             insts,
-            size: cursor - pos + operand_bytes,
+            size: item.size,
         })
     }
 
     /// Linearly decodes function `idx`'s entire body without executing
     /// it, charging one fuel step per item — the load-time scan behind
-    /// quarantine decisions.
+    /// quarantine decisions. `tables` must have been built from this
+    /// image.
     ///
     /// # Errors
     ///
@@ -193,6 +328,7 @@ impl BriscImage {
     pub fn validate_function(
         &self,
         idx: usize,
+        tables: &DecodeTables,
         budget: &codecomp_core::Budget,
     ) -> Result<(), BriscError> {
         let f = self
@@ -202,6 +338,7 @@ impl BriscImage {
         let mut pos = f.start as usize;
         let end = pos + f.len as usize;
         let mut ctx = BLOCK_START;
+        let mut item = ItemBuf::default();
         while pos < end {
             budget.charge_fuel(1)?;
             let local = (pos - f.start as usize) as u32;
@@ -210,44 +347,55 @@ impl BriscImage {
             } else {
                 ctx
             };
-            let item = self.decode_at(pos, effective)?;
+            self.decode_into(pos, effective, tables, &mut item)?;
             let last_ends = item.insts.last().is_some_and(Inst::ends_block);
             ctx = if last_ends { BLOCK_START } else { item.entry };
             pos += item.size;
         }
         Ok(())
     }
+}
 
-    fn read_field(&self, kind: FieldKind, bits: &mut BitReader<'_>) -> Result<Field, BriscError> {
-        let eof = |_| BriscError::Corrupt("operand bits truncated".into());
-        Ok(match kind {
-            FieldKind::Reg => Field::Reg(Reg::new(bits.read_bits(4).map_err(eof)? as u8)),
-            FieldKind::Imm(ImmEnc::X4) => Field::Imm(bits.read_bits(4).map_err(eof)? as i32 * 4),
-            FieldKind::Imm(ImmEnc::I8) => {
-                Field::Imm(i32::from(bits.read_bits(8).map_err(eof)? as u8 as i8))
+/// Reads one wildcard field. A `Func` field comes back as an empty
+/// symbol; its resolved target goes to `callee`.
+fn read_field(
+    kind: FieldKind,
+    bits: &mut BitReader<'_>,
+    tables: &DecodeTables,
+    callee: &mut Callee,
+) -> Result<Field, BriscError> {
+    let eof = |_| BriscError::Corrupt("operand bits truncated".into());
+    Ok(match kind {
+        FieldKind::Reg => Field::Reg(Reg::new(bits.read_bits(4).map_err(eof)? as u8)),
+        FieldKind::Imm(ImmEnc::X4) => Field::Imm(bits.read_bits(4).map_err(eof)? as i32 * 4),
+        FieldKind::Imm(ImmEnc::I8) => {
+            Field::Imm(i32::from(bits.read_bits(8).map_err(eof)? as u8 as i8))
+        }
+        FieldKind::Imm(ImmEnc::I16) => {
+            Field::Imm(i32::from(bits.read_bits(16).map_err(eof)? as u16 as i16))
+        }
+        FieldKind::Imm(ImmEnc::I32) => Field::Imm(bits.read_bits(32).map_err(eof)? as i32),
+        FieldKind::Target => Field::Target(bits.read_bits(16).map_err(eof)? as u32),
+        FieldKind::Func => {
+            let idx = bits.read_bits(16).map_err(eof)? as u16;
+            let target = if idx >= HOST_FUNC_BASE {
+                tables
+                    .host_callee
+                    .get(usize::from(idx - HOST_FUNC_BASE))
+                    .ok_or_else(|| BriscError::Corrupt("bad host index".into()))?
+            } else {
+                tables
+                    .function_callee
+                    .get(usize::from(idx))
+                    .ok_or_else(|| BriscError::Corrupt("bad function index".into()))?
+            };
+            // A `Call` takes its target from its first `Func` field.
+            if *callee == Callee::None {
+                *callee = *target;
             }
-            FieldKind::Imm(ImmEnc::I16) => {
-                Field::Imm(i32::from(bits.read_bits(16).map_err(eof)? as u16 as i16))
-            }
-            FieldKind::Imm(ImmEnc::I32) => Field::Imm(bits.read_bits(32).map_err(eof)? as i32),
-            FieldKind::Target => Field::Target(bits.read_bits(16).map_err(eof)? as u32),
-            FieldKind::Func => {
-                let idx = bits.read_bits(16).map_err(eof)? as u16;
-                let name = if idx >= HOST_FUNC_BASE {
-                    codecomp_ir::eval::HOST_FUNCTIONS
-                        .get(usize::from(idx - HOST_FUNC_BASE))
-                        .map(|s| s.to_string())
-                        .ok_or_else(|| BriscError::Corrupt("bad host index".into()))?
-                } else {
-                    self.functions
-                        .get(usize::from(idx))
-                        .map(|f| f.name.clone())
-                        .ok_or_else(|| BriscError::Corrupt("bad function index".into()))?
-                };
-                Field::Func(name)
-            }
-        })
-    }
+            Field::Func(String::new())
+        }
+    })
 }
 
 // ---- assembly -----------------------------------------------------------------
@@ -947,12 +1095,13 @@ mod tests {
     #[test]
     fn assemble_and_decode() {
         let img = tiny_image();
+        let tables = DecodeTables::new(&img);
         assert_eq!(img.functions.len(), 1);
         let mut pos = img.functions[0].start as usize;
         let mut ctx = BLOCK_START;
         let mut decoded = Vec::new();
         while pos < (img.functions[0].start + img.functions[0].len) as usize {
-            let item = img.decode_at(pos, ctx).unwrap();
+            let item = img.decode_at(pos, ctx, &tables).unwrap();
             ctx = item.entry;
             pos += item.size;
             decoded.extend(item.insts);
@@ -1053,8 +1202,9 @@ mod tests {
     #[test]
     fn validation_scan_accepts_good_functions_and_meters_fuel() {
         let img = tiny_image();
+        let tables = DecodeTables::new(&img);
         let budget = codecomp_core::Budget::default();
-        img.validate_function(0, &budget).unwrap();
+        img.validate_function(0, &tables, &budget).unwrap();
         // The tiny program has 4 items, so the scan spends exactly 4 fuel.
         assert_eq!(budget.usage().fuel_spent, 4);
         let starved = codecomp_core::Budget::new(codecomp_core::DecodeLimits {
@@ -1062,7 +1212,7 @@ mod tests {
             ..codecomp_core::DecodeLimits::default()
         });
         assert!(matches!(
-            img.validate_function(0, &starved),
+            img.validate_function(0, &tables, &starved),
             Err(BriscError::Limit { .. })
         ));
     }
@@ -1090,8 +1240,9 @@ mod tests {
             items,
         };
         let img = assemble(dict, vec![f], vec![]).unwrap();
-        let first = img.decode_at(0, BLOCK_START).unwrap();
-        let second = img.decode_at(first.size, first.entry).unwrap();
+        let tables = DecodeTables::new(&img);
+        let first = img.decode_at(0, BLOCK_START, &tables).unwrap();
+        let second = img.decode_at(first.size, first.entry, &tables).unwrap();
         assert_eq!(second.insts[0], Inst::Jump { target: 0 });
     }
 
@@ -1127,7 +1278,9 @@ mod tests {
         let leader_off = img.functions[0].extra_leaders[0];
         assert!(img.is_extra_leader(0, leader_off));
         // The item there decodes in BLOCK_START context.
-        let item = img.decode_at(leader_off as usize, BLOCK_START).unwrap();
+        let item = img
+            .decode_at(leader_off as usize, BLOCK_START, &DecodeTables::new(&img))
+            .unwrap();
         assert_eq!(item.insts[0], parse_inst("li n1,2", 1).unwrap());
     }
 
@@ -1153,7 +1306,18 @@ mod tests {
             items,
         };
         let img = assemble(dict, vec![f], vec![]).unwrap();
-        let item = img.decode_at(0, BLOCK_START).unwrap();
+        let tables = DecodeTables::new(&img);
+        let item = img.decode_at(0, BLOCK_START, &tables).unwrap();
         assert_eq!(item.insts[0], parse_inst("call print_int", 1).unwrap());
+        // The buffer form leaves the symbol empty and resolves the host.
+        let mut buf = ItemBuf::default();
+        img.decode_into(0, BLOCK_START, &tables, &mut buf).unwrap();
+        assert_eq!(buf.callees, vec![Callee::Host(0)]);
+        assert_eq!(
+            buf.insts[0],
+            Inst::Call {
+                target: FuncRef::Symbol(String::new())
+            }
+        );
     }
 }

@@ -5,17 +5,35 @@
 //! compact program representation" (§4). [`BriscMachine`] executes the
 //! image *in place*: each step decodes the dictionary item at the
 //! current byte offset (in its Markov context) and executes its
-//! expansion; no decompressed copy of the program is ever built. The
-//! per-item decode work is exactly the interpretation overhead the
-//! paper's "~12×" figure measures, and the byte-range touch map feeds
-//! the working-set experiment.
+//! expansion; no decompressed copy of the program is ever built, and
+//! nothing decoded is kept from one step to the next. The per-item
+//! decode work is the interpretation overhead the paper's "~12×"
+//! figure measures, and the byte-range touch map feeds the
+//! working-set experiment.
+//!
+//! What one step does, and nothing more:
+//!
+//! 1. charge one unit of fuel, re-find the current function only if pc
+//!    has left it (binary search over function starts), and trap if
+//!    that function is quarantined;
+//! 2. look up the opcode byte (or escape) in the context's successor
+//!    list — an index into the flat [`DecodeTables`] built once per
+//!    machine;
+//! 3. unpack the entry's operand bits and instantiate its patterns into
+//!    a reused buffer, with calls already resolved to a function or
+//!    host index;
+//! 4. mark the item's bytes in the touch map;
+//! 5. execute the expanded instructions and pick the next context.
+//!
+//! The tables hold only what the transmitted dictionary, Markov tables
+//! and function names determine; they are not a decoded copy of code.
 
-use crate::image::BriscImage;
+use crate::image::{BriscImage, Callee, DecodeTables, ItemBuf};
 use crate::markov::BLOCK_START;
 use crate::BriscError;
 use codecomp_core::cov_hit;
 use codecomp_vm::interp::{alu_eval, cond_eval, DONE, FUNC_BASE, GLOBAL_BASE, HOST_BASE, RA_BASE};
-use codecomp_vm::isa::{FuncRef, Inst, MemWidth};
+use codecomp_vm::isa::{Inst, MemWidth};
 use codecomp_vm::reg::Reg;
 
 /// The result of a BRISC run.
@@ -37,6 +55,7 @@ pub struct BriscOutcome {
 #[derive(Debug)]
 pub struct BriscMachine<'a> {
     image: &'a BriscImage,
+    tables: DecodeTables,
     mem: Vec<u8>,
     regs: [i64; 16],
     output: Vec<u8>,
@@ -51,12 +70,26 @@ pub struct BriscMachine<'a> {
 }
 
 impl<'a> BriscMachine<'a> {
-    /// Prepares memory and global layout (identical to the VM machine's).
+    /// Prepares memory and global layout (identical to the VM machine's)
+    /// and builds the image's [`DecodeTables`].
     ///
     /// # Errors
     ///
-    /// [`BriscError::Exec`] if globals do not fit.
+    /// [`BriscError::Exec`] if globals do not fit;
+    /// [`BriscError::Corrupt`] if the functions overlap or are out of
+    /// code order.
     pub fn new(image: &'a BriscImage, mem_size: u32, fuel: u64) -> Result<Self, BriscError> {
+        let mut prev_end = 0u64;
+        for f in &image.functions {
+            if u64::from(f.start) < prev_end {
+                cov_hit!("brisc.interp.function_layout");
+                return Err(BriscError::Corrupt(format!(
+                    "function {} overlaps its predecessor or is out of code order",
+                    f.name
+                )));
+            }
+            prev_end = u64::from(f.start) + u64::from(f.len);
+        }
         let mut mem = vec![0u8; mem_size as usize];
         let mut next = GLOBAL_BASE;
         for g in &image.globals {
@@ -73,6 +106,7 @@ impl<'a> BriscMachine<'a> {
         Ok(Self {
             code_touched: vec![false; image.code.len()],
             quarantine: vec![None; image.functions.len()],
+            tables: DecodeTables::new(image),
             image,
             mem,
             regs: [0; 16],
@@ -103,7 +137,7 @@ impl<'a> BriscMachine<'a> {
         let mut m = Self::new(image, mem_size, fuel)?;
         for i in 0..image.functions.len() {
             let budget = codecomp_core::Budget::new(limits);
-            if let Err(e) = image.validate_function(i, &budget) {
+            if let Err(e) = image.validate_function(i, &m.tables, &budget) {
                 cov_hit!("brisc.interp.quarantine_on_load");
                 let cause = codecomp_core::DecodeError::from(e);
                 if codecomp_core::telemetry::enabled() {
@@ -153,7 +187,7 @@ impl<'a> BriscMachine<'a> {
             .function_index(name)
             .ok_or_else(|| BriscError::Exec(format!("undefined function {name}")))?;
         let budget = codecomp_core::Budget::new(limits);
-        match self.image.validate_function(idx, &budget) {
+        match self.image.validate_function(idx, &self.tables, &budget) {
             Ok(()) => {
                 self.quarantine[idx] = None;
                 codecomp_core::telemetry::event(
@@ -216,37 +250,45 @@ impl<'a> BriscMachine<'a> {
         self.set_reg(Reg::RA, i64::from(RA_BASE + DONE));
         self.calls += 1;
 
-        let mut pc = self.image.functions[entry_idx].start as usize;
+        let image = self.image;
+        let mut pc = image.functions[entry_idx].start as usize;
         let mut ctx = BLOCK_START;
+        // The function containing pc, as [start, end); empty until the
+        // first step resolves it.
+        let (mut func, mut func_start, mut func_end) = (entry_idx, 0, 0);
+        let mut item = ItemBuf::default();
         loop {
             if self.fuel == 0 {
                 cov_hit!("brisc.interp.fuel_exhausted");
                 return Err(BriscError::Exec("fuel exhausted".into()));
             }
             self.fuel -= 1;
-            let Some(func) = self.image.function_at(pc) else {
-                cov_hit!("brisc.interp.pc_outside_functions");
-                return Err(BriscError::Exec(format!("pc {pc} outside all functions")));
-            };
+            if !(func_start..func_end).contains(&pc) {
+                let Some(f) = image.function_at(pc) else {
+                    cov_hit!("brisc.interp.pc_outside_functions");
+                    return Err(BriscError::Exec(format!("pc {pc} outside all functions")));
+                };
+                func = f;
+                func_start = image.functions[f].start as usize;
+                func_end = func_start + image.functions[f].len as usize;
+            }
             if let Some(cause) = &self.quarantine[func] {
                 cov_hit!("brisc.interp.quarantine_trap");
                 return Err(BriscError::Quarantined {
-                    name: self.image.functions[func].name.clone(),
+                    name: image.functions[func].name.clone(),
                     cause: cause.clone(),
                 });
             }
-            let item = self.image.decode_at(pc, ctx)?;
+            image.decode_into(pc, ctx, &self.tables, &mut item)?;
             self.items_decoded += 1;
-            for b in &mut self.code_touched[pc..pc + item.size] {
-                *b = true;
-            }
-            let func_start = self.image.functions[func].start as usize;
+            let next = pc + item.size;
+            self.code_touched[pc..next].fill(true);
 
             let mut transfer: Option<(usize, u32)> = None; // (new pc, new ctx)
             let mut done = false;
-            for inst in &item.insts {
+            for (inst, &callee) in item.insts.iter().zip(&item.callees) {
                 self.instructions += 1;
-                match self.step(inst, func, func_start, pc + item.size)? {
+                match self.step(inst, callee, func, func_start, next)? {
                     Flow::Continue => {}
                     Flow::Goto(new_pc) => {
                         transfer = Some((new_pc, BLOCK_START));
@@ -273,7 +315,6 @@ impl<'a> BriscMachine<'a> {
                     ctx = new_ctx;
                 }
                 None => {
-                    let next = pc + item.size;
                     // Serialized entries always hold at least one pattern,
                     // but a decoded dictionary handed in directly may not.
                     let last = item
@@ -281,7 +322,7 @@ impl<'a> BriscMachine<'a> {
                         .last()
                         .ok_or_else(|| BriscError::Corrupt("empty dictionary entry".into()))?;
                     let next_local = (next - func_start) as u32;
-                    ctx = if last.ends_block() || self.image.is_extra_leader(func, next_local) {
+                    ctx = if last.ends_block() || image.is_extra_leader(func, next_local) {
                         BLOCK_START
                     } else {
                         item.entry
@@ -303,6 +344,7 @@ impl<'a> BriscMachine<'a> {
     fn step(
         &mut self,
         inst: &Inst,
+        callee: Callee,
         func: usize,
         func_start: usize,
         return_to: usize,
@@ -411,9 +453,7 @@ impl<'a> BriscMachine<'a> {
                 }
             }
             Inst::Jump { target } => Ok(Flow::Goto(func_start + *target as usize)),
-            Inst::Call {
-                target: FuncRef::Symbol(name),
-            } => self.call_name(name, return_to),
+            Inst::Call { .. } => self.call(callee, return_to),
             Inst::CallR { rs } => {
                 let addr = self.reg(*rs) as u32;
                 self.call_addr(addr, return_to)
@@ -422,15 +462,10 @@ impl<'a> BriscMachine<'a> {
             Inst::Epi => {
                 let f = &self.image.functions[func];
                 let sp = self.reg(Reg::SP) as u32;
-                let slots: Vec<(Reg, i32)> = f
-                    .saved_regs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &r)| (r, f.frame_size as i32 - 8 - 4 * i as i32))
-                    .collect();
                 let ra_slot = f.frame_size as i32 - 4;
                 let frame = f.frame_size;
-                for (r, slot) in slots {
+                for (i, &r) in f.saved_regs.iter().enumerate() {
+                    let slot = f.frame_size as i32 - 8 - 4 * i as i32;
                     let v = self.load(sp.wrapping_add(slot as u32), MemWidth::Word)?;
                     self.set_reg(r, v);
                 }
@@ -462,24 +497,32 @@ impl<'a> BriscMachine<'a> {
         }
     }
 
-    fn call_name(&mut self, name: &str, return_to: usize) -> Result<Flow, BriscError> {
+    fn call(&mut self, callee: Callee, return_to: usize) -> Result<Flow, BriscError> {
         self.calls += 1;
-        if let Some(idx) = self.image.function_index(name) {
-            self.set_reg(Reg::RA, i64::from(RA_BASE) + return_to as i64);
-            return Ok(Flow::Goto(self.image.functions[idx].start as usize));
+        match callee {
+            Callee::Function(idx) => {
+                self.set_reg(Reg::RA, i64::from(RA_BASE) + return_to as i64);
+                Ok(Flow::Goto(
+                    self.image.functions[idx as usize].start as usize,
+                ))
+            }
+            Callee::Host(idx) => {
+                self.host_call(idx as usize)?;
+                Ok(Flow::Continue)
+            }
+            // The decoder resolves every call's `Func` field.
+            Callee::None => Err(BriscError::Exec("call without a target".into())),
         }
-        self.host_call(name)?;
-        Ok(Flow::Continue)
     }
 
     fn call_addr(&mut self, addr: u32, return_to: usize) -> Result<Flow, BriscError> {
         self.calls += 1;
         if (HOST_BASE..RA_BASE).contains(&addr) {
             let idx = (addr - HOST_BASE) as usize;
-            let name = codecomp_ir::eval::HOST_FUNCTIONS
-                .get(idx)
-                .ok_or_else(|| BriscError::Exec("bad host address".into()))?;
-            self.host_call(name)?;
+            if idx >= codecomp_ir::eval::HOST_FUNCTIONS.len() {
+                return Err(BriscError::Exec("bad host address".into()));
+            }
+            self.host_call(idx)?;
             return Ok(Flow::Continue);
         }
         if (FUNC_BASE..HOST_BASE).contains(&addr) {
@@ -511,8 +554,9 @@ impl<'a> BriscMachine<'a> {
         )))
     }
 
-    fn host_call(&mut self, name: &str) -> Result<(), BriscError> {
-        match name {
+    /// Calls host function `idx` of [`codecomp_ir::eval::HOST_FUNCTIONS`].
+    fn host_call(&mut self, idx: usize) -> Result<(), BriscError> {
+        match codecomp_ir::eval::HOST_FUNCTIONS[idx] {
             "print_int" => {
                 let v = self.regs[0] as i32;
                 self.output.extend_from_slice(v.to_string().as_bytes());
@@ -779,7 +823,9 @@ mod tests {
         let mut fuels = std::collections::HashMap::new();
         for (i, f) in image.functions.iter().enumerate() {
             let b = codecomp_core::Budget::default();
-            image.validate_function(i, &b).unwrap();
+            image
+                .validate_function(i, &DecodeTables::new(image), &b)
+                .unwrap();
             fuels.insert(f.name.clone(), b.usage().fuel_spent);
         }
         let g_fuel = fuels["g"];

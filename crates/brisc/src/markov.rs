@@ -110,6 +110,72 @@ impl MarkovTables {
         }
     }
 
+    /// Serialized size of the tables, charged to the program image.
+    pub fn table_bytes(&self) -> usize {
+        // uvarint overheads approximated by the real serializer.
+        crate::image::serialize_markov(self).len()
+    }
+
+    /// Number of contexts.
+    pub fn context_count(&self) -> usize {
+        self.contexts.len()
+    }
+
+    /// The largest successor-set size (the paper reports "at most 244").
+    pub fn max_successors(&self) -> usize {
+        self.contexts.values().map(Vec::len).max().unwrap_or(0)
+    }
+}
+
+/// The decoder's view of [`MarkovTables`]: every context's successor
+/// list back to back in one array, indexed by context. Built once per
+/// image, so an opcode decode is an array index rather than a hash
+/// lookup.
+///
+/// Slots `0..entries` are the dictionary entries, then one always-empty
+/// slot for context ids the dictionary has no entry for, then
+/// [`BLOCK_START`] last. Decoding only ever reaches contexts that are
+/// entry ids or `BLOCK_START`; lists stored under any other id are
+/// dropped.
+#[derive(Debug)]
+pub struct SuccessorTable {
+    /// `ids[start[s]..start[s + 1]]` is slot `s`'s successor list.
+    start: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl SuccessorTable {
+    /// Flattens `markov` for a dictionary of `entries` entries.
+    pub fn new(markov: &MarkovTables, entries: usize) -> SuccessorTable {
+        let mut lists: Vec<&[u32]> = vec![&[]; entries + 2];
+        for (&ctx, succ) in &markov.contexts {
+            if ctx == BLOCK_START {
+                lists[entries + 1] = succ;
+            } else if (ctx as usize) < entries {
+                lists[ctx as usize] = succ;
+            }
+        }
+        let mut start = Vec::with_capacity(lists.len() + 1);
+        let mut ids = Vec::with_capacity(lists.iter().map(|l| l.len()).sum());
+        for list in lists {
+            start.push(ids.len() as u32);
+            ids.extend_from_slice(list);
+        }
+        start.push(ids.len() as u32);
+        SuccessorTable { start, ids }
+    }
+
+    /// Successor list of a context (empty if unseen).
+    pub fn successors(&self, ctx: u32) -> &[u32] {
+        let entries = self.start.len() - 3;
+        let slot = if ctx == BLOCK_START {
+            entries + 1
+        } else {
+            (ctx as usize).min(entries)
+        };
+        &self.ids[self.start[slot] as usize..self.start[slot + 1] as usize]
+    }
+
     /// Decodes an opcode at `bytes[*pos..]`, advancing `pos`.
     ///
     /// # Errors
@@ -125,7 +191,8 @@ impl MarkovTables {
             .get(*pos)
             .ok_or_else(|| BriscError::Corrupt("opcode past end of code".into()))?;
         *pos += 1;
-        if self.escaped(ctx) && b == ESCAPE {
+        let succ = self.successors(ctx);
+        if succ.len() > usize::from(ESCAPE) && b == ESCAPE {
             let lo = bytes.get(*pos).copied();
             let hi = bytes.get(*pos + 1).copied();
             *pos += 2;
@@ -134,26 +201,9 @@ impl MarkovTables {
             };
             return Ok(u32::from(u16::from_le_bytes([lo, hi])));
         }
-        self.successors(ctx)
-            .get(usize::from(b))
+        succ.get(usize::from(b))
             .copied()
             .ok_or_else(|| BriscError::Corrupt(format!("opcode {b} invalid in context {ctx}")))
-    }
-
-    /// Serialized size of the tables, charged to the program image.
-    pub fn table_bytes(&self) -> usize {
-        // uvarint overheads approximated by the real serializer.
-        crate::image::serialize_markov(self).len()
-    }
-
-    /// Number of contexts.
-    pub fn context_count(&self) -> usize {
-        self.contexts.len()
-    }
-
-    /// The largest successor-set size (the paper reports "at most 244").
-    pub fn max_successors(&self) -> usize {
-        self.contexts.values().map(Vec::len).max().unwrap_or(0)
     }
 }
 
@@ -186,9 +236,10 @@ mod tests {
         for &(ctx, e) in &seq {
             t.encode_opcode(ctx, e, &mut bytes).unwrap();
         }
+        let flat = SuccessorTable::new(&t, 6);
         let mut pos = 0;
         for &(ctx, e) in &seq {
-            assert_eq!(t.decode_opcode(ctx, &bytes, &mut pos).unwrap(), e);
+            assert_eq!(flat.decode_opcode(ctx, &bytes, &mut pos).unwrap(), e);
         }
         assert_eq!(pos, bytes.len());
     }
@@ -203,7 +254,7 @@ mod tests {
 
     #[test]
     fn invalid_byte_rejected() {
-        let t = MarkovTables::build(vec![(1, 2)]);
+        let t = SuccessorTable::new(&MarkovTables::build(vec![(1, 2)]), 3);
         let mut pos = 0;
         assert!(t.decode_opcode(1, &[5], &mut pos).is_err());
         let mut pos = 0;
@@ -232,9 +283,11 @@ mod tests {
         t.encode_opcode(7, first, &mut bytes).unwrap();
         t.encode_opcode(7, deep, &mut bytes).unwrap();
         assert_eq!(bytes.len(), 4);
+        let flat = SuccessorTable::new(&t, 300);
+        assert_eq!(flat.successors(7), t.successors(7));
         let mut pos = 0;
-        assert_eq!(t.decode_opcode(7, &bytes, &mut pos).unwrap(), first);
-        assert_eq!(t.decode_opcode(7, &bytes, &mut pos).unwrap(), deep);
+        assert_eq!(flat.decode_opcode(7, &bytes, &mut pos).unwrap(), first);
+        assert_eq!(flat.decode_opcode(7, &bytes, &mut pos).unwrap(), deep);
     }
 
     #[test]

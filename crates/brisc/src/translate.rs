@@ -7,7 +7,7 @@
 //! x86-64 machine-code bytes whose output rate is the paper's
 //! "MB/sec of produced code" metric.
 
-use crate::image::BriscImage;
+use crate::image::{BriscImage, DecodeTables};
 use crate::markov::BLOCK_START;
 use crate::BriscError;
 use codecomp_vm::isa::Inst;
@@ -48,6 +48,7 @@ pub fn translate_budgeted(
             init: g.init.clone(),
         })
         .collect();
+    let tables = DecodeTables::new(image);
     for (fi, f) in image.functions.iter().enumerate() {
         // Pass 1: linear decode, collecting instructions and the branch
         // targets that need labels.
@@ -64,7 +65,7 @@ pub fn translate_budgeted(
             } else {
                 ctx
             };
-            let item = image.decode_at(pos, effective)?;
+            let item = image.decode_at(pos, effective, &tables)?;
             for inst in &item.insts {
                 match inst {
                     Inst::Branch { target, .. }

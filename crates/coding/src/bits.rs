@@ -123,11 +123,28 @@ impl<'a> BitReader<'a> {
     /// # Panics
     ///
     /// Panics if `count > 64`.
+    ///
+    /// On end of stream every remaining bit is consumed, as if they had
+    /// been read one at a time with [`Self::read_bit`].
+    #[inline]
     pub fn read_bits(&mut self, count: u8) -> Result<u64, CodingError> {
         assert!(count <= 64, "cannot read more than 64 bits at once");
+        let total = self.bytes.len() as u64 * 8;
+        if u64::from(count) > total - self.pos {
+            self.pos = total;
+            return Err(CodingError::UnexpectedEof);
+        }
+        // Whole or partial bytes at a time: at most 9 iterations.
         let mut value = 0u64;
-        for _ in 0..count {
-            value = (value << 1) | u64::from(self.read_bit()?);
+        let mut left = u32::from(count);
+        while left > 0 {
+            let byte = u32::from(self.bytes[(self.pos / 8) as usize]);
+            let avail = 8 - (self.pos % 8) as u32;
+            let take = avail.min(left);
+            let chunk = (byte >> (avail - take)) & ((1 << take) - 1);
+            value = (value << take) | u64::from(chunk);
+            self.pos += u64::from(take);
+            left -= take;
         }
         Ok(value)
     }
@@ -312,6 +329,38 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         for &(v, n) in &values {
             assert_eq!(r.read_bits(n).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn msb_read_bits_matches_a_read_bit_loop() {
+        // Every width 0..=64 from every start offset of a 10-byte buffer,
+        // including every way of running off the end: same value, same
+        // error, same position afterwards.
+        let bytes = [0xA5, 0x3C, 0xFF, 0x00, 0x81, 0x7E, 0x12, 0xED, 0x69, 0xC3];
+        let total = bytes.len() as u64 * 8;
+        for start in 0..=total {
+            for count in 0..=64u8 {
+                let mut fast = BitReader::new(&bytes);
+                let mut slow = BitReader::new(&bytes);
+                for _ in 0..start {
+                    fast.read_bit().unwrap();
+                    slow.read_bit().unwrap();
+                }
+                let expect = (|| {
+                    let mut v = 0u64;
+                    for _ in 0..count {
+                        v = (v << 1) | u64::from(slow.read_bit()?);
+                    }
+                    Ok(v)
+                })();
+                assert_eq!(fast.read_bits(count), expect, "start {start} count {count}");
+                assert_eq!(
+                    fast.bit_pos(),
+                    slow.bit_pos(),
+                    "start {start} count {count}"
+                );
+            }
         }
     }
 

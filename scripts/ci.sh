@@ -7,8 +7,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
-echo "==> cargo test -q"
-cargo test -q --offline
+# --workspace: the member crates' own suites (brisc interpreter unit
+# tests and props, coding/flate/ir/vm props, serve soak, ...) are part
+# of the gate, not only the root package's tests.
+echo "==> cargo test -q --workspace"
+cargo test -q --offline --workspace
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings

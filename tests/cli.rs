@@ -12,8 +12,10 @@ fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_code-compression")
 }
 
-fn workdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("codecomp-cli-{}", std::process::id()));
+/// A scratch directory of the test's own: the harness runs tests in
+/// parallel and each removes its directory when it ends.
+fn workdir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("codecomp-cli-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
 }
@@ -33,7 +35,7 @@ fn run(args: &[&str], cwd: &PathBuf) -> (String, String, bool) {
 
 #[test]
 fn full_cli_pipeline() {
-    let dir = workdir();
+    let dir = workdir("full_cli_pipeline");
     std::fs::write(dir.join("demo.c"), SOURCE).unwrap();
 
     // compile -> .ccir
@@ -86,7 +88,7 @@ fn full_cli_pipeline() {
 
 #[test]
 fn cli_errors_are_reported() {
-    let dir = workdir();
+    let dir = workdir("cli_errors_are_reported");
     std::fs::write(dir.join("bad.c"), "int main() { return nope(; }").unwrap();
     let (_, stderr, ok) = run(&["run", "bad.c"], &dir);
     assert!(!ok);
@@ -106,7 +108,7 @@ fn cli_errors_are_reported() {
 
 #[test]
 fn cli_size_suffixes_and_decode_limits() {
-    let dir = workdir();
+    let dir = workdir("cli_size_suffixes_and_decode_limits");
     std::fs::write(dir.join("sizes.c"), SOURCE).unwrap();
 
     // --fuel accepts human-readable suffixes.
@@ -154,7 +156,7 @@ fn cli_size_suffixes_and_decode_limits() {
 
 #[test]
 fn cli_program_arguments() {
-    let dir = workdir();
+    let dir = workdir("cli_program_arguments");
     std::fs::write(
         dir.join("args.c"),
         "int main(int a, int b) { return a * b; }",
@@ -171,8 +173,7 @@ fn cli_program_arguments() {
 
 #[test]
 fn cli_serve_sim_soak_and_telemetry() {
-    let dir = workdir().join("serve");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = workdir("cli_serve_sim_soak_and_telemetry");
     std::fs::write(dir.join("mod.c"), SOURCE).unwrap();
 
     // A small soak over an explicit module, with stats and a trace.
@@ -225,8 +226,7 @@ fn cli_serve_sim_soak_and_telemetry() {
 fn piped_stdout_closed_early_is_not_an_error() {
     use std::io::Read;
     use std::process::Stdio;
-    let dir = workdir().join("pipe");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = workdir("piped_stdout_closed_early_is_not_an_error");
     // Enough functions that the `dis` listing far exceeds the OS pipe
     // buffer, so closing the read end mid-stream raises EPIPE in the
     // writer instead of the whole stream fitting in the buffer.
@@ -265,7 +265,7 @@ fn piped_stdout_closed_early_is_not_an_error() {
 
 #[test]
 fn cli_telemetry_flags() {
-    let dir = workdir();
+    let dir = workdir("cli_telemetry_flags");
     std::fs::write(dir.join("tele.c"), SOURCE).unwrap();
 
     // --stats: the per-stream table's total row equals the bytes

@@ -22,7 +22,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use code_compression::brisc::compress::{compress as brisc_compress, BriscOptions};
 use code_compression::brisc::entry::DictEntry;
 use code_compression::brisc::interp::BriscMachine;
-use code_compression::brisc::markov::{MarkovTables, BLOCK_START};
+use code_compression::brisc::markov::{MarkovTables, SuccessorTable, BLOCK_START};
 use code_compression::brisc::translate::translate;
 use code_compression::brisc::BriscImage;
 use code_compression::coding::mtf::{
@@ -338,7 +338,9 @@ fn mutated_markov_tables_do_not_panic() {
                 (ctx, (0..n).map(|_| rng.below(300) as u32).collect())
             })
             .collect();
-        let tables = MarkovTables::from_lists(lists);
+        // Any dictionary size, including one smaller than the context ids.
+        let entries = rng.below(301) as usize;
+        let tables = SuccessorTable::new(&MarkovTables::from_lists(lists), entries);
         let code: Vec<u8> = (0..rng.below(12)).map(|_| rng.next_u64() as u8).collect();
         // The cursor may start at or past the end of the code.
         let mut pos = rng.below(code.len() as u64 + 3) as usize;
