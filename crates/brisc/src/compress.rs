@@ -8,16 +8,27 @@
 //! program is rewritten (combinations first, one new pattern per pair,
 //! then compacting specializations); the hunt stops when a pass yields
 //! fewer than `K` positive candidates.
+//!
+//! Candidates are generated as allocation-free `Copy` keys (an entry
+//! plus a spec), and only the keys that can reach `P > 0` are ever
+//! materialized into a [`DictEntry`]. Keys are grouped by a fingerprint
+//! of the pattern sequence they denote; a group whose summed savings,
+//! less the smallest exact dictionary size among its keys, is not
+//! positive cannot hold an adoptable entry under either memory regime,
+//! so its keys are dropped unscored. The bound is exact: the surviving
+//! entries, their scores and their order are those of scoring every key.
 
-use crate::entry::{DictEntry, FieldKind, ImmEnc, InstPattern, PatternField};
-use crate::image::{assemble_with, BriscImage, FuncItems, Item};
+use crate::entry::{DictEntry, FieldKind, ImmEnc, InstPattern, PatternField, MAX_ENTRY_PATTERNS};
+use crate::image::{assemble_with, uvarint_len, zigzag, BriscImage, FuncItems, Item};
 use crate::BriscError;
 use codecomp_core::dict::{select_top_k, Benefit, MemoryRegime, PassPolicy};
-use codecomp_vm::encode::{fields, Field};
+use codecomp_core::fxhash::{FxHashMap, FxHashSet, FxHasher};
+use codecomp_vm::encode::{field_refs, Field, FieldRef};
 use codecomp_vm::isa::Inst;
 use codecomp_vm::program::{VmFunction, VmProgram};
 use codecomp_vm::reg::Reg;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 /// Compressor knobs; the default matches the paper (`K = 20`, order-1
 /// Markov, all candidate generators on).
@@ -70,6 +81,9 @@ pub struct BriscReport {
     pub passes: usize,
     /// Total candidates tested (the paper reports 93,211 for gcc-2.6.3).
     pub candidates_tested: usize,
+    /// Candidates among them whose bound allowed `P > 0`, and which were
+    /// therefore materialized and fully scored.
+    pub candidates_scored: usize,
     /// Final dictionary size including base entries (gcc: 1232).
     pub dictionary_entries: usize,
     /// Base entries among them.
@@ -99,6 +113,59 @@ struct CFunc {
     leaders: Vec<bool>,
 }
 
+/// The growing dictionary, with each entry's costs cached when it is
+/// added so candidate scoring never re-derives them.
+#[derive(Debug, Default)]
+struct Dictionary {
+    entries: Vec<DictEntry>,
+    /// Wildcard bits per entry (its instance size).
+    bits: Vec<u32>,
+    /// Serialized size per entry ([`DictEntry::dict_bytes`]).
+    bytes: Vec<usize>,
+    index: FxHashMap<DictEntry, u32>,
+}
+
+impl Dictionary {
+    /// Adds `entry`, whose serialized size is `bytes`, and returns its id.
+    fn push(&mut self, entry: DictEntry, bytes: usize) -> u32 {
+        let id = self.entries.len() as u32;
+        self.bits.push(entry.wildcard_bits());
+        self.bytes.push(bytes);
+        self.index.insert(entry.clone(), id);
+        self.entries.push(entry);
+        id
+    }
+
+    /// Encoded instance size of entry `id` ([`DictEntry::instance_bytes`]).
+    fn instance_bytes(&self, id: u32) -> usize {
+        inst_bytes(self.bits[id as usize])
+    }
+
+    /// The id of `entry`, adding it first if it is new.
+    fn intern(&mut self, entry: DictEntry) -> u32 {
+        match self.index.get(&entry) {
+            Some(&id) => id,
+            None => {
+                let bytes = entry.dict_bytes();
+                self.push(entry, bytes)
+            }
+        }
+    }
+}
+
+/// The state of one greedy hunt: the working program, the dictionary,
+/// and the keys already generated (the paper's "hash table of
+/// previously generated candidates").
+#[derive(Debug)]
+struct Hunt {
+    options: BriscOptions,
+    funcs: Vec<CFunc>,
+    dict: Dictionary,
+    seen_keys: FxHashSet<CandKey>,
+    candidates_tested: usize,
+    candidates_scored: usize,
+}
+
 /// Compresses a VM program into a BRISC image.
 ///
 /// # Errors
@@ -109,19 +176,9 @@ pub fn compress(program: &VmProgram, options: BriscOptions) -> Result<BriscRepor
     let _span = codecomp_core::telemetry::span("brisc.compress");
     let _prof = codecomp_core::profile::scope("brisc.compress");
     let input_bytes = codecomp_vm::encode::code_segment_size(program);
-    let mut dictionary: Vec<DictEntry> = Vec::new();
-    let mut dict_index: HashMap<DictEntry, u32> = HashMap::new();
-    let mut seen: HashSet<DictEntry> = HashSet::new();
 
-    // ---- build the initial item sequence (base entries only) ----
-    let mut funcs = Vec::with_capacity(program.functions.len());
-    for f in &program.functions {
-        funcs.push(build_cfunc(f, options, &mut dictionary, &mut dict_index)?);
-    }
-    let base_entries = dictionary.len();
-    for e in &dictionary {
-        seen.insert(e.clone());
-    }
+    let mut hunt = Hunt::new(program, options)?;
+    let base_entries = hunt.dict.entries.len();
 
     // ---- greedy passes ----
     let policy = PassPolicy {
@@ -130,80 +187,22 @@ pub fn compress(program: &VmProgram, options: BriscOptions) -> Result<BriscRepor
         regime: options.regime,
     };
     let mut passes = 0usize;
-    let mut candidates_tested = 0usize;
-    let mut seen_keys: HashSet<CandKey> = HashSet::new();
     loop {
         passes += 1;
-        let entry_bits: Vec<u32> = dictionary.iter().map(DictEntry::wildcard_bits).collect();
-        let mut candidates: HashMap<CandKey, (i64, u64)> = HashMap::new(); // total_saved, sites
-        for f in &funcs {
-            generate_candidates(
-                f,
-                &dictionary,
-                &entry_bits,
-                options,
-                &seen_keys,
-                &mut candidates,
-            );
-        }
-        candidates_tested += candidates.len();
-        // Materialize once per unique key; merge keys that denote the
-        // same resulting pattern; drop entries already in the dictionary
-        // or previously rejected ("a hash table of previously generated
-        // candidates").
-        let mut merged: HashMap<DictEntry, (i64, u64)> = HashMap::new();
-        for (key, (saved, sites)) in &candidates {
-            let entry = materialize(*key, &dictionary);
-            if seen.contains(&entry) {
-                continue;
-            }
-            let e = merged.entry(entry).or_insert((0, 0));
-            e.0 += saved;
-            e.1 += sites;
-        }
-        for key in candidates.into_keys() {
-            seen_keys.insert(key);
-        }
-        let scored: Vec<(DictEntry, Benefit)> = {
-            let mut v: Vec<(DictEntry, (i64, u64))> = merged.into_iter().collect();
-            // Deterministic order for tie-breaking inside select_top_k.
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v.into_iter()
-                .map(|(entry, (total_saved, _sites))| {
-                    let p =
-                        total_saved - entry.dict_bytes() as i64 - i64::from(options.table_charge);
-                    let w = entry.native_table_cost() as i64;
-                    (
-                        entry,
-                        Benefit {
-                            size_reduction: p,
-                            table_cost: w,
-                        },
-                    )
-                })
-                .collect()
-        };
-        let adopted = select_top_k(scored, options.k, options.regime);
-        let adopted_count = adopted.len();
-        let mut new_ids = Vec::with_capacity(adopted_count);
-        for (entry, _) in adopted {
-            seen.insert(entry.clone());
-            let id = dictionary.len() as u32;
-            dict_index.insert(entry.clone(), id);
-            dictionary.push(entry);
-            new_ids.push(id);
-        }
-        if adopted_count > 0 {
-            for f in &mut funcs {
-                rewrite(f, &dictionary, &new_ids);
-            }
-        }
-        if !policy.continue_after(adopted_count, passes) {
+        let adopted = hunt.pass();
+        if !policy.continue_after(adopted, passes) {
             break;
         }
     }
 
     // ---- convert to image items ----
+    let Hunt {
+        funcs,
+        dict,
+        candidates_tested,
+        candidates_scored,
+        ..
+    } = hunt;
     let mut out_funcs = Vec::with_capacity(funcs.len());
     for f in &funcs {
         // Map original instruction index -> item index.
@@ -213,7 +212,7 @@ pub fn compress(program: &VmProgram, options: BriscOptions) -> Result<BriscRepor
         }
         let mut items = Vec::with_capacity(f.items.len());
         for item in &f.items {
-            let entry = &dictionary[item.entry as usize];
+            let entry = &dict.entries[item.entry as usize];
             let mut values = Vec::new();
             for (p, inst) in entry.patterns.iter().zip(&item.insts) {
                 for v in p.extract(inst) {
@@ -245,7 +244,7 @@ pub fn compress(program: &VmProgram, options: BriscOptions) -> Result<BriscRepor
         });
     }
     let globals = program.globals.clone();
-    let image = assemble_with(dictionary, out_funcs, globals, options.order0)?;
+    let image = assemble_with(dict.entries, out_funcs, globals, options.order0)?;
     {
         use codecomp_core::telemetry as t;
         t::gauge_set("brisc.dictionary_entries", image.dictionary.len() as u64);
@@ -253,6 +252,7 @@ pub fn compress(program: &VmProgram, options: BriscOptions) -> Result<BriscRepor
         t::counter_add("brisc.compress.programs", 1);
         t::counter_add("brisc.compress.input_bytes", input_bytes as u64);
         t::counter_add("brisc.compress.candidates_tested", candidates_tested as u64);
+        t::counter_add("brisc.compress.candidates_scored", candidates_scored as u64);
     }
     Ok(BriscReport {
         dictionary_entries: image.dictionary.len(),
@@ -260,8 +260,111 @@ pub fn compress(program: &VmProgram, options: BriscOptions) -> Result<BriscRepor
         image,
         passes,
         candidates_tested,
+        candidates_scored,
         input_bytes,
     })
+}
+
+impl Hunt {
+    /// The initial item sequence: every instruction on its base entry.
+    fn new(program: &VmProgram, options: BriscOptions) -> Result<Hunt, BriscError> {
+        let mut dict = Dictionary::default();
+        let mut funcs = Vec::with_capacity(program.functions.len());
+        for f in &program.functions {
+            funcs.push(build_cfunc(f, options, &mut dict)?);
+        }
+        Ok(Hunt {
+            options,
+            funcs,
+            dict,
+            seen_keys: FxHashSet::default(),
+            candidates_tested: 0,
+            candidates_scored: 0,
+        })
+    }
+
+    /// Every new candidate key of this pass with its summed byte saving.
+    fn candidates(&self) -> FxHashMap<CandKey, i64> {
+        let mut candidates = FxHashMap::default();
+        for f in &self.funcs {
+            generate_candidates(
+                f,
+                &self.dict,
+                self.options,
+                &self.seen_keys,
+                &mut candidates,
+            );
+        }
+        candidates
+    }
+
+    /// Runs one greedy pass — generate, bound, score, adopt the top `K`,
+    /// rewrite — and returns how many entries it adopted.
+    fn pass(&mut self) -> usize {
+        let candidates = self.candidates();
+        self.candidates_tested += candidates.len();
+        let charge = i64::from(self.options.table_charge);
+
+        // Bound: group keys by the pattern sequence they denote. Every
+        // saving is positive and `W ≥ 0`, so an entry's `B` is at most
+        // its group's summed saving less the group's smallest exact
+        // dictionary size and the table charge; a group where that is
+        // not positive holds no adoptable entry.
+        let mut keyed: Vec<(CandKey, i64, u64)> = Vec::with_capacity(candidates.len());
+        let mut groups: FxHashMap<u64, (i64, usize)> = FxHashMap::default();
+        for (&key, &saved) in &candidates {
+            let fp = fingerprint(key, &self.dict.entries);
+            let group = groups.entry(fp).or_insert((0, usize::MAX));
+            group.0 += saved;
+            group.1 = group.1.min(key_dict_bytes(key, &self.dict));
+            keyed.push((key, saved, fp));
+        }
+        self.seen_keys.extend(candidates.into_keys());
+
+        // Materialize the survivors once per key; merge keys that denote
+        // the same resulting pattern; drop entries already in the
+        // dictionary.
+        let mut merged: FxHashMap<DictEntry, i64> = FxHashMap::default();
+        for (key, saved, fp) in keyed {
+            let (sum, min_bytes) = groups[&fp];
+            if sum - min_bytes as i64 - charge <= 0 {
+                continue;
+            }
+            self.candidates_scored += 1;
+            let entry = materialize(key, &self.dict.entries);
+            debug_assert_eq!(key_dict_bytes(key, &self.dict), entry.dict_bytes());
+            if self.dict.index.contains_key(&entry) {
+                continue;
+            }
+            *merged.entry(entry).or_insert(0) += saved;
+        }
+        let mut merged: Vec<(DictEntry, i64)> = merged.into_iter().collect();
+        // Deterministic order for tie-breaking inside select_top_k.
+        merged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let scored: Vec<((DictEntry, usize), Benefit)> = merged
+            .into_iter()
+            .map(|(entry, total_saved)| {
+                let bytes = entry.dict_bytes();
+                let benefit = Benefit {
+                    size_reduction: total_saved - bytes as i64 - charge,
+                    table_cost: entry.native_table_cost() as i64,
+                };
+                ((entry, bytes), benefit)
+            })
+            .collect();
+
+        let adopted = select_top_k(scored, self.options.k, self.options.regime);
+        let new_ids: Vec<u32> = adopted
+            .into_iter()
+            .map(|((entry, bytes), _)| self.dict.push(entry, bytes))
+            .collect();
+        if !new_ids.is_empty() {
+            for f in &mut self.funcs {
+                rewrite(f, &self.dict, &new_ids);
+            }
+        }
+        new_ids.len()
+    }
 }
 
 // ---- initial program construction ---------------------------------------------
@@ -269,8 +372,7 @@ pub fn compress(program: &VmProgram, options: BriscOptions) -> Result<BriscRepor
 fn build_cfunc(
     f: &VmFunction,
     options: BriscOptions,
-    dictionary: &mut Vec<DictEntry>,
-    dict_index: &mut HashMap<DictEntry, u32>,
+    dict: &mut Dictionary,
 ) -> Result<CFunc, BriscError> {
     // Epilogue peephole (on the labeled form, so labels stay aligned).
     let code = if options.epi {
@@ -319,13 +421,8 @@ fn build_cfunc(
     // Items: one per instruction, on its base entry.
     let mut items = Vec::with_capacity(insts.len());
     for (i, inst) in insts.iter().enumerate() {
-        let base = DictEntry::single(InstPattern::base_of(inst));
-        let id = *dict_index.entry(base.clone()).or_insert_with(|| {
-            dictionary.push(base);
-            dictionary.len() as u32 - 1
-        });
         items.push(CItem {
-            entry: id,
+            entry: dict.intern(DictEntry::single(InstPattern::base_of(inst))),
             insts: vec![inst.clone()],
             first_inst: i,
         });
@@ -415,25 +512,47 @@ enum CandKey {
     },
 }
 
-/// Applies a spec to an entry, producing the materialized pattern.
-fn apply_spec(entry: &DictEntry, spec: SpecDesc) -> DictEntry {
-    match spec {
-        SpecDesc::Identity => entry.clone(),
-        SpecDesc::Burn { pi, fi, v } => {
-            let mut e = entry.clone();
-            e.patterns[usize::from(pi)].fields[usize::from(fi)] = PatternField::Burned(match v {
-                FieldVal::Reg(n) => Field::Reg(Reg::new(n)),
-                FieldVal::Imm(i) => Field::Imm(i),
-            });
-            e
-        }
-        SpecDesc::X4 { pi, fi } => {
-            let mut e = entry.clone();
-            e.patterns[usize::from(pi)].fields[usize::from(fi)] =
-                PatternField::Wildcard(FieldKind::Imm(ImmEnc::X4));
-            e
+impl SpecDesc {
+    /// The `(pattern, field)` position a spec rewrites and the field it
+    /// writes there; `None` for the identity.
+    fn substitution(self) -> Option<((usize, usize), PatternField)> {
+        match self {
+            SpecDesc::Identity => None,
+            SpecDesc::Burn { pi, fi, v } => Some((
+                (usize::from(pi), usize::from(fi)),
+                PatternField::Burned(match v {
+                    FieldVal::Reg(n) => Field::Reg(Reg::new(n)),
+                    FieldVal::Imm(i) => Field::Imm(i),
+                }),
+            )),
+            SpecDesc::X4 { pi, fi } => Some((
+                (usize::from(pi), usize::from(fi)),
+                PatternField::Wildcard(FieldKind::Imm(ImmEnc::X4)),
+            )),
         }
     }
+
+    /// Bytes the spec adds to an entry's serialized size: a burned
+    /// immediate's value follows its tag as a zigzag varint; every other
+    /// field keeps its one tag byte.
+    fn added_dict_bytes(self) -> usize {
+        match self {
+            SpecDesc::Burn {
+                v: FieldVal::Imm(v),
+                ..
+            } => uvarint_len(zigzag(i64::from(v))),
+            _ => 0,
+        }
+    }
+}
+
+/// Applies a spec to an entry, producing the materialized pattern.
+fn apply_spec(entry: &DictEntry, spec: SpecDesc) -> DictEntry {
+    let mut e = entry.clone();
+    if let Some(((pi, fi), field)) = spec.substitution() {
+        e.patterns[pi].fields[fi] = field;
+    }
+    e
 }
 
 /// Materializes a candidate key into a dictionary entry.
@@ -445,6 +564,55 @@ fn materialize(key: CandKey, dictionary: &[DictEntry]) -> DictEntry {
             &apply_spec(&dictionary[b as usize], sb),
         ),
     }
+}
+
+/// `materialize(key, ..).dict_bytes()`, in O(1) from the cached sizes
+/// of the source entries: a combination concatenates the two pattern
+/// lists under one pattern-count varint.
+fn key_dict_bytes(key: CandKey, dict: &Dictionary) -> usize {
+    let of = |entry: u32, spec: SpecDesc| dict.bytes[entry as usize] + spec.added_dict_bytes();
+    match key {
+        CandKey::Single { entry, spec } => of(entry, spec),
+        CandKey::Pair { a, sa, b, sb } => {
+            let la = dict.entries[a as usize].len() as u64;
+            let lb = dict.entries[b as usize].len() as u64;
+            of(a, sa) + of(b, sb) + uvarint_len(la + lb) - uvarint_len(la) - uvarint_len(lb)
+        }
+    }
+}
+
+/// A hash of the pattern sequence `key` materializes to, computed
+/// without materializing it: the source entries' patterns are walked
+/// with the spec'd field substituted. Keys that denote equal entries
+/// get equal fingerprints.
+fn fingerprint(key: CandKey, dictionary: &[DictEntry]) -> u64 {
+    fn walk(h: &mut FxHasher, entry: &DictEntry, spec: SpecDesc) {
+        let substitution = spec.substitution();
+        for (pi, pattern) in entry.patterns.iter().enumerate() {
+            pattern.base.hash(h);
+            for (fi, field) in pattern.fields.iter().enumerate() {
+                match &substitution {
+                    Some((at, to)) if *at == (pi, fi) => to.hash(h),
+                    _ => field.hash(h),
+                }
+            }
+        }
+    }
+    let mut h = FxHasher::default();
+    match key {
+        CandKey::Single { entry, spec } => walk(&mut h, &dictionary[entry as usize], spec),
+        CandKey::Pair { a, sa, b, sb } => {
+            walk(&mut h, &dictionary[a as usize], sa);
+            walk(&mut h, &dictionary[b as usize], sb);
+        }
+    }
+    h.finish()
+}
+
+/// Encoded instance size for `bits` of wildcard operands: one opcode
+/// byte plus byte-padded operands.
+fn inst_bytes(bits: u32) -> usize {
+    1 + (bits as usize).div_ceil(8)
 }
 
 /// Wildcard bits of an entry after applying a spec, from cached base bits.
@@ -474,7 +642,7 @@ fn bits_after(entry: &DictEntry, base_bits: u32, spec: SpecDesc) -> u32 {
 fn specs_of(entry: &DictEntry, insts: &[Inst], options: BriscOptions, out: &mut Vec<SpecDesc>) {
     out.clear();
     for (pi, pattern) in entry.patterns.iter().enumerate() {
-        let inst_fields = fields(&insts[pi]);
+        let inst_fields = field_refs(&insts[pi]);
         for (fi, pf) in pattern.fields.iter().enumerate() {
             let PatternField::Wildcard(kind) = pf else {
                 continue;
@@ -482,7 +650,7 @@ fn specs_of(entry: &DictEntry, insts: &[Inst], options: BriscOptions, out: &mut 
             match kind {
                 FieldKind::Reg => {
                     if options.specialization {
-                        let Field::Reg(r) = inst_fields[fi] else {
+                        let FieldRef::Reg(r) = inst_fields[fi] else {
                             unreachable!()
                         };
                         out.push(SpecDesc::Burn {
@@ -493,7 +661,7 @@ fn specs_of(entry: &DictEntry, insts: &[Inst], options: BriscOptions, out: &mut 
                     }
                 }
                 FieldKind::Imm(enc) => {
-                    let Field::Imm(v) = inst_fields[fi] else {
+                    let FieldRef::Imm(v) = inst_fields[fi] else {
                         unreachable!()
                     };
                     if options.specialization {
@@ -530,20 +698,17 @@ fn can_lead_combination(item: &CItem) -> bool {
 
 fn generate_candidates(
     f: &CFunc,
-    dictionary: &[DictEntry],
-    entry_bits: &[u32],
+    dict: &Dictionary,
     options: BriscOptions,
-    seen_keys: &HashSet<CandKey>,
-    candidates: &mut HashMap<CandKey, (i64, u64)>,
+    seen_keys: &FxHashSet<CandKey>,
+    candidates: &mut FxHashMap<CandKey, i64>,
 ) {
-    let inst_bytes = |bits: u32| 1 + (bits as usize).div_ceil(8);
+    let (dictionary, entry_bits) = (&dict.entries, &dict.bits);
     let mut consider = |key: CandKey, old_bytes: usize, new_bytes: usize| {
         if new_bytes >= old_bytes || seen_keys.contains(&key) {
             return;
         }
-        let e = candidates.entry(key).or_insert((0, 0));
-        e.0 += (old_bytes - new_bytes) as i64;
-        e.1 += 1;
+        *candidates.entry(key).or_insert(0) += (old_bytes - new_bytes) as i64;
     };
 
     let mut specs_a: Vec<SpecDesc> = Vec::new();
@@ -565,8 +730,11 @@ fn generate_candidates(
         }
         if options.combination && i + 1 < f.items.len() {
             let next = &f.items[i + 1];
-            if !f.leaders[i + 1] && can_lead_combination(item) {
-                let next_entry = &dictionary[next.entry as usize];
+            let next_entry = &dictionary[next.entry as usize];
+            if !f.leaders[i + 1]
+                && can_lead_combination(item)
+                && entry.len() + next_entry.len() <= MAX_ENTRY_PATTERNS
+            {
                 let next_bits = entry_bits[next.entry as usize];
                 let pair_old = old + inst_bytes(next_bits);
                 specs_of(next_entry, &next.insts, options, &mut specs_b);
@@ -593,7 +761,8 @@ fn generate_candidates(
 
 // ---- program rewriting ----------------------------------------------------------
 
-fn rewrite(f: &mut CFunc, dictionary: &[DictEntry], new_ids: &[u32]) {
+fn rewrite(f: &mut CFunc, dict: &Dictionary, new_ids: &[u32]) {
+    let dictionary = &dict.entries;
     let new_combined: Vec<u32> = new_ids
         .iter()
         .copied()
@@ -603,60 +772,56 @@ fn rewrite(f: &mut CFunc, dictionary: &[DictEntry], new_ids: &[u32]) {
     // Phase 1: combinations, greedy left-to-right, best (smallest) match
     // per pair ("on each pass, there can only be one new instruction
     // pattern that applies to a particular pair").
-    let mut items = Vec::with_capacity(f.items.len());
-    let mut leaders = Vec::with_capacity(f.leaders.len());
-    let mut i = 0usize;
-    while i < f.items.len() {
-        let mut merged = false;
-        if i + 1 < f.items.len() && !f.leaders[i + 1] && can_lead_combination(&f.items[i]) {
-            let a = &f.items[i];
-            let b = &f.items[i + 1];
+    let old_leaders = std::mem::take(&mut f.leaders);
+    let mut old_items = std::mem::take(&mut f.items)
+        .into_iter()
+        .enumerate()
+        .peekable();
+    let mut items = Vec::with_capacity(old_items.len());
+    let mut leaders = Vec::with_capacity(old_leaders.len());
+    while let Some((i, mut a)) = old_items.next() {
+        if let Some((j, b)) = old_items.peek() {
             let combined_len = a.insts.len() + b.insts.len();
-            let concat: Vec<&Inst> = a.insts.iter().chain(&b.insts).collect();
-            let old_bytes = dictionary[a.entry as usize].instance_bytes()
-                + dictionary[b.entry as usize].instance_bytes();
-            let best = new_combined
-                .iter()
-                .copied()
-                .filter(|&id| {
-                    let e = &dictionary[id as usize];
-                    e.len() == combined_len
-                        && e.instance_bytes() < old_bytes
-                        && e.matches_seq(&concat)
-                })
-                .min_by_key(|&id| dictionary[id as usize].instance_bytes());
-            if let Some(id) = best {
-                items.push(CItem {
-                    entry: id,
-                    insts: concat.into_iter().cloned().collect(),
-                    first_inst: a.first_inst,
-                });
-                leaders.push(f.leaders[i]);
-                i += 2;
-                merged = true;
+            if !new_combined.is_empty()
+                && !old_leaders[*j]
+                && combined_len <= MAX_ENTRY_PATTERNS
+                && can_lead_combination(&a)
+            {
+                let old_bytes = dict.instance_bytes(a.entry) + dict.instance_bytes(b.entry);
+                let best = new_combined
+                    .iter()
+                    .copied()
+                    .filter(|&id| {
+                        let e = &dictionary[id as usize];
+                        e.len() == combined_len
+                            && dict.instance_bytes(id) < old_bytes
+                            && e.matches_seq(a.insts.iter().chain(&b.insts))
+                    })
+                    .min_by_key(|&id| dict.instance_bytes(id));
+                if let Some(id) = best {
+                    let (_, b) = old_items.next().expect("peeked");
+                    a.entry = id;
+                    a.insts.extend(b.insts);
+                }
             }
         }
-        if !merged {
-            items.push(f.items[i].clone());
-            leaders.push(f.leaders[i]);
-            i += 1;
-        }
+        items.push(a);
+        leaders.push(old_leaders[i]);
     }
 
     // Phase 2: compacting specializations over all new entries.
     for item in &mut items {
-        let current_bytes = dictionary[item.entry as usize].instance_bytes();
-        let refs: Vec<&Inst> = item.insts.iter().collect();
+        let current_bytes = dict.instance_bytes(item.entry);
         let best = new_ids
             .iter()
             .copied()
             .filter(|&id| {
                 let e = &dictionary[id as usize];
                 e.len() == item.insts.len()
-                    && e.instance_bytes() < current_bytes
-                    && e.matches_seq(&refs)
+                    && dict.instance_bytes(id) < current_bytes
+                    && e.matches_seq(&item.insts)
             })
-            .min_by_key(|&id| dictionary[id as usize].instance_bytes());
+            .min_by_key(|&id| dict.instance_bytes(id));
         if let Some(id) = best {
             item.entry = id;
         }
@@ -793,6 +958,109 @@ mod tests {
         )
         .unwrap();
         assert!(report.image.order0);
+    }
+
+    /// Runs every pass of a hunt over `program`, handing `check` each
+    /// pass's candidate keys before the pass scores them.
+    fn for_each_pass(program: &VmProgram, mut check: impl FnMut(&Hunt, &FxHashMap<CandKey, i64>)) {
+        let options = BriscOptions::default();
+        let mut hunt = Hunt::new(program, options).unwrap();
+        loop {
+            check(&hunt, &hunt.candidates());
+            if hunt.pass() < options.k {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn key_costs_and_fingerprints_agree_with_materialized_entries() {
+        for b in codecomp_corpus::benchmarks() {
+            let p = vm_program(b.source);
+            for_each_pass(&p, |hunt, candidates| {
+                let mut fingerprints: HashMap<DictEntry, u64> = HashMap::new();
+                for &key in candidates.keys() {
+                    let entry = materialize(key, &hunt.dict.entries);
+                    assert_eq!(
+                        key_dict_bytes(key, &hunt.dict),
+                        entry.dict_bytes(),
+                        "{}: {key:?} -> {entry}",
+                        b.name
+                    );
+                    let fp = fingerprint(key, &hunt.dict.entries);
+                    let first = *fingerprints.entry(entry.clone()).or_insert(fp);
+                    assert_eq!(fp, first, "{}: keys for {entry} disagree", b.name);
+                }
+            });
+        }
+    }
+
+    /// A one-function hunt whose items are `addi sp,sp,100`, `per_entry`
+    /// of them on `[addi sp,*,*]` and as many on `[addi *,sp,*]`.
+    fn split_addi_hunt(per_entry: usize) -> Hunt {
+        let inst = Inst::AluImm {
+            op: codecomp_vm::isa::AluOp::Add,
+            rd: Reg::SP,
+            rs: Reg::SP,
+            imm: 100,
+        };
+        let burned = |fi: usize| {
+            let mut p = InstPattern::base_of(&inst);
+            p.fields[fi] = PatternField::Burned(Field::Reg(Reg::SP));
+            DictEntry::single(p)
+        };
+        let mut dict = Dictionary::default();
+        let rd_sp = dict.intern(burned(0));
+        let rs_sp = dict.intern(burned(1));
+        let items: Vec<CItem> = (0..2 * per_entry)
+            .map(|i| CItem {
+                entry: if i < per_entry { rd_sp } else { rs_sp },
+                insts: vec![inst.clone()],
+                first_inst: i,
+            })
+            .collect();
+        Hunt {
+            options: BriscOptions {
+                k: 1,
+                regime: MemoryRegime::Abundant,
+                combination: false,
+                x4: false,
+                ..BriscOptions::default()
+            },
+            funcs: vec![CFunc {
+                name: "main".into(),
+                param_count: 0,
+                frame_size: 0,
+                saved_regs: Vec::new(),
+                leaders: (0..items.len()).map(|i| i == 0).collect(),
+                items,
+            }],
+            dict,
+            seen_keys: FxHashSet::default(),
+            candidates_tested: 0,
+            candidates_scored: 0,
+        }
+    }
+
+    #[test]
+    fn keys_that_only_pay_jointly_are_merged_and_adopted() {
+        // `(rd=sp entry, burn rs=sp)` and `(rs=sp entry, burn rd=sp)` both
+        // denote [addi sp,sp,*] (5 dictionary bytes) and each saves one
+        // byte per site: three sites apiece cannot pay alone (3 - 5), but
+        // together they do (6 - 5 = 1), so the bound must keep both.
+        let mut hunt = split_addi_hunt(3);
+        assert_eq!(hunt.pass(), 1);
+        let adopted = hunt.dict.entries.last().unwrap();
+        assert_eq!(adopted.to_string(), "[add.i sp,sp,*]");
+        assert!(hunt.candidates_scored >= 2);
+        let id = hunt.dict.entries.len() as u32 - 1;
+        assert!(hunt.funcs[0].items.iter().all(|item| item.entry == id));
+
+        // Two sites apiece cannot pay even jointly: nothing is scored.
+        let mut hunt = split_addi_hunt(2);
+        assert_eq!(hunt.pass(), 0);
+        assert!(hunt.candidates_tested > 0);
+        assert_eq!(hunt.candidates_scored, 0);
     }
 
     #[test]

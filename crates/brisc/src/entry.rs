@@ -1,8 +1,13 @@
 //! Dictionary entries: instruction patterns with burned and wildcard fields.
 
 use crate::BriscError;
-use codecomp_vm::encode::{canonical_instance, fields, BaseOp, Field};
+use codecomp_vm::encode::{canonical_instance, field_refs, fields, BaseOp, Field, FieldRef};
 use codecomp_vm::isa::Inst;
+
+/// Most component patterns one dictionary entry may hold. The image
+/// decoder rejects longer entries, so the compressor never generates a
+/// combination past it.
+pub const MAX_ENTRY_PATTERNS: usize = 16;
 
 /// How a wildcard immediate field is transmitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -119,17 +124,17 @@ impl InstPattern {
         if codecomp_vm::encode::base_op(inst) != self.base {
             return false;
         }
-        let fs = fields(inst);
+        let fs = field_refs(inst);
         if fs.len() != self.fields.len() {
             return false;
         }
         fs.iter().zip(&self.fields).all(|(f, p)| match p {
             PatternField::Burned(b) => f == b,
             PatternField::Wildcard(kind) => match (f, kind) {
-                (Field::Reg(_), FieldKind::Reg) => true,
-                (Field::Imm(v), FieldKind::Imm(enc)) => enc.fits(*v),
-                (Field::Target(_), FieldKind::Target) => true,
-                (Field::Func(_), FieldKind::Func) => true,
+                (FieldRef::Reg(_), FieldKind::Reg) => true,
+                (FieldRef::Imm(v), FieldKind::Imm(enc)) => enc.fits(*v),
+                (FieldRef::Target(_), FieldKind::Target) => true,
+                (FieldRef::Func(_), FieldKind::Func) => true,
                 _ => false,
             },
         })
@@ -142,11 +147,11 @@ impl InstPattern {
     /// Panics if `inst` does not match (callers check first).
     pub fn extract(&self, inst: &Inst) -> Vec<Field> {
         debug_assert!(self.matches(inst), "extract on non-matching instruction");
-        fields(inst)
-            .into_iter()
+        field_refs(inst)
+            .iter()
             .zip(&self.fields)
             .filter(|(_, p)| matches!(p, PatternField::Wildcard(_)))
-            .map(|(f, _)| f)
+            .map(|(f, _)| f.to_field())
             .collect()
     }
 
@@ -297,10 +302,14 @@ impl DictEntry {
         (x86.bytes().len() + fixed) / 2
     }
 
-    /// Whether every component of `insts` matches in order.
-    pub fn matches_seq(&self, insts: &[&Inst]) -> bool {
-        insts.len() == self.patterns.len()
-            && self.patterns.iter().zip(insts).all(|(p, i)| p.matches(i))
+    /// Whether `insts` has one instruction per component and each
+    /// matches its component, in order.
+    pub fn matches_seq<'a>(&self, insts: impl IntoIterator<Item = &'a Inst>) -> bool {
+        let mut insts = insts.into_iter();
+        self.patterns
+            .iter()
+            .all(|p| insts.next().is_some_and(|i| p.matches(i)))
+            && insts.next().is_none()
     }
 }
 
@@ -442,10 +451,11 @@ mod tests {
             &DictEntry::single(InstPattern::base_of(&a)),
             &DictEntry::single(InstPattern::base_of(&b)),
         );
-        assert!(e.matches_seq(&[&a, &b]));
-        assert!(e.matches_seq(&[&b, &a]), "all-wildcard movs match any movs");
-        assert!(!e.matches_seq(&[&a]));
-        assert!(!e.matches_seq(&[&a, &inst("li n0,1")]));
+        assert!(e.matches_seq([&a, &b]));
+        assert!(e.matches_seq([&b, &a]), "all-wildcard movs match any movs");
+        assert!(!e.matches_seq([&a]));
+        assert!(!e.matches_seq([&a, &b, &a]));
+        assert!(!e.matches_seq([&a, &inst("li n0,1")]));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! offsets, so the code is randomly addressable at basic-block
 //! granularity — the property that makes in-place interpretation work.
 
-use crate::entry::{DictEntry, FieldKind, ImmEnc, InstPattern, PatternField};
+use crate::entry::{DictEntry, FieldKind, ImmEnc, InstPattern, PatternField, MAX_ENTRY_PATTERNS};
 use crate::markov::{MarkovTables, SuccessorTable, BLOCK_START};
 use crate::BriscError;
 use codecomp_coding::bits::{BitReader, BitWriter};
@@ -590,8 +590,18 @@ fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes [`put_uvarint`] writes for `v`.
+pub(crate) fn uvarint_len(v: u64) -> usize {
+    (u64::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
+}
+
+/// The zigzag mapping [`put_ivarint`] applies before the varint.
+pub(crate) fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
 fn put_ivarint(out: &mut Vec<u8>, v: i64) {
-    put_uvarint(out, ((v << 1) ^ (v >> 63)) as u64);
+    put_uvarint(out, zigzag(v));
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
@@ -718,7 +728,7 @@ pub fn serialize_entry(entry: &DictEntry) -> Vec<u8> {
 
 fn deserialize_entry(r: &mut Rd<'_>) -> Result<DictEntry, BriscError> {
     let n = r.usize_varint()?;
-    if n == 0 || n > 16 {
+    if n == 0 || n > MAX_ENTRY_PATTERNS {
         cov_hit!("brisc.entry.bad_pattern_count");
         return Err(BriscError::Corrupt(format!("bad pattern count {n}")));
     }
@@ -1009,6 +1019,19 @@ mod tests {
 
     fn base_entry(s: &str) -> DictEntry {
         DictEntry::single(InstPattern::base_of(&parse_inst(s, 1).unwrap()))
+    }
+
+    #[test]
+    fn varint_lengths_match_the_writers() {
+        let edges = [0i64, 1, -1, 63, -64, 64, -65, 8191, 8192];
+        for v in edges.into_iter().chain([i64::from(i32::MIN), i64::MAX]) {
+            let mut out = Vec::new();
+            put_ivarint(&mut out, v);
+            assert_eq!(uvarint_len(zigzag(v)), out.len(), "{v}");
+        }
+        let mut out = Vec::new();
+        put_uvarint(&mut out, u64::MAX);
+        assert_eq!(uvarint_len(u64::MAX), out.len());
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //!   pass, stop when a pass yields fewer than `K` positive candidates).
 //! - [`entropy`]: size and entropy helpers shared by the ablation
 //!   experiments.
+//! - [`fxhash`]: a fast non-cryptographic hasher for in-process tables
+//!   keyed by small values (the BRISC compressor's candidate keys).
 
 //! - [`error`]: the shared [`DecodeError`] taxonomy every decoder in the
 //!   workspace folds into at its public boundary.
@@ -39,6 +41,7 @@ pub mod entropy;
 pub mod error;
 pub mod fault;
 pub mod fuzz;
+pub mod fxhash;
 pub mod limits;
 pub mod profile;
 pub mod streams;

@@ -248,6 +248,70 @@ pub fn base_op(inst: &Inst) -> BaseOp {
     }
 }
 
+/// One operand field, borrowed: [`Field`] without owning a call's
+/// symbol, so reading an instruction's fields never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldRef<'a> {
+    /// A 4-bit register field.
+    Reg(Reg),
+    /// An immediate.
+    Imm(i32),
+    /// A branch target label.
+    Target(u32),
+    /// A function symbol.
+    Func(&'a str),
+}
+
+impl FieldRef<'_> {
+    /// The owned field.
+    pub fn to_field(self) -> Field {
+        match self {
+            FieldRef::Reg(r) => Field::Reg(r),
+            FieldRef::Imm(v) => Field::Imm(v),
+            FieldRef::Target(t) => Field::Target(t),
+            FieldRef::Func(name) => Field::Func(name.to_string()),
+        }
+    }
+}
+
+impl PartialEq<Field> for FieldRef<'_> {
+    fn eq(&self, other: &Field) -> bool {
+        match (self, other) {
+            (FieldRef::Reg(a), Field::Reg(b)) => a == b,
+            (FieldRef::Imm(a), Field::Imm(b)) => a == b,
+            (FieldRef::Target(a), Field::Target(b)) => a == b,
+            (FieldRef::Func(a), Field::Func(b)) => *a == b,
+            _ => false,
+        }
+    }
+}
+
+/// An instruction's operand fields on the stack (no instruction has
+/// more than three); derefs to the slice of them.
+#[derive(Debug, Clone, Copy)]
+pub struct FieldRefs<'a> {
+    slots: [FieldRef<'a>; 3],
+    len: usize,
+}
+
+impl<'a> FieldRefs<'a> {
+    fn of(fs: &[FieldRef<'a>]) -> Self {
+        let mut slots = [FieldRef::Imm(0); 3];
+        slots[..fs.len()].copy_from_slice(fs);
+        FieldRefs {
+            slots,
+            len: fs.len(),
+        }
+    }
+}
+
+impl<'a> std::ops::Deref for FieldRefs<'a> {
+    type Target = [FieldRef<'a>];
+    fn deref(&self) -> &[FieldRef<'a>] {
+        &self.slots[..self.len]
+    }
+}
+
 /// The operand fields of an instruction, in canonical order.
 ///
 /// `enter`/`exit` expose their two (always-`sp`) register fields because
@@ -258,58 +322,50 @@ pub fn base_op(inst: &Inst) -> BaseOp {
 ///
 /// Panics on [`Inst::Label`].
 pub fn fields(inst: &Inst) -> Vec<Field> {
+    field_refs(inst).iter().map(|f| f.to_field()).collect()
+}
+
+/// [`fields`], borrowed and on the stack: never allocates.
+///
+/// # Panics
+///
+/// Panics on [`Inst::Label`].
+pub fn field_refs(inst: &Inst) -> FieldRefs<'_> {
+    use FieldRef as F;
+    let sp = F::Reg(Reg::SP);
     match inst {
-        Inst::Li { rd, imm } => vec![Field::Reg(*rd), Field::Imm(*imm)],
-        Inst::Mov { rd, rs } => vec![Field::Reg(*rd), Field::Reg(*rs)],
-        Inst::Alu { rd, rs, rt, .. } => {
-            vec![Field::Reg(*rd), Field::Reg(*rs), Field::Reg(*rt)]
-        }
+        Inst::Li { rd, imm } => FieldRefs::of(&[F::Reg(*rd), F::Imm(*imm)]),
+        Inst::Mov { rd, rs }
+        | Inst::Neg { rd, rs }
+        | Inst::Not { rd, rs }
+        | Inst::Sext { rd, rs, .. } => FieldRefs::of(&[F::Reg(*rd), F::Reg(*rs)]),
+        Inst::Alu { rd, rs, rt, .. } => FieldRefs::of(&[F::Reg(*rd), F::Reg(*rs), F::Reg(*rt)]),
         Inst::AluImm { rd, rs, imm, .. } => {
-            vec![Field::Reg(*rd), Field::Reg(*rs), Field::Imm(*imm)]
-        }
-        Inst::Neg { rd, rs } | Inst::Not { rd, rs } | Inst::Sext { rd, rs, .. } => {
-            vec![Field::Reg(*rd), Field::Reg(*rs)]
+            FieldRefs::of(&[F::Reg(*rd), F::Reg(*rs), F::Imm(*imm)])
         }
         Inst::Load { rd, off, base, .. } => {
-            vec![Field::Reg(*rd), Field::Imm(*off), Field::Reg(*base)]
+            FieldRefs::of(&[F::Reg(*rd), F::Imm(*off), F::Reg(*base)])
         }
         Inst::Store { rs, off, base, .. } => {
-            vec![Field::Reg(*rs), Field::Imm(*off), Field::Reg(*base)]
+            FieldRefs::of(&[F::Reg(*rs), F::Imm(*off), F::Reg(*base)])
         }
-        Inst::Spill { rs, off } => vec![Field::Reg(*rs), Field::Imm(*off)],
-        Inst::Reload { rd, off } => vec![Field::Reg(*rd), Field::Imm(*off)],
-        Inst::Enter { amount } => {
-            vec![
-                Field::Reg(Reg::SP),
-                Field::Reg(Reg::SP),
-                Field::Imm(*amount),
-            ]
-        }
-        Inst::Exit { amount } => {
-            vec![
-                Field::Reg(Reg::SP),
-                Field::Reg(Reg::SP),
-                Field::Imm(*amount),
-            ]
-        }
+        Inst::Spill { rs, off } => FieldRefs::of(&[F::Reg(*rs), F::Imm(*off)]),
+        Inst::Reload { rd, off } => FieldRefs::of(&[F::Reg(*rd), F::Imm(*off)]),
+        Inst::Enter { amount } | Inst::Exit { amount } => FieldRefs::of(&[sp, sp, F::Imm(*amount)]),
         Inst::Branch { rs, rt, target, .. } => {
-            vec![Field::Reg(*rs), Field::Reg(*rt), Field::Target(*target)]
+            FieldRefs::of(&[F::Reg(*rs), F::Reg(*rt), F::Target(*target)])
         }
         Inst::BranchImm {
             rs, imm, target, ..
-        } => {
-            vec![Field::Reg(*rs), Field::Imm(*imm), Field::Target(*target)]
-        }
-        Inst::Jump { target } => vec![Field::Target(*target)],
+        } => FieldRefs::of(&[F::Reg(*rs), F::Imm(*imm), F::Target(*target)]),
+        Inst::Jump { target } => FieldRefs::of(&[F::Target(*target)]),
         Inst::Call {
             target: FuncRef::Symbol(name),
-        } => vec![Field::Func(name.clone())],
-        Inst::CallR { rs } | Inst::Rjr { rs } => vec![Field::Reg(*rs)],
-        Inst::Epi | Inst::Nop => vec![],
-        Inst::Bcopy { rd, rs, rn } => {
-            vec![Field::Reg(*rd), Field::Reg(*rs), Field::Reg(*rn)]
-        }
-        Inst::Bzero { rd, rn } => vec![Field::Reg(*rd), Field::Reg(*rn)],
+        } => FieldRefs::of(&[F::Func(name)]),
+        Inst::CallR { rs } | Inst::Rjr { rs } => FieldRefs::of(&[F::Reg(*rs)]),
+        Inst::Epi | Inst::Nop => FieldRefs::of(&[]),
+        Inst::Bcopy { rd, rs, rn } => FieldRefs::of(&[F::Reg(*rd), F::Reg(*rs), F::Reg(*rn)]),
+        Inst::Bzero { rd, rn } => FieldRefs::of(&[F::Reg(*rd), F::Reg(*rn)]),
         Inst::Label(_) => panic!("labels have no fields"),
     }
 }
@@ -468,14 +524,13 @@ pub fn inst_size(inst: &Inst) -> usize {
     if inst.is_label() {
         return 0;
     }
-    let fs = fields(inst);
     let mut reg_nibbles = 0usize;
     let mut tail_bytes = 0usize;
-    for f in &fs {
+    for f in field_refs(inst).iter() {
         match f {
-            Field::Reg(_) => reg_nibbles += 1,
-            Field::Imm(v) => tail_bytes += (imm_width(*v).bits() / 8) as usize,
-            Field::Target(_) | Field::Func(_) => tail_bytes += 2,
+            FieldRef::Reg(_) => reg_nibbles += 1,
+            FieldRef::Imm(v) => tail_bytes += (imm_width(*v).bits() / 8) as usize,
+            FieldRef::Target(_) | FieldRef::Func(_) => tail_bytes += 2,
         }
     }
     1 + reg_nibbles.div_ceil(2) + tail_bytes

@@ -648,6 +648,11 @@ fn cmd_brisc_pack(args: &[String]) -> Result<ExitCode, AnyError> {
         report.dictionary_entries,
         report.passes
     )?;
+    outln!(
+        "candidates: {} tested, {} scored",
+        report.candidates_tested,
+        report.candidates_scored
+    )?;
     Ok(ExitCode::SUCCESS)
 }
 

@@ -69,8 +69,12 @@ fn full_cli_pipeline() {
     assert!(stdout.contains("=> 42"));
 
     // brisc pack / info / run.
-    let (_, stderr, ok) = run(&["brisc", "pack", "demo.c"], &dir);
+    let (stdout, stderr, ok) = run(&["brisc", "pack", "demo.c"], &dir);
     assert!(ok, "brisc pack failed: {stderr}");
+    assert!(stdout.contains("\ncode: "), "brisc pack: {stdout}");
+    assert!(stdout.contains(" passes)\ncandidates: "), "{stdout}");
+    assert!(stdout.contains(" tested, "), "{stdout}");
+    assert!(stdout.ends_with(" scored\n"), "{stdout}");
     let (stdout, _, ok) = run(&["brisc", "info", "demo.ccbr"], &dir);
     assert!(ok);
     assert!(stdout.contains("dictionary"), "info: {stdout}");
