@@ -173,8 +173,7 @@ struct Hunt {
 /// [`BriscError`] on programs outside the representable envelope
 /// (functions over 64 KiB of compressed code, > 65280 functions, …).
 pub fn compress(program: &VmProgram, options: BriscOptions) -> Result<BriscReport, BriscError> {
-    let _span = codecomp_core::telemetry::span("brisc.compress");
-    let _prof = codecomp_core::profile::scope("brisc.compress");
+    let _stage = codecomp_core::telemetry::stage!("brisc.compress");
     let input_bytes = codecomp_vm::encode::code_segment_size(program);
 
     let mut hunt = Hunt::new(program, options)?;

@@ -210,8 +210,7 @@ impl<'a> BriscMachine<'a> {
     /// [`BriscError::Exec`] on faults or fuel exhaustion;
     /// [`BriscError::Corrupt`] if decoding fails mid-run.
     pub fn run(&mut self, entry: &str, args: &[i64]) -> Result<BriscOutcome, BriscError> {
-        let _span = codecomp_core::telemetry::span("brisc.run");
-        let _prof = codecomp_core::profile::scope("brisc.run");
+        let _stage = codecomp_core::telemetry::stage!("brisc.run");
         let (fuel_before, instrs_before) = (self.fuel, self.instructions);
         let result = self.run_inner(entry, args);
         if codecomp_core::telemetry::enabled() {

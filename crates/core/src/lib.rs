@@ -30,10 +30,10 @@
 //!   ([`cov_hit!`]) and [`fuzz`]: the coverage-guided campaign driver
 //!   built on it.
 //! - [`telemetry`]: zero-dependency observability — the metrics
-//!   [`telemetry::Registry`] and structured [`telemetry::TraceSink`]
-//!   every pipeline stage reports into when a collector is installed.
-//! - [`profile`]: feature-gated sampling self-profiler emitting
-//!   collapsed-stack (flamegraph) output from scoped stage markers.
+//!   [`telemetry::Registry`], structured [`telemetry::TraceSink`], and
+//!   the [`stage!`] marker whose guard times a stage for all of them
+//!   (counters, collapsed-stack self times, trace spans) when a
+//!   collector is installed.
 
 pub mod coverage;
 pub mod dict;
@@ -43,7 +43,6 @@ pub mod fault;
 pub mod fuzz;
 pub mod fxhash;
 pub mod limits;
-pub mod profile;
 pub mod streams;
 pub mod telemetry;
 pub mod treepat;

@@ -17,9 +17,13 @@
 //!   injections) delivered to a [`TraceSink`]: either a JSON-lines
 //!   writer ([`JsonLinesSink`], in-tree serializer, no serde) or an
 //!   always-on flight recorder ([`RingSink`]) dumped on error.
+//! - **Stages** — [`stage!`] is the one way to time a stage. Its guard
+//!   feeds the stage's inclusive ns counter, a per-thread self-time
+//!   frame stack ([`render_collapsed`], what `codecomp profile` writes)
+//!   and the trace's spans, all from one pair of clock reads.
 //! - **The global collector** — [`install`] publishes a [`Collector`]
 //!   once per process; every instrumentation site goes through the
-//!   free functions ([`counter_add`], [`event`], [`span`], …) which
+//!   free functions ([`counter_add`], [`event`], [`stage!`], …) which
 //!   reduce to a single atomic load and a branch when nothing is
 //!   installed. Without a collector the pipeline stays exactly as it
 //!   was: no state is created, nothing is observable.
@@ -30,10 +34,11 @@
 //! per-stream metrics (`wire.encode.section_bytes.$patterns`). The
 //! full scheme is documented in DESIGN.md § Observability.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 pub mod reconcile;
@@ -711,8 +716,12 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// Monotonic nanoseconds since the first telemetry use in this process.
 pub fn now_nanos() -> u64 {
-    let epoch = EPOCH.get_or_init(Instant::now);
-    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    nanos_since_epoch(Instant::now())
+}
+
+fn nanos_since_epoch(at: Instant) -> u64 {
+    let epoch = EPOCH.get_or_init(|| at);
+    u64::try_from(at.saturating_duration_since(*epoch).as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Installs the process-wide collector. First install wins; returns
@@ -799,59 +808,226 @@ pub fn event(name: &str, fields: Vec<(&'static str, FieldValue)>) {
     }
 }
 
-/// An open stage span; emits `span_end` with its duration on drop.
+// ---- stages -----------------------------------------------------------------
+
+/// A named pipeline stage, declared once per marker site by [`stage!`].
+///
+/// The stage `a.b.c` counts inclusive nanoseconds into the counter
+/// `a.b.ns.c` (so `wire.decode.join` feeds `wire.decode.ns.join`); the
+/// handle is resolved on first use and cached here, so entering a stage
+/// never looks a name up in the registry.
 #[derive(Debug)]
-pub struct Span {
-    // `None` when tracing is disabled: the whole guard is inert.
-    name: Option<String>,
-    start: Option<Instant>,
+pub struct Stage {
+    name: &'static str,
+    counter: OnceLock<Arc<Counter>>,
 }
 
-impl Span {
-    /// Ends the span now (otherwise it ends on drop).
-    pub fn end(self) {}
+impl Stage {
+    /// A stage named `name` (usually declared through [`stage!`]).
+    pub const fn new(name: &'static str) -> Stage {
+        Stage {
+            name,
+            counter: OnceLock::new(),
+        }
+    }
+
+    /// Opens the stage until the returned guard drops. With no
+    /// collector installed this is one atomic load and the guard is
+    /// inert.
+    #[inline]
+    pub fn enter(&'static self) -> StageGuard {
+        StageGuard {
+            open: collector().map(|c| self.open(c)),
+            _thread_bound: std::marker::PhantomData,
+        }
+    }
+
+    fn open(&'static self, c: &'static Collector) -> OpenStage {
+        let counter = self.counter.get_or_init(|| {
+            c.metrics.counter(&match self.name.rsplit_once('.') {
+                Some((head, leaf)) => format!("{head}.ns.{leaf}"),
+                None => format!("{}.ns", self.name),
+            })
+        });
+        let start = Instant::now();
+        FRAMES.with(|f| f.borrow_mut().enter(self.name));
+        let trace = c.trace.as_ref();
+        if let Some(sink) = trace {
+            sink.record(&span_event(TraceKind::SpanBegin, self.name, start, None));
+        }
+        OpenStage {
+            name: self.name,
+            counter,
+            start,
+            trace,
+        }
+    }
 }
 
-impl Drop for Span {
+/// Opens a [`Stage`] at the call site: `let _join =
+/// telemetry::stage!("wire.decode.join");`. Each site owns one static
+/// handle. While the guard lives, and a collector is installed, the
+/// stage's time is measured by one pair of clock reads that feed its
+/// inclusive ns counter, the calling thread's self-time frame stack
+/// (rendered by [`render_collapsed`]) and, with a trace sink,
+/// `span_begin`/`span_end` records.
+#[macro_export]
+macro_rules! stage {
+    ($name:literal) => {{
+        static STAGE: $crate::telemetry::Stage = $crate::telemetry::Stage::new($name);
+        STAGE.enter()
+    }};
+}
+pub use crate::stage;
+
+/// An open [`Stage`]; closes it on drop, also on early returns.
+#[must_use = "a stage closes when its guard drops; bind it with `let _stage = ...`"]
+pub struct StageGuard {
+    // `None` when no collector was installed at entry.
+    open: Option<OpenStage>,
+    // Frames live on the opening thread's stack.
+    _thread_bound: std::marker::PhantomData<*const ()>,
+}
+
+struct OpenStage {
+    name: &'static str,
+    counter: &'static Counter,
+    start: Instant,
+    trace: Option<&'static Arc<dyn TraceSink>>,
+}
+
+impl Drop for StageGuard {
     fn drop(&mut self) {
-        if let (Some(name), Some(start)) = (self.name.take(), self.start) {
-            if let Some(sink) = collector().and_then(|c| c.trace.as_ref()) {
-                sink.record(&TraceEvent {
-                    t_nanos: now_nanos(),
-                    kind: TraceKind::SpanEnd,
+        let Some(open) = self.open.take() else {
+            return;
+        };
+        let end = Instant::now();
+        let ns = u64::try_from(end.duration_since(open.start).as_nanos()).unwrap_or(u64::MAX);
+        open.counter.add(ns);
+        FRAMES.with(|f| f.borrow_mut().exit(ns));
+        if let Some(sink) = open.trace {
+            sink.record(&span_event(TraceKind::SpanEnd, open.name, end, Some(ns)));
+        }
+    }
+}
+
+fn span_event(kind: TraceKind, name: &str, at: Instant, dur_nanos: Option<u64>) -> TraceEvent {
+    TraceEvent {
+        t_nanos: nanos_since_epoch(at),
+        kind,
+        name: name.to_string(),
+        dur_nanos,
+        fields: Vec::new(),
+    }
+}
+
+/// One node of a thread's stage call tree: the collapsed stack it
+/// stands for and the self time not yet published.
+struct StackNode {
+    name: &'static str,
+    parent: Option<usize>,
+    path: String,
+    self_ns: u64,
+}
+
+/// An open stage on the thread's stack: its tree node and the
+/// inclusive time of the children that have closed inside it.
+struct Frame {
+    node: usize,
+    child_ns: u64,
+}
+
+/// A thread's stage stack. Self time accumulates per tree node and is
+/// published to [`STACKS`] whenever the outermost stage closes, so the
+/// shared map is locked once per top-level call, not per stage.
+struct Frames {
+    nodes: Vec<StackNode>,
+    open: Vec<Frame>,
+}
+
+impl Frames {
+    fn enter(&mut self, name: &'static str) {
+        let parent = self.open.last().map(|f| f.node);
+        let node = match self
+            .nodes
+            .iter()
+            .position(|n| n.parent == parent && n.name == name)
+        {
+            Some(i) => i,
+            None => {
+                let path = match parent {
+                    Some(p) => format!("{};{name}", self.nodes[p].path),
+                    None => name.to_string(),
+                };
+                self.nodes.push(StackNode {
                     name,
-                    dur_nanos: Some(
-                        u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    ),
-                    fields: Vec::new(),
+                    parent,
+                    path,
+                    self_ns: 0,
                 });
+                self.nodes.len() - 1
+            }
+        };
+        self.open.push(Frame { node, child_ns: 0 });
+    }
+
+    fn exit(&mut self, ns: u64) {
+        let Some(frame) = self.open.pop() else {
+            return;
+        };
+        let node = &mut self.nodes[frame.node];
+        node.self_ns = node
+            .self_ns
+            .saturating_add(ns.saturating_sub(frame.child_ns));
+        match self.open.last_mut() {
+            Some(parent) => parent.child_ns = parent.child_ns.saturating_add(ns),
+            None => {
+                let mut stacks = STACKS.lock().unwrap_or_else(PoisonError::into_inner);
+                for n in self.nodes.iter_mut().filter(|n| n.self_ns > 0) {
+                    match stacks.get_mut(&n.path) {
+                        Some(total) => *total = total.saturating_add(n.self_ns),
+                        None => {
+                            stacks.insert(n.path.clone(), n.self_ns);
+                        }
+                    }
+                    n.self_ns = 0;
+                }
             }
         }
     }
 }
 
-/// Opens a stage span (emits `span_begin` now, `span_end` on drop).
-/// Inert when no trace sink is installed.
-pub fn span(name: &str) -> Span {
-    match collector().and_then(|c| c.trace.as_ref()) {
-        Some(sink) => {
-            sink.record(&TraceEvent {
-                t_nanos: now_nanos(),
-                kind: TraceKind::SpanBegin,
-                name: name.to_string(),
-                dur_nanos: None,
-                fields: Vec::new(),
-            });
-            Span {
-                name: Some(name.to_string()),
-                start: Some(Instant::now()),
-            }
-        }
-        None => Span {
-            name: None,
-            start: None,
-        },
-    }
+thread_local! {
+    static FRAMES: RefCell<Frames> = const {
+        RefCell::new(Frames {
+            nodes: Vec::new(),
+            open: Vec::new(),
+        })
+    };
+}
+
+/// Self nanoseconds per collapsed stack, summed over every thread.
+static STACKS: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
+
+/// Self nanoseconds per collapsed stage stack (`a;b;c`), sorted, over
+/// every top-level stage closed so far. The self times under a stage
+/// sum exactly to the inclusive time its counter recorded.
+pub fn collapsed_stacks() -> Vec<(String, u64)> {
+    STACKS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .iter()
+        .map(|(k, &v)| (k.clone(), v))
+        .collect()
+}
+
+/// [`collapsed_stacks`] as `stack self_ns` lines, the collapsed-stack
+/// format flamegraph renderers consume.
+pub fn render_collapsed() -> String {
+    collapsed_stacks()
+        .into_iter()
+        .map(|(stack, ns)| format!("{stack} {ns}\n"))
+        .collect()
 }
 
 // ---- JSON helpers and the trace-schema checker ------------------------------
@@ -1144,6 +1320,36 @@ pub fn validate_trace_line(line: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Validates one line of collapsed-stack output: `frame[;frame]* N`
+/// with non-empty, space-free frames and a positive count.
+///
+/// # Errors
+///
+/// A human-readable description of the first violation.
+pub fn validate_collapsed_line(line: &str) -> Result<(), String> {
+    let (stack, count) = line
+        .rsplit_once(' ')
+        .ok_or_else(|| "missing count (expected `stack count`)".to_string())?;
+    let n: u64 = count
+        .parse()
+        .map_err(|_| format!("count {count:?} is not an integer"))?;
+    if n == 0 {
+        return Err("count must be positive".into());
+    }
+    if stack.is_empty() {
+        return Err("empty stack".into());
+    }
+    for frame in stack.split(';') {
+        if frame.is_empty() {
+            return Err("empty frame in stack".into());
+        }
+        if frame.contains(' ') {
+            return Err(format!("frame {frame:?} contains a space"));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1370,6 +1576,46 @@ mod tests {
     }
 
     #[test]
+    fn collapsed_validator_accepts_and_rejects() {
+        validate_collapsed_line("a 5").unwrap();
+        validate_collapsed_line("wire.decompress;wire.decode.join 123").unwrap();
+        for bad in ["", "a", "a 0", "a x", " 5", "a;;b 5", "a b;c 5"] {
+            assert!(validate_collapsed_line(bad).is_err(), "accepted: {bad:?}");
+        }
+    }
+
+    #[test]
+    fn frames_credit_self_time_and_publish_at_the_outermost_exit() {
+        // Drives a private frame stack directly: no collector, no clock.
+        let mut f = Frames {
+            nodes: Vec::new(),
+            open: Vec::new(),
+        };
+        f.enter("unit.outer");
+        f.enter("unit.inner");
+        f.exit(30);
+        f.enter("unit.inner");
+        f.exit(12);
+        assert!(!collapsed_stacks()
+            .iter()
+            .any(|(k, _)| k.starts_with("unit.")));
+        f.exit(50);
+        let stacks: Vec<_> = collapsed_stacks()
+            .into_iter()
+            .filter(|(k, _)| k.starts_with("unit."))
+            .collect();
+        assert_eq!(
+            stacks,
+            vec![
+                ("unit.outer".to_string(), 8),
+                ("unit.outer;unit.inner".to_string(), 42),
+            ]
+        );
+        assert_eq!(f.open.len(), 0);
+        assert!(f.nodes.iter().all(|n| n.self_ns == 0));
+    }
+
+    #[test]
     fn json_string_escapes() {
         assert_eq!(json_string("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
@@ -1441,7 +1687,7 @@ mod tests {
         counter_add("never.recorded", 1);
         gauge_set("never.recorded", 1);
         histogram_record("never.recorded", 1);
-        let _span = span("never.recorded");
+        drop(stage!("never.recorded"));
         event("never.recorded", vec![("k", FieldValue::U64(1))]);
         assert!(collector().is_none(), "helpers must not install state");
     }

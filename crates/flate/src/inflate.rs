@@ -417,7 +417,7 @@ fn inflate_governed(
     max_output: usize,
     budget: Option<&codecomp_core::Budget>,
 ) -> Result<Vec<u8>, FlateError> {
-    let _prof = codecomp_core::profile::scope("inflate.blocks");
+    let _stage = codecomp_core::telemetry::stage!("flate.inflate.blocks");
     let mut r = BitSource::new(data);
     let mut out = Vec::new();
     let mut stats = InflateStats {

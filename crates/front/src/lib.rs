@@ -43,7 +43,7 @@ use std::fmt;
 /// [`FrontError`] describing the first lexical, syntactic, or semantic
 /// problem, with a line number.
 pub fn compile(source: &str) -> Result<Module, FrontError> {
-    let _span = codecomp_core::telemetry::span("front.compile");
+    let _stage = codecomp_core::telemetry::stage!("front.compile");
     let tokens = lexer::lex(source)?;
     let program = parser::parse(&tokens)?;
     sema::check(&program)?;

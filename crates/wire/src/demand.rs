@@ -157,7 +157,7 @@ impl DemandImage {
     /// function cannot drain the meters for its siblings; this is the
     /// report a loader consults before deciding what to quarantine.
     pub fn salvage_scan(&self, limits: DecodeLimits) -> SalvageReport {
-        let _span = telemetry::span("wire.salvage_scan");
+        let _stage = telemetry::stage!("wire.salvage_scan");
         let mut salvageable = Vec::new();
         let mut poisoned = Vec::new();
         for (name, _) in &self.units {

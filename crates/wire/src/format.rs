@@ -7,7 +7,6 @@ use codecomp_coding::huffman::{cached_decoder, HuffmanEncoder};
 use codecomp_coding::model::AdaptiveModel;
 use codecomp_coding::mtf::{mtf_decode_identity, mtf_encode};
 use codecomp_core::cov_hit;
-use codecomp_core::profile;
 use codecomp_core::streams::SplitStreams;
 use codecomp_core::telemetry;
 use codecomp_core::treepat::TreePattern;
@@ -130,7 +129,7 @@ impl WireReport {
 ///
 /// [`WireError`] if the module contains trees outside the operator table.
 pub fn compress(module: &Module, options: WireOptions) -> Result<WireReport, WireError> {
-    let _span = telemetry::span("wire.compress");
+    let _stage = telemetry::stage!("wire.compress");
     // 1-2. Gather statement trees and patternize into streams.
     let trees: Vec<Tree> = module
         .functions
@@ -263,12 +262,6 @@ pub fn decompress(bytes: &[u8]) -> Result<Module, WireError> {
 #[derive(Debug, Default)]
 struct DecodeStats {
     enabled: bool,
-    ns_inflate: u64,
-    ns_entry_table: u64,
-    ns_indices: u64,
-    ns_table_build: u64,
-    ns_mtf: u64,
-    ns_join: u64,
     symbols: u64,
     table_entries: u64,
     /// `(section key, compressed payload bytes, symbols)` in image order;
@@ -284,16 +277,6 @@ impl DecodeStats {
         }
     }
 
-    #[inline]
-    fn start(&self) -> Option<std::time::Instant> {
-        self.enabled.then(std::time::Instant::now)
-    }
-
-    #[inline]
-    fn elapsed(t: Option<std::time::Instant>) -> u64 {
-        t.map_or(0, |t| t.elapsed().as_nanos() as u64)
-    }
-
     /// Publishes the batch, mirroring the encode side's reset-and-set
     /// gauge contract: stale `wire.decode.section_*` gauges from a
     /// previously decoded module are zeroed before this module's
@@ -305,16 +288,9 @@ impl DecodeStats {
         // registry walk per decode instead of one per section.
         codecomp_coding::huffman::flush_decoder_cache_stats();
         codecomp_flate::inflate::flush_table_cache_stats();
-        PATTERN_TABLE_CACHE.flush_stats();
         if !self.enabled {
             return;
         }
-        telemetry::counter_add("wire.decode.ns.inflate", self.ns_inflate);
-        telemetry::counter_add("wire.decode.ns.entry_table", self.ns_entry_table);
-        telemetry::counter_add("wire.decode.ns.indices", self.ns_indices);
-        telemetry::counter_add("wire.decode.ns.table_build", self.ns_table_build);
-        telemetry::counter_add("wire.decode.ns.mtf", self.ns_mtf);
-        telemetry::counter_add("wire.decode.ns.join", self.ns_join);
         telemetry::counter_add("wire.decode.symbols", self.symbols);
         telemetry::counter_add("wire.decode.table_entries", self.table_entries);
         if let Some(c) = telemetry::collector() {
@@ -335,123 +311,25 @@ impl DecodeStats {
     }
 }
 
-/// A decoded `$patterns` section: the interned pattern table plus the
-/// per-statement symbol stream, with the admission facts a cold decode
-/// checked so cache hits replay the same budget decisions.
-#[derive(Debug)]
-struct PatternTable {
-    patterns: Vec<TreePattern>,
-    stream: Vec<u32>,
-    /// Deepest `check_pattern_depth` argument the cold decode issued.
-    max_depth: u32,
-}
-
-/// The pattern table *is* a decode structure — the symbol table the
-/// tree stream indexes into — so it is interned like a Huffman table,
-/// keyed by the options byte plus the exact inflated section payload:
-/// equal payloads decode to equal tables. Demand loaders re-decode the
-/// same per-function images repeatedly and hit this on every call
-/// after the first.
-static PATTERN_TABLE_CACHE: codecomp_coding::cache::DescCache<PatternTable> =
-    codecomp_coding::cache::DescCache::new("wire.patterns.table_cache", 64);
-
-/// Empties the pattern-table cache (test hook for cold-cache runs).
-pub fn clear_pattern_table_cache() {
-    PATTERN_TABLE_CACHE.clear();
-}
-
-/// Starts a new pattern-table cache generation: O(1) lazy invalidation
-/// of every interned table. The fuzz campaign's per-case reset.
-pub fn bump_pattern_table_cache_generation() {
-    PATTERN_TABLE_CACHE.bump_generation();
-}
-
-/// Depth of the deepest node, counted the way `decode_pattern_node`
-/// counts it (root at 0).
-fn pattern_depth(p: &TreePattern) -> u32 {
-    p.kids.iter().map(pattern_depth).max().map_or(0, |d| d + 1)
-}
-
-/// The decoded pattern table for a `$patterns` payload, interning it
-/// on first sight.
-///
-/// A cache hit replays exactly the admission checks and fuel charges
-/// the cold decode issued against `budget` — table entries, pattern
-/// depth, stream symbols, and (for the arithmetic coder) the model
-/// alphabet — so a tight budget rejects a hot table the same way it
-/// rejects a cold one.
-fn cached_pattern_table(
-    payload: &[u8],
-    options: WireOptions,
-    budget: &Budget,
-    stats: &mut DecodeStats,
-) -> Result<std::sync::Arc<PatternTable>, WireError> {
-    let mut key = Vec::with_capacity(1 + payload.len());
-    key.push(options.to_byte());
-    key.extend_from_slice(payload);
-    let mut was_cold = false;
-    let table = PATTERN_TABLE_CACHE.get_or_build(&key, || {
-        was_cold = true;
-        cov_hit!("wire.patterns.cold");
-        let mut pc = Cursor::new(payload);
-        let (patterns, stream) = decode_symbol_stream(&mut pc, options, budget, stats, |c| {
-            decode_pattern(c, budget)
-        })?;
-        let max_depth = patterns.iter().map(pattern_depth).max().unwrap_or(0);
-        Ok::<_, WireError>(PatternTable {
-            patterns,
-            stream,
-            max_depth,
-        })
-    })?;
-    if !was_cold {
-        cov_hit!("wire.patterns.warm");
-        budget.check_table_entries(table.patterns.len() as u64)?;
-        budget.charge_fuel(table.patterns.len() as u64)?;
-        if !table.patterns.is_empty() {
-            budget.check_pattern_depth(table.max_depth)?;
-        }
-        if !table.stream.is_empty() {
-            budget.check_stream_symbols(table.stream.len() as u64)?;
-            budget.charge_fuel(table.stream.len() as u64)?;
-            if options.coder == Coder::Arithmetic {
-                let alphabet = if options.mtf {
-                    table.patterns.len() + 1
-                } else {
-                    table.patterns.len()
-                };
-                budget.check_table_entries(alphabet.max(1) as u64)?;
-            }
-        }
-        stats.symbols += table.stream.len() as u64;
-        stats.table_entries += table.patterns.len() as u64;
-    }
-    Ok(table)
-}
-
 /// Reads one framed section (key, length, payload) at the cursor and
 /// inflates its payload.
 fn read_section<'a>(
     c: &mut Cursor<'a>,
     options: WireOptions,
     budget: &Budget,
-    stats: &mut DecodeStats,
 ) -> Result<(String, Vec<u8>, u64), WireError> {
-    let _prof = profile::scope("frame");
     let key = c.string()?;
     let len = c.usize_varint()?;
     let payload = c.take(len)?;
-    let t = stats.start();
+    let _inflate = telemetry::stage!("wire.decode.inflate");
     let raw = if options.deflate {
         cov_hit!("wire.section.deflated");
-        let _prof = profile::scope("inflate");
         inflate_budgeted(payload, budget)?
     } else {
         cov_hit!("wire.section.raw");
         budget.check_output_bytes(payload.len() as u64)?;
         payload.to_vec()
     };
-    stats.ns_inflate += DecodeStats::elapsed(t);
     Ok((key, raw, len as u64))
 }
 
@@ -469,8 +347,7 @@ fn read_section<'a>(
 /// [`WireError::Limit`] when a budget knob trips (never misreported as
 /// `Corrupt`); otherwise as [`decompress`].
 pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, WireError> {
-    let _span = telemetry::span("wire.decompress");
-    let _prof = profile::scope("wire.decode");
+    let _stage = telemetry::stage!("wire.decompress");
     telemetry::counter_add("wire.decode.modules", 1);
     telemetry::counter_add("wire.decode.input_bytes", bytes.len() as u64);
     let mut stats = DecodeStats::new();
@@ -488,7 +365,7 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
         cov_hit!("wire.meta.missing");
         return Err(WireError::Corrupt("missing $meta".into()));
     }
-    let (meta_key, meta, meta_len) = read_section(&mut c, options, budget, &mut stats)?;
+    let (meta_key, meta, meta_len) = read_section(&mut c, options, budget)?;
     if meta_key != "$meta" {
         cov_hit!("wire.meta.wrong_key");
         return Err(WireError::Corrupt("first section is not $meta".into()));
@@ -531,23 +408,24 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
         cov_hit!("wire.patterns.missing");
         return Err(WireError::Corrupt("missing $patterns".into()));
     }
-    let (pat_key, pat_raw, pat_len) = read_section(&mut c, options, budget, &mut stats)?;
+    let (pat_key, pat_raw, pat_len) = read_section(&mut c, options, budget)?;
     if pat_key != "$patterns" {
         cov_hit!("wire.patterns.wrong_key");
         return Err(WireError::Corrupt("second section is not $patterns".into()));
     }
-    let table = cached_pattern_table(&pat_raw, options, budget, &mut stats)?;
+    let mut pc = Cursor::new(&pat_raw);
+    let (patterns, stream) = decode_symbol_stream(&mut pc, options, budget, &mut stats, |c| {
+        decode_pattern(c, budget)
+    })?;
     if stats.enabled {
-        stats
-            .sections
-            .push((pat_key, pat_len, table.stream.len() as u64));
+        stats.sections.push((pat_key, pat_len, stream.len() as u64));
     }
 
     // Remaining sections: literal streams, decoded as they are framed.
     let mut literal_sections: Vec<(String, Vec<Literal>)> =
         Vec::with_capacity((n_sections - 2).min(c.remaining() / 2));
     for _ in 2..n_sections {
-        let (key, raw, len) = read_section(&mut c, options, budget, &mut stats)?;
+        let (key, raw, len) = read_section(&mut c, options, budget)?;
         let mut lc = Cursor::new(&raw);
         let lits = decode_literal_stream(&mut lc, options, budget, &mut stats)?;
         if stats.enabled {
@@ -562,16 +440,11 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
         ));
     }
 
-    // Rebuild trees against the (possibly shared) pattern table.
-    let _prof_join = profile::scope("join");
-    let t_join = stats.start();
+    // Rebuild trees against the pattern table.
+    let join = telemetry::stage!("wire.decode.join");
     let trees: Vec<Tree> = if options.split_streams {
         cov_hit!("wire.join.split");
-        SplitStreams::join_parts(
-            &table.patterns,
-            &table.stream,
-            literal_sections.into_iter().collect(),
-        )?
+        SplitStreams::join_parts(&patterns, &stream, literal_sections.into_iter().collect())?
     } else {
         cov_hit!("wire.join.mixed");
         let (_, all) = literal_sections
@@ -579,10 +452,9 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
             .next()
             .ok_or_else(|| WireError::Corrupt("missing $literals".into()))?;
         let mut queue = all.into_iter();
-        let mut trees = Vec::with_capacity(table.stream.len());
-        for &sym in &table.stream {
-            let pat = table
-                .patterns
+        let mut trees = Vec::with_capacity(stream.len());
+        for &sym in &stream {
+            let pat = patterns
                 .get(sym as usize)
                 .ok_or_else(|| WireError::Corrupt(format!("bad pattern symbol {sym}")))?;
             let tree = pat.rebuild_slots(&mut || {
@@ -594,8 +466,7 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
         }
         trees
     };
-    stats.ns_join += DecodeStats::elapsed(t_join);
-    drop(_prof_join);
+    drop(join);
 
     // Slice trees into functions.
     let mut module = Module {
@@ -795,28 +666,23 @@ fn decode_symbol_stream<T>(
     let table_len = c.usize_varint()?;
     budget.check_table_entries(table_len as u64)?;
     budget.charge_fuel(table_len as u64)?;
-    let t_table = stats.start();
     let mut table = Vec::with_capacity(table_len.min(c.remaining()));
     {
-        let _prof = profile::scope("tables");
+        let _entries = telemetry::stage!("wire.decode.entry_table");
         for _ in 0..table_len {
             table.push(read_entry(c)?);
         }
     }
-    stats.ns_entry_table += DecodeStats::elapsed(t_table);
     let alphabet = if options.mtf {
         table_len + 1
     } else {
         table_len
     };
-    let t_idx = stats.start();
     let indices = {
-        let _prof = profile::scope("huffman");
-        decode_indices(c, alphabet.max(1), options.coder, budget, stats)?
+        let _indices = telemetry::stage!("wire.decode.indices");
+        decode_indices(c, alphabet.max(1), options.coder, budget)?
     };
-    stats.ns_indices += DecodeStats::elapsed(t_idx);
-    let _prof_mtf = profile::scope("mtf");
-    let t_mtf = stats.start();
+    let mtf = telemetry::stage!("wire.decode.mtf");
     let occurrences = if options.mtf {
         cov_hit!("wire.stream.mtf");
         // Occurrence values are first-occurrence table indices, so the
@@ -831,8 +697,7 @@ fn decode_symbol_stream<T>(
         cov_hit!("wire.stream.direct");
         indices
     };
-    stats.ns_mtf += DecodeStats::elapsed(t_mtf);
-    drop(_prof_mtf);
+    drop(mtf);
     if occurrences.iter().any(|&o| o as usize >= table_len) && !occurrences.is_empty() {
         cov_hit!("wire.stream.occurrence_overflow");
         return Err(WireError::Corrupt("occurrence beyond table".into()));
@@ -941,7 +806,6 @@ fn decode_indices(
     alphabet: usize,
     coder: Coder,
     budget: &Budget,
-    stats: &mut DecodeStats,
 ) -> Result<Vec<u32>, WireError> {
     let count = c.usize_varint()?;
     if count == 0 {
@@ -971,12 +835,13 @@ fn decode_indices(
             let lengths = c.take(alphabet)?;
             let nbytes = c.usize_varint()?;
             let bits = c.take(nbytes)?;
-            let t_build = stats.start();
             // The length vector keys a process-wide decoder cache, so a
             // code description seen in any earlier section (or module)
             // skips the table build entirely.
-            let dec = cached_decoder(lengths)?;
-            stats.ns_table_build += DecodeStats::elapsed(t_build);
+            let dec = {
+                let _build = telemetry::stage!("wire.decode.table_build");
+                cached_decoder(lengths)?
+            };
             // Table-driven bulk decode: two-level lookup against a
             // 64-bit reservoir instead of a bit-walk per symbol.
             let out = dec.decode_exact(bits, count)?;

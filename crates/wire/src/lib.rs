@@ -33,11 +33,7 @@ pub mod demand;
 mod format;
 
 pub use demand::{DemandError, DemandImage, DemandLoader, DemandReport, SalvageReport};
-pub use format::{
-    bump_pattern_table_cache_generation, clear_pattern_table_cache, compress, decompress,
-    decompress_budgeted, Coder, WireOptions,
-    WireReport,
-};
+pub use format::{compress, decompress, decompress_budgeted, Coder, WireOptions, WireReport};
 
 use std::error::Error;
 use std::fmt;

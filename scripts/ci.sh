@@ -107,17 +107,16 @@ grep -q "reconcile: ok" "$tdir/m1.out"
     > /dev/null
 cmp "$tdir/m1.jsonl" "$tdir/m2.jsonl"
 
-# Self-profiler smoke: build with the `profile` feature, profile a wire
-# unpack, and validate the collapsed-stack output. The profiled decode
-# must attribute samples to the decode stages (frame/huffman/mtf/join).
+# Self-profiler smoke: profile a wire unpack with the default build and
+# validate the collapsed-stack output. The profiled decode must
+# attribute self time to the decode stages (inflate/indices/mtf/join).
 echo "==> self-profiler smoke (collapsed stacks + schema check)"
 prof_start=$SECONDS
-cargo build --release --offline -q --features profile
-pbin=target/release/code-compression
-"$pbin" profile --out "$tdir/wire.folded" --passes 50 --period 500 \
+"$bin" profile --out "$tdir/wire.folded" --passes 50 \
     wire unpack "$tdir/smoke.ccwf" -o /dev/null > /dev/null
-"$pbin" telemetry check --collapsed "$tdir/wire.folded"
+"$bin" telemetry check --collapsed "$tdir/wire.folded"
 grep -q "wire.decode" "$tdir/wire.folded"
+grep -q "join" "$tdir/wire.folded"
 echo "==> profiler smoke took $((SECONDS - prof_start))s"
 
 # Coverage-guided fuzz smoke: a budgeted campaign over every decoder

@@ -29,7 +29,6 @@ use code_compression::front::compile;
 use code_compression::ir::binary::{decode_module, encode_module};
 use code_compression::ir::eval::Evaluator;
 use code_compression::ir::Module;
-use code_compression::core::profile;
 use code_compression::core::telemetry::reconcile::reconcile;
 use code_compression::serve::soak::{
     channel_mix, corrupt_units, run_soak_observed, ChannelKind, SoakConfig, SoakObserver,
@@ -88,7 +87,7 @@ macro_rules! outln {
 
 /// Telemetry surfacing requested on the command line.
 struct TelemetryFlags {
-    /// `--stats`: print the per-stage stream breakdown table.
+    /// `--stats`: print the stream breakdown and stage-time tables.
     stats: bool,
     /// `--metrics` (stdout) or `--metrics=PATH` (file): registry dump.
     metrics: Option<Option<String>>,
@@ -183,6 +182,41 @@ fn print_stats(snap: &telemetry::Snapshot) {
         eprintln!("  (no wire activity in this run)");
     }
     print_stage_counters(snap);
+    print_stage_times();
+}
+
+/// Inclusive and self time of every stage the run entered, from the
+/// stage marker's collapsed stacks. Self times sum to the whole;
+/// inclusive times overlap where stages nest (`table_build` inside
+/// `indices`, every decode stage inside `wire.decompress`).
+fn print_stage_times() {
+    let stacks = telemetry::collapsed_stacks();
+    let mut rows: std::collections::BTreeMap<&str, (u64, u64)> = Default::default();
+    let mut total = 0u64;
+    for (stack, ns) in &stacks {
+        let frames: Vec<&str> = stack.split(';').collect();
+        for (i, frame) in frames.iter().enumerate() {
+            if !frames[..i].contains(frame) {
+                rows.entry(frame).or_default().0 += ns;
+            }
+        }
+        if let Some(leaf) = frames.last() {
+            rows.entry(leaf).or_default().1 += ns;
+        }
+        total += ns;
+    }
+    if rows.is_empty() {
+        return;
+    }
+    let mut rows: Vec<_> = rows.into_iter().collect();
+    rows.sort_by_key(|&(_, (inclusive, _))| std::cmp::Reverse(inclusive));
+    let us = |ns: u64| ns as f64 / 1e3;
+    eprintln!("stage times (us):");
+    eprintln!("  {:>24} {:>12} {:>12}", "stage", "inclusive", "self");
+    for (name, (inclusive, own)) in rows {
+        eprintln!("  {name:>24} {:>12.1} {:>12.1}", us(inclusive), us(own));
+    }
+    eprintln!("  {:>24} {:>12} {:>12.1}", "sum of self", "", us(total));
 }
 
 /// One direction of the stream table (`dir` is `"encode"` or
@@ -247,9 +281,6 @@ fn print_stage_counters(snap: &telemetry::Snapshot) {
         "flate.inflate.table_cache.hits",
         "flate.inflate.table_cache.misses",
         "flate.inflate.table_cache.evictions",
-        "wire.patterns.table_cache.hits",
-        "wire.patterns.table_cache.misses",
-        "wire.patterns.table_cache.evictions",
         "brisc.interp.dispatches",
         "brisc.interp.fuel_consumed",
         "serve.requests",
@@ -360,15 +391,14 @@ fn usage() -> Result<ExitCode, AnyError> {
   codecomp telemetry check [--trace|--stream|--collapsed] <file.jsonl>...
   codecomp fuzz [--target wire|gzip|demand|brisc|all] [--cases N] [--seed N]
                 [--rounds N] [--blind] [--max-input N] [--save-repros]
-  codecomp profile [--out PATH] [--passes N] [--period NANOS] <subcommand...>
-                   (needs a `--features profile` build)
+  codecomp profile [--out PATH] [--passes N] <subcommand...>
   codecomp serve-sim [<src.c|.ccir>] [--clients N] [--requests N] [--seed N]
                      [--fault-rate N|N/D] [--corrupt N] [--workers N]
                      [--cache SIZE] [--channels modem,lan,disk]
                      [--metrics-interval MS] [--metrics-stream PATH]
 
 global telemetry flags (any command, before `--`):
-  --stats              per-stage stream breakdown table (stderr)
+  --stats              stream breakdown and stage-time tables (stderr)
   --metrics[=PATH]     metrics-registry JSON dump (stdout, or PATH)
   --trace=PATH         structured JSON-lines trace
 
@@ -707,7 +737,7 @@ fn cmd_telemetry_check(args: &[String]) -> Result<ExitCode, AnyError> {
     }
     let validate: fn(&str) -> Result<(), String> = match kind {
         "stream" => telemetry::stream::validate_stream_line,
-        "collapsed" => profile::validate_collapsed_line,
+        "collapsed" => telemetry::validate_collapsed_line,
         _ => telemetry::validate_trace_line,
     };
     for input in &inputs {
@@ -725,15 +755,12 @@ fn cmd_telemetry_check(args: &[String]) -> Result<ExitCode, AnyError> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `codecomp profile <subcommand...>`: runs the subcommand under the
-/// in-tree sampling self-profiler and writes its collapsed-stack
-/// profile. Requires a build with `--features profile`; in a normal
-/// build the instrumentation is compiled out and there is nothing to
-/// sample.
+/// `codecomp profile <subcommand...>`: runs the subcommand with a
+/// metrics collector installed (if no telemetry flag installed one)
+/// and writes the stage marker's self nanoseconds per collapsed stack.
 fn cmd_profile(args: &[String]) -> Result<ExitCode, AnyError> {
     let mut out_path = "profile.folded".to_string();
     let mut passes: u64 = 1;
-    let mut period: u64 = 10_000;
     let mut rest = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -742,10 +769,6 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, AnyError> {
             "--passes" => {
                 let v = it.next().ok_or("--passes needs a value")?;
                 passes = parse_size("--passes", v)?.max(1);
-            }
-            "--period" => {
-                let v = it.next().ok_or("--period needs a value")?;
-                period = parse_size("--period", v)?;
             }
             other => {
                 rest.push(other.to_string());
@@ -759,28 +782,21 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, AnyError> {
     if rest[0] == "profile" {
         return Err("profile: cannot profile itself".into());
     }
-    if !profile::enabled() {
-        return Err(
-            "profile: this build carries no profiler instrumentation \
-             (rebuild with `cargo build --release --features profile`)"
-                .into(),
-        );
-    }
-    profile::set_wall_period_nanos(period.max(1));
-    profile::reset();
-    // The root frame names the profiled subcommand, so multi-command
+    telemetry::install(telemetry::Collector::metrics_only());
+    // The root stage names the profiled subcommand, so multi-command
     // sessions stay distinguishable in the merged flamegraph.
-    let root: &'static str = Box::leak(format!("cmd.{}", rest[0]).into_boxed_str());
+    let name: &'static str = Box::leak(format!("cmd.{}", rest[0]).into_boxed_str());
+    let root: &'static telemetry::Stage = Box::leak(Box::new(telemetry::Stage::new(name)));
     let mut code = ExitCode::SUCCESS;
     for _ in 0..passes {
-        let _root = profile::scope(root);
+        let _root = root.enter();
         code = dispatch(&rest)?;
     }
-    let rendered = profile::render_collapsed();
-    let samples: u64 = profile::collapsed().iter().map(|&(_, n)| n).sum();
+    let rendered = telemetry::render_collapsed();
+    let self_ns: u64 = telemetry::collapsed_stacks().iter().map(|&(_, n)| n).sum();
     std::fs::write(&out_path, &rendered)?;
     outln!(
-        "wrote profile: {out_path} ({} stacks, {samples} samples, {passes} pass(es), period {period} ns)",
+        "wrote profile: {out_path} ({} stacks, {self_ns} ns, {passes} pass(es))",
         rendered.lines().count(),
     )?;
     Ok(code)
@@ -1031,7 +1047,6 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, AnyError> {
     let reset = || {
         code_compression::coding::huffman::bump_decoder_cache_generation();
         code_compression::flate::inflate::bump_table_cache_generation();
-        code_compression::wire::bump_pattern_table_cache_generation();
     };
     let names: Vec<&str> = if target == "all" {
         vec!["wire", "gzip", "demand", "brisc"]

@@ -1,9 +1,9 @@
 //! Differential decode across cache states: caching must be
 //! *unobservable* in decoder output.
 //!
-//! The wire decoder interns three kinds of decode structures behind
-//! process-wide caches — canonical Huffman tables (coding), DEFLATE
-//! dynamic tables (flate), and decoded `$patterns` tables (wire). A
+//! The wire decoder interns two kinds of decode structures behind
+//! process-wide caches — canonical Huffman tables (coding) and DEFLATE
+//! dynamic tables (flate). A
 //! cached table is only sound if it is indistinguishable from a fresh
 //! per-section rebuild, so every corpus module is decoded three ways —
 //! cold caches, warm caches, and interleaved with other modules so the
@@ -21,15 +21,12 @@ use code_compression::core::fault::sweep_decoder;
 use code_compression::corpus::benchmarks;
 use code_compression::flate::inflate::clear_table_cache;
 use code_compression::ir::Module;
-use code_compression::wire::{
-    clear_pattern_table_cache, compress, decompress, Coder, DemandImage, WireOptions,
-};
+use code_compression::wire::{compress, decompress, Coder, DemandImage, WireOptions};
 
 /// Empties every decode-structure cache the wire pipeline consults.
 fn clear_all_decode_caches() {
     clear_decoder_cache();
     clear_table_cache();
-    clear_pattern_table_cache();
 }
 
 /// Every pipeline-stage combination the container can express, so the

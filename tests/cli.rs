@@ -302,10 +302,6 @@ fn cli_telemetry_flags() {
         stderr.contains("coding.huffman.table_cache.misses"),
         "cache counters missing from --stats: {stderr}"
     );
-    assert!(
-        stderr.contains("wire.patterns.table_cache.misses"),
-        "pattern cache counters missing from --stats: {stderr}"
-    );
 
     // --metrics=PATH dumps a registry snapshot holding the same total.
     let (_, stderr, ok) = run(
@@ -349,6 +345,55 @@ fn cli_telemetry_flags() {
     let (_, stderr, ok) = run(&["telemetry", "check", "bad.jsonl"], &dir);
     assert!(!ok);
     assert!(stderr.contains("bad.jsonl:1"), "{stderr}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cli_stage_times_and_profile() {
+    let dir = workdir("cli_stage_times_and_profile");
+    std::fs::write(dir.join("x.c"), SOURCE).unwrap();
+    let (_, stderr, ok) = run(&["wire", "pack", "x.c"], &dir);
+    assert!(ok, "{stderr}");
+
+    // `run --stats` prints the stage marker's table: one row per decode
+    // stage, with inclusive and self time.
+    let (stdout, stderr, ok) = run(&["run", "x.ccwf", "--stats"], &dir);
+    assert!(ok, "run --stats failed: {stderr}");
+    assert!(stdout.contains("42"), "{stdout}");
+    assert!(stderr.contains("stage times"), "{stderr}");
+    for stage in ["wire.decompress", "wire.decode.join", "wire.decode.inflate"] {
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.split_whitespace().next() == Some(stage)),
+            "no {stage} row in --stats: {stderr}"
+        );
+    }
+
+    // `profile` works on the default build: collapsed stacks of self
+    // nanoseconds, rooted at the profiled subcommand.
+    let (stdout, stderr, ok) = run(
+        &[
+            "profile", "--out", "x.folded", "--passes", "3", "wire", "unpack", "x.ccwf", "-o",
+            "x.ccir",
+        ],
+        &dir,
+    );
+    assert!(ok, "profile failed: {stderr}");
+    assert!(stdout.contains("wrote profile: x.folded"), "{stdout}");
+    let folded = std::fs::read_to_string(dir.join("x.folded")).unwrap();
+    assert!(
+        folded.lines().all(|l| l.starts_with("cmd.wire")),
+        "{folded}"
+    );
+    assert!(
+        folded.contains("cmd.wire;wire.decompress;wire.decode.join "),
+        "{folded}"
+    );
+    let (stdout, stderr, ok) = run(&["telemetry", "check", "--collapsed", "x.folded"], &dir);
+    assert!(ok, "collapsed check failed: {stderr}");
+    assert!(stdout.contains("collapsed lines ok"), "{stdout}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

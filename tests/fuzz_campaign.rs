@@ -50,7 +50,6 @@ fn wire_target(bytes: &[u8]) -> Verdict {
 fn reset_caches() {
     code_compression::coding::huffman::bump_decoder_cache_generation();
     code_compression::flate::inflate::bump_table_cache_generation();
-    code_compression::wire::bump_pattern_table_cache_generation();
 }
 
 /// The measurement protocol EXPERIMENTS.md documents: three campaigns

@@ -15,14 +15,11 @@ use code_compression::flate::inflate::clear_table_cache;
 use code_compression::front::compile;
 use code_compression::ir::binary::encode_module;
 use code_compression::ir::Module;
-use code_compression::wire::{
-    clear_pattern_table_cache, compress, decompress, Coder, WireOptions,
-};
+use code_compression::wire::{compress, decompress, Coder, WireOptions};
 
 fn clear_all_decode_caches() {
     clear_decoder_cache();
     clear_table_cache();
-    clear_pattern_table_cache();
 }
 
 /// Every pipeline-stage combination the container can express.

@@ -1,12 +1,14 @@
 //! Whole-pipeline telemetry integration tests.
 //!
-//! This binary owns the process-global collector: the big sequential
-//! test installs a ring-buffer trace sink once and then drives every
-//! stage — front, wire, flate, vm, brisc, demand loading, limits,
+//! This binary owns the process-global collector: it installs a
+//! ring-buffer trace sink once. The big sequential test then drives
+//! every stage — front, wire, flate, vm, brisc, demand loading, limits,
 //! fault injection — asserting that the metrics registry and the trace
-//! stream describe exactly what happened. The remaining tests are pure
-//! (they build `TraceEvent`s by hand and never touch global state), so
-//! the exact-count assertions in the big test cannot race.
+//! stream describe exactly what happened; the stage-accounting tests
+//! check that the stage marker's counters and collapsed stacks agree to
+//! the nanosecond. Tests that use the collector hold [`serial`], so
+//! their exact-count assertions cannot race. The remaining tests are
+//! pure (they build `TraceEvent`s by hand and never touch global state).
 
 use code_compression::brisc::interp::BriscMachine;
 use code_compression::brisc::{compress as brisc_compress, BriscOptions};
@@ -17,31 +19,54 @@ use code_compression::core::telemetry::{
 use code_compression::core::{Budget, DecodeLimits};
 use code_compression::corpus::benchmarks;
 use code_compression::flate::{deflate_compress, inflate, CompressionLevel};
+use code_compression::ir::Module;
 use code_compression::vm::codegen::compile_module;
 use code_compression::vm::isa::IsaConfig;
 use code_compression::wire::{
     compress as wire_compress, decompress_budgeted, DemandError, DemandImage, DemandLoader,
     WireOptions,
 };
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock, PoisonError};
 
 const MEM: u32 = 1 << 22;
 const FUEL: u64 = 1 << 32;
 
+/// Held by every test that uses the collector.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The trace ring of the collector, installed on first use.
+fn ring() -> Arc<RingSink> {
+    static RING: OnceLock<Arc<RingSink>> = OnceLock::new();
+    Arc::clone(RING.get_or_init(|| {
+        let ring = Arc::new(RingSink::new(65_536));
+        assert!(
+            telemetry::install(Collector::with_trace(ring.clone())),
+            "this binary must be the only installer"
+        );
+        ring
+    }))
+}
+
+fn metrics() -> telemetry::Snapshot {
+    telemetry::collector()
+        .expect("collector installed")
+        .metrics
+        .snapshot()
+}
+
 #[test]
 fn whole_pipeline_populates_metrics_and_trace() {
-    let ring = Arc::new(RingSink::new(65_536));
-    assert!(
-        telemetry::install(Collector::with_trace(ring.clone())),
-        "this binary must be the only installer"
-    );
+    let _serial = serial();
+    let ring = ring();
     assert!(telemetry::enabled());
-    let metrics = || {
-        telemetry::collector()
-            .expect("collector installed above")
-            .metrics
-            .snapshot()
-    };
+    // Other tests may have run first: counts are deltas from here, and
+    // trace checks look only at records after this marker.
+    let start = metrics();
+    telemetry::event("test.whole_pipeline", Vec::new());
 
     // Front + wire encode + budgeted decode over the whole corpus.
     let mut last_total = 0u64;
@@ -54,15 +79,10 @@ fn whole_pipeline_populates_metrics_and_trace() {
         assert_eq!(back, module);
     }
     let snap = metrics();
+    let moved = |name: &str| snap.counter(name).unwrap() - start.counter(name).unwrap_or(0);
     assert!(snap.counter("front.tokens").unwrap() > 0);
-    assert_eq!(
-        snap.counter("front.modules").unwrap(),
-        benchmarks().len() as u64
-    );
-    assert_eq!(
-        snap.counter("wire.encode.modules").unwrap(),
-        benchmarks().len() as u64
-    );
+    assert_eq!(moved("front.modules"), benchmarks().len() as u64);
+    assert_eq!(moved("wire.encode.modules"), benchmarks().len() as u64);
     let ir_nodes: u64 = snap
         .counters
         .iter()
@@ -168,7 +188,12 @@ fn whole_pipeline_populates_metrics_and_trace() {
 
     // Every recorded trace line is schema-valid, and the span/event
     // taxonomy contains what the run just did.
-    let events = ring.dump();
+    let mut events = ring.dump();
+    let marker = events
+        .iter()
+        .rposition(|e| e.name == "test.whole_pipeline")
+        .expect("the ring holds this test's whole trace");
+    events.drain(..=marker);
     assert!(!events.is_empty());
     for e in &events {
         let line = e.to_json_line();
@@ -205,6 +230,171 @@ fn whole_pipeline_populates_metrics_and_trace() {
             _ => assert!(e.dur_nanos.is_none(), "{}", e.name),
         }
     }
+}
+
+/// Stage-counter deltas (`*.ns.*`) and collapsed-stack self-time
+/// deltas that `work` caused.
+fn stage_deltas(work: impl FnOnce()) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
+    let counters = |snap: &telemetry::Snapshot| -> BTreeMap<String, u64> {
+        snap.counters
+            .iter()
+            .filter(|(name, _)| name.contains(".ns."))
+            .cloned()
+            .collect()
+    };
+    let stacks =
+        || -> BTreeMap<String, u64> { telemetry::collapsed_stacks().into_iter().collect() };
+    let (counters_before, stacks_before) = (counters(&metrics()), stacks());
+    work();
+    let delta = |after: BTreeMap<String, u64>, before: &BTreeMap<String, u64>| {
+        after
+            .into_iter()
+            .map(|(k, v)| {
+                let d = v - before.get(&k).copied().unwrap_or(0);
+                (k, d)
+            })
+            .filter(|&(_, d)| d > 0)
+            .collect()
+    };
+    (
+        delta(counters(&metrics()), &counters_before),
+        delta(stacks(), &stacks_before),
+    )
+}
+
+/// The stage `a.b.c` counts into `a.b.ns.c`.
+fn counter_of(stage: &str) -> String {
+    let (head, leaf) = stage.rsplit_once('.').expect("stage names are dotted");
+    format!("{head}.ns.{leaf}")
+}
+
+/// Every stage's inclusive counter delta equals the self time of all
+/// the stacks at or under it, exactly; no stage nests in itself.
+fn assert_stages_reconcile(counters: &BTreeMap<String, u64>, stacks: &BTreeMap<String, u64>) {
+    let mut subtree: BTreeMap<String, u64> = BTreeMap::new();
+    for (stack, ns) in stacks {
+        let frames: Vec<&str> = stack.split(';').collect();
+        for (i, frame) in frames.iter().enumerate() {
+            assert!(
+                !frames[..i].contains(frame),
+                "{frame} nests in itself: {stack}"
+            );
+            *subtree.entry(counter_of(frame)).or_default() += ns;
+        }
+    }
+    assert_eq!(counters, &subtree, "stage counters vs collapsed stacks");
+}
+
+fn packed_corpus() -> Vec<(Module, Vec<u8>)> {
+    benchmarks()
+        .iter()
+        .map(|b| {
+            let module = b.compile().expect("corpus compiles");
+            let bytes = wire_compress(&module, WireOptions::default())
+                .expect("wire pack")
+                .bytes;
+            (module, bytes)
+        })
+        .collect()
+}
+
+const DECODE_STAGES: [&str; 6] = [
+    "inflate",
+    "table_build",
+    "mtf",
+    "indices",
+    "entry_table",
+    "join",
+];
+
+#[test]
+fn stage_self_times_sum_exactly_to_their_parents() {
+    let _serial = serial();
+    ring();
+    for (module, bytes) in packed_corpus() {
+        let (counters, stacks) = stage_deltas(|| {
+            let back = decompress_budgeted(&bytes, &Budget::default()).expect("decodes");
+            assert_eq!(back, module);
+        });
+        assert_stages_reconcile(&counters, &stacks);
+        // The root is the whole decode: its counter is the sum over
+        // every stack in the decode's tree.
+        assert!(
+            stacks.keys().all(|k| k.starts_with("wire.decompress")),
+            "{stacks:?}"
+        );
+        assert_eq!(counters["wire.ns.decompress"], stacks.values().sum::<u64>());
+        for stage in DECODE_STAGES {
+            let name = format!("wire.decode.ns.{stage}");
+            assert!(
+                counters.get(&name).is_some_and(|&ns| ns > 0),
+                "{name} did not move"
+            );
+        }
+    }
+}
+
+#[test]
+fn stage_accounting_is_exact_across_threads() {
+    let _serial = serial();
+    ring();
+    let corpus = Arc::new(packed_corpus());
+    // All four start together, so their decodes overlap.
+    let start = Arc::new(Barrier::new(4));
+    let (counters, stacks) = stage_deltas(|| {
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let (corpus, start) = (Arc::clone(&corpus), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for (module, bytes) in corpus.iter() {
+                        let back = decompress_budgeted(bytes, &Budget::default()).expect("decodes");
+                        assert_eq!(&back, module);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("decoder thread");
+        }
+    });
+    assert_stages_reconcile(&counters, &stacks);
+    assert_eq!(counters["wire.ns.decompress"], stacks.values().sum::<u64>());
+}
+
+#[test]
+fn a_failed_decode_still_closes_its_stages() {
+    let _serial = serial();
+    ring();
+    let (_, bytes) = packed_corpus().swap_remove(0);
+    let full = Budget::default();
+    decompress_budgeted(&bytes, &full).expect("decodes");
+    // Half the fuel a whole decode spends runs out part-way through.
+    let starved = Budget::new(DecodeLimits {
+        decode_fuel: full.usage().fuel_spent / 2,
+        ..DecodeLimits::default()
+    });
+    let (counters, stacks) = stage_deltas(|| {
+        assert!(decompress_budgeted(&bytes, &starved).is_err());
+    });
+    assert_stages_reconcile(&counters, &stacks);
+    assert!(
+        stacks.keys().any(|k| k.contains(";wire.decode.")),
+        "{stacks:?}"
+    );
+    assert!(counters["wire.ns.decompress"] > 0, "the root stage closed");
+
+    // Nothing was left open: the next decode's stacks are rooted at its
+    // own top-level stage again.
+    let (counters, stacks) = stage_deltas(|| {
+        decompress_budgeted(&bytes, &Budget::default()).expect("decodes");
+    });
+    assert_stages_reconcile(&counters, &stacks);
+    assert!(
+        stacks.keys().all(|k| k.starts_with("wire.decompress")),
+        "{stacks:?}"
+    );
+    assert_eq!(counters["wire.ns.decompress"], stacks.values().sum::<u64>());
 }
 
 /// Golden JSON-lines schema: the exact serialized bytes are pinned so

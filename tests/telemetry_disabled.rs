@@ -27,7 +27,8 @@ fn pipeline_without_collector_leaves_no_telemetry_state() {
     telemetry::gauge_max("x", 1);
     telemetry::histogram_record("x", 1);
     telemetry::event("x", vec![("k", 1u64.into())]);
-    telemetry::span("x").end();
+    drop(telemetry::stage!("x"));
+    assert!(telemetry::collapsed_stacks().is_empty());
 
     // A full pipeline pass: compile, wire round-trip, flate round-trip,
     // brisc compress and run, budget publishing.
@@ -52,7 +53,9 @@ fn pipeline_without_collector_leaves_no_telemetry_state() {
         .run("main", &[])
         .expect("runs");
 
-    // Nothing installed a collector behind our back.
+    // Nothing installed a collector behind our back, and no stage
+    // recorded a self time.
     assert!(!telemetry::enabled());
     assert!(telemetry::collector().is_none());
+    assert!(telemetry::collapsed_stacks().is_empty());
 }
