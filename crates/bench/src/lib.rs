@@ -12,6 +12,11 @@
 //! | `table_detune` | §5 RISC de-tuning table |
 //! | `table_scenarios` | §1 delivery-time scenarios |
 //! | `table_ablation` | §2 design-space ablations |
+//!
+//! The `bench` binary is the perf tracker: stage rates measured by
+//! [`perf`], the one measurement core, into `results/bench.json`.
+
+pub mod perf;
 
 use codecomp_brisc::{compress as brisc_compress, BriscOptions, BriscReport};
 use codecomp_corpus::{benchmarks, synthetic, SynthConfig};
@@ -108,11 +113,6 @@ pub fn sizes(vm: &VmProgram) -> Sizes {
         gzip_x86: gzip_compress(&x86, CompressionLevel::Best).len(),
         base_vm: codecomp_vm::encode::code_segment_size(vm),
     }
-}
-
-/// The gzip baseline of an arbitrary byte image.
-pub fn gzip_len(data: &[u8]) -> usize {
-    gzip_compress(data, CompressionLevel::Best).len()
 }
 
 /// BRISC-compresses a subject with default (paper) options.

@@ -769,7 +769,7 @@ fn deserialize_entry(r: &mut Rd<'_>) -> Result<DictEntry, BriscError> {
 }
 
 /// Serializes the Markov tables (defines their charged size).
-pub fn serialize_markov(markov: &MarkovTables) -> Vec<u8> {
+fn serialize_markov(markov: &MarkovTables) -> Vec<u8> {
     let mut out = Vec::new();
     let lists = markov.iter_sorted();
     put_uvarint(&mut out, lists.len() as u64);

@@ -110,12 +110,6 @@ impl MarkovTables {
         }
     }
 
-    /// Serialized size of the tables, charged to the program image.
-    pub fn table_bytes(&self) -> usize {
-        // uvarint overheads approximated by the real serializer.
-        crate::image::serialize_markov(self).len()
-    }
-
     /// Number of contexts.
     pub fn context_count(&self) -> usize {
         self.contexts.len()

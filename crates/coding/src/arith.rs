@@ -287,23 +287,6 @@ pub fn decompress_bytes_adaptive(bytes: &[u8], len: usize) -> Result<Vec<u8>, Co
     Ok(out)
 }
 
-/// Budget-governed [`decompress_bytes_adaptive`]: `len` is checked
-/// against the output-byte ceiling and charged as decode fuel up front.
-///
-/// # Errors
-///
-/// [`CodingError::LimitExceeded`] when the budget trips, plus the
-/// corrupt-stream errors of the unbudgeted variant.
-pub fn decompress_bytes_adaptive_budgeted(
-    bytes: &[u8],
-    len: usize,
-    budget: &codecomp_core::Budget,
-) -> Result<Vec<u8>, CodingError> {
-    budget.check_output_bytes(len as u64)?;
-    budget.charge_fuel(len as u64)?;
-    decompress_bytes_adaptive(bytes, len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -655,25 +655,6 @@ impl HuffmanDecoder {
         }
         Ok(out)
     }
-
-    /// Budget-governed [`Self::decode_exact`]: `n` is checked against
-    /// the stream-symbol ceiling and charged as decode fuel before any
-    /// symbol is decoded.
-    ///
-    /// # Errors
-    ///
-    /// [`CodingError::LimitExceeded`] when the budget trips, plus all
-    /// [`Self::decode_one`] errors.
-    pub fn decode_exact_budgeted(
-        &self,
-        bytes: &[u8],
-        n: usize,
-        budget: &codecomp_core::Budget,
-    ) -> Result<Vec<usize>, CodingError> {
-        budget.check_stream_symbols(n as u64)?;
-        budget.charge_fuel(n as u64)?;
-        self.decode_exact(bytes, n)
-    }
 }
 
 /// Process-wide decoder cache keyed by the raw code-length vector.

@@ -14,8 +14,6 @@
 //! - [`dict`]: the greedy benefit-driven dictionary construction the
 //!   BRISC compressor uses (`B = P − W`, heap of candidates, top-`K` per
 //!   pass, stop when a pass yields fewer than `K` positive candidates).
-//! - [`entropy`]: size and entropy helpers shared by the ablation
-//!   experiments.
 //! - [`fxhash`]: a fast non-cryptographic hasher for in-process tables
 //!   keyed by small values (the BRISC compressor's candidate keys).
 
@@ -37,7 +35,6 @@
 
 pub mod coverage;
 pub mod dict;
-pub mod entropy;
 pub mod error;
 pub mod fault;
 pub mod fuzz;

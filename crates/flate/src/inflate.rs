@@ -26,7 +26,6 @@ use crate::deflate::{
     fixed_dist_lengths, fixed_litlen_lengths, CLC_ORDER, DIST_TABLE, LENGTH_TABLE,
 };
 use crate::FlateError;
-use codecomp_coding::huffman::canonical_codes;
 use codecomp_core::cov_hit;
 
 /// Root table index width. 10 bits resolves every fixed-tree code (≤ 9
@@ -673,16 +672,11 @@ fn inflate_block(
     }
 }
 
-/// Re-exported for tests: canonical code assignment consistency check.
-#[doc(hidden)]
-pub fn check_tables_consistent(lengths: &[u8]) -> bool {
-    canonical_codes(lengths).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deflate::{deflate_compress, deflate_compress_fixed, CompressionLevel};
+    use codecomp_coding::huffman::canonical_codes;
 
     #[test]
     fn inflate_rejects_empty() {
@@ -806,7 +800,6 @@ mod tests {
     fn distance_before_start_rejected() {
         // Fixed block: a match with distance 1 as the very first symbol.
         use codecomp_coding::bits::LsbBitWriter;
-        use codecomp_coding::huffman::canonical_codes;
         let lit_lengths = fixed_litlen_lengths();
         let lit_codes = canonical_codes(&lit_lengths).unwrap();
         let mut w = LsbBitWriter::new();

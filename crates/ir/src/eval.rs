@@ -122,11 +122,6 @@ impl<'m> Evaluator<'m> {
         })
     }
 
-    /// The address a global was placed at (for tests).
-    pub fn global_addr(&self, name: &str) -> Option<u32> {
-        self.global_addrs.get(name).copied()
-    }
-
     fn call_by_name(&mut self, name: &str, args: Vec<i64>) -> Result<i64, IrError> {
         self.stats.calls += 1;
         match name {

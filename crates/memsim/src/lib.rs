@@ -303,11 +303,6 @@ impl Pager {
     pub fn working_set_pages(&self) -> usize {
         self.touched.len()
     }
-
-    /// Working set in bytes.
-    pub fn working_set_bytes(&self) -> usize {
-        self.touched.len() * self.page_size as usize
-    }
 }
 
 /// Total time of an execution whose code faults from a backing channel:

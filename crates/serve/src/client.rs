@@ -206,12 +206,6 @@ impl FetchClient {
         self.resident.get(name)
     }
 
-    /// Number of resident functions.
-    #[must_use]
-    pub fn resident_len(&self) -> usize {
-        self.resident.len()
-    }
-
     /// Gate an attempt on the per-function breaker at virtual `now`.
     ///
     /// # Errors

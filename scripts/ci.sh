@@ -19,8 +19,15 @@ cargo test -q --offline --workspace
 echo "==> brisc compressor golden (release, includes the synth-lcc case)"
 cargo test --release --offline --test brisc_compress_golden -- --include-ignored
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets --offline -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
+# perfbench is its own workspace, so `--workspace` above does not reach
+# its self-tests. --release because its probe kernel sums u64s with
+# plain `+` (perfbench/src/probe.rs), which overflows and panics in a
+# debug build; release wraps, as the benchmark itself always runs.
+echo "==> perfbench self-tests (release)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 # Differential smoke: the full suite already ran under `cargo test`
 # with the default mutation budget; re-run the seeded fuzz here with a
@@ -32,16 +39,16 @@ CODECOMP_DIFF_MUTATIONS=84 cargo test -q --offline --test differential \
 
 # Ratio-regression smoke: compress the corpus payload at every level
 # and assert the compressed size stays within 1% of the baseline
-# recorded in BENCH_deflate.json (no timing — deterministic).
+# recorded in results/bench.json (no timing — deterministic).
 echo "==> deflate ratio smoke (corpus size within 1% per level)"
-cargo run --release --offline -q -p codecomp-bench --bin bench_deflate -- --ratio-smoke
+cargo run --release --offline -q -p codecomp-bench --bin bench -- --ratio-smoke
 
-# Wire decode smoke: round-trip the full corpus byte-exactly and gate
-# decode throughput against a fixed floor well below the measured
-# figure — catches a cached-table decode-path regression without being
-# sensitive to machine speed.
-echo "==> wire decode smoke (byte-exact roundtrip + throughput floor)"
-cargo run --release --offline -q -p codecomp-bench --bin bench_wire -- --decode-smoke
+# Wire decode smoke: round-trip the full corpus byte-exactly, then gate
+# the cold-cache, collector-off wire decode rate, normalized by a probe
+# kernel timed beside every sample, against a floor set from its
+# measured median and spread (CHANGES.md has the derivation).
+echo "==> wire decode smoke (byte-exact roundtrip + probe-normalized rate floor)"
+cargo run --release --offline -q -p codecomp-bench --bin bench -- --decode-smoke
 
 # Low-limits fault-injection smoke: decode every corpus program under
 # starved DecodeLimits (all knobs below the measured footprint) and
