@@ -2,7 +2,7 @@
 //! and BRISC stages, recorded in `results/bench.json` so successive
 //! changes have a trajectory. Every rate comes from
 //! [`codecomp_bench::perf::measure`] (probe-normalized median and MAD,
-//! collector off); decode rates are reported from cold and warm caches.
+//! collector off).
 //!
 //! Usage (from the repo root):
 //!
@@ -13,7 +13,7 @@
 //! ... --ratio-smoke    no timing: compressed size per deflate level within
 //!                      1% of its recorded baseline; writes nothing
 //! ... --decode-smoke   the corpus wire round trip is byte-exact, and the
-//!                      cold wire decode rate clears a floor; writes nothing
+//!                      wire decode rate clears a floor; writes nothing
 //! ```
 //!
 //! After the collector-off measurements, a metrics collector is
@@ -21,7 +21,7 @@
 //! snapshot, and inflate and wire decode are measured again to price
 //! the collector.
 
-use codecomp_bench::perf::{self, num, Cache, Rate, Report, LEVELS};
+use codecomp_bench::perf::{self, num, Rate, Report, LEVELS};
 use codecomp_bench::{subjects, Scale};
 use codecomp_brisc::interp::BriscMachine;
 use codecomp_brisc::BriscImage;
@@ -36,7 +36,7 @@ const STAGES: [&str; 4] = ["inflate", "deflate", "wire", "brisc"];
 const MIB: f64 = 1024.0 * 1024.0;
 /// Plaintext size of the inflate and deflate payload.
 const PAYLOAD_LEN: usize = 1 << 20;
-/// `--decode-smoke` floor on the cold, collector-off, probe-normalized
+/// `--decode-smoke` floor on the collector-off, probe-normalized
 /// corpus wire decode rate, in MiB/s: the median of 25 runs' medians
 /// (4.76) less ten times the median within-run MAD (0.14), rounded
 /// down. A decoder doing its work twice reads about 2.6, and one made
@@ -63,9 +63,9 @@ fn main() {
             let back = decompress(img).expect("corpus image decodes");
             assert_eq!(&back, ir, "decode smoke: roundtrip mismatch");
         }
-        let rate = perf::measure(mib(&images), Cache::Cold, || decode(&images));
+        let rate = perf::measure(mib(&images), || decode(&images));
         println!(
-            "decode smoke: cold wire decode {:.2} ± {:.2} MiB/s \
+            "decode smoke: wire decode {:.2} ± {:.2} MiB/s \
              (probe-normalized, floor {DECODE_FLOOR_MIB_S})",
             rate.median, rate.mad
         );
@@ -109,15 +109,8 @@ fn main() {
     }
 
     for job in &jobs {
-        if job.decode {
-            for (mode, cache) in [("cold", Cache::Cold), ("warm", Cache::Warm)] {
-                let key = format!("{}.{mode}_{}", job.key, job.unit);
-                out.rate(&key, perf::measure(job.units, cache, &job.run));
-            }
-        } else {
-            let key = format!("{}_{}", job.key, job.unit);
-            out.rate(&key, perf::measure(job.units, Cache::Warm, &job.run));
-        }
+        let key = format!("{}_{}", job.key, job.unit);
+        out.rate(&key, perf::measure(job.units, &job.run));
     }
     telemetry::install(telemetry::Collector::metrics_only());
     for job in &jobs {
@@ -129,7 +122,7 @@ fn main() {
         .snapshot();
     out.put("metrics", metrics.to_json());
     for job in jobs.iter().filter(|j| j.collector) {
-        out.tax(&job.key, perf::measure(job.units, Cache::Cold, &job.run));
+        out.tax(&job.key, perf::measure(job.units, &job.run));
     }
     perf::write(perf::RESULTS, &out.report);
     println!("wrote {}", perf::RESULTS);
@@ -148,20 +141,17 @@ struct Job {
     units: f64,
     /// Rate unit suffix of the report key: `mib_s` or `mips`.
     unit: &'static str,
-    /// A decode job is measured from cold caches and from warm ones.
-    decode: bool,
-    /// Also measured, cold, with a collector installed.
+    /// Also measured with a collector installed.
     collector: bool,
     run: Box<dyn Fn()>,
 }
 
 impl Job {
-    fn new(key: &str, units: f64, decode: bool, run: impl Fn() + 'static) -> Job {
+    fn new(key: &str, units: f64, run: impl Fn() + 'static) -> Job {
         Job {
             key: key.into(),
             units,
             unit: "mib_s",
-            decode,
             collector: false,
             run: Box::new(run),
         }
@@ -197,22 +187,22 @@ impl Out {
         self.put(&format!("{key}.mad"), num(r.mad));
     }
 
-    /// Records the collector-on rate of job `key`'s cold decode and
-    /// what the collector costs it.
+    /// Records the collector-on rate of job `key` and what the
+    /// collector costs it.
     fn tax(&mut self, key: &str, on: Rate) {
         let get = |k: String| self.report[&k].parse().expect("measured collector-off");
         let off = Rate {
-            median: get(format!("{key}.cold_mib_s")),
-            mad: get(format!("{key}.cold_mib_s.mad")),
+            median: get(format!("{key}_mib_s")),
+            mad: get(format!("{key}_mib_s.mad")),
         };
-        self.put(&format!("{key}.cold_collector_mib_s"), num(on.median));
-        self.put(&format!("{key}.cold_collector_mib_s.mad"), num(on.mad));
+        self.put(&format!("{key}.collector_mib_s"), num(on.median));
+        self.put(&format!("{key}.collector_mib_s.mad"), num(on.mad));
         let (json, shown) = match perf::collector_tax_pct(off, on) {
             Some(t) => (num(t), format!("{t:.2}%")),
             None => ("null".into(), "unresolved".into()),
         };
         println!(
-            "{key}.cold_collector_mib_s: {} ± {} (collector tax {shown})",
+            "{key}.collector_mib_s: {} ± {} (collector tax {shown})",
             num(on.median),
             num(on.mad)
         );
@@ -257,11 +247,11 @@ fn inflate_jobs(out: &mut Out) -> Vec<Job> {
     let text = format!("\"corpus sources + synthetic units, {PAYLOAD_LEN} bytes\"");
     out.put("inflate.payload", text);
     let units = PAYLOAD_LEN as f64 / MIB;
-    let mut dynamic = Job::new("inflate.dynamic", units, true, move || {
+    let mut dynamic = Job::new("inflate.dynamic", units, move || {
         inflate(&dynamic).expect("decodes");
     });
     dynamic.collector = true;
-    let fixed = Job::new("inflate.fixed", units, true, move || {
+    let fixed = Job::new("inflate.fixed", units, move || {
         inflate(&fixed).expect("decodes");
     });
     vec![fixed, dynamic]
@@ -278,7 +268,7 @@ fn deflate_jobs(out: &mut Out) -> Vec<Job> {
             let size = packed(&data, level).len() as f64;
             out.tracked(&format!("deflate.{name}_bytes"), size, "");
             let data = data.clone();
-            Job::new(&format!("deflate.{name}"), units, false, move || {
+            Job::new(&format!("deflate.{name}"), units, move || {
                 deflate_compress(&data, level);
             })
         })
@@ -317,12 +307,12 @@ fn wire_jobs(out: &mut Out) -> Vec<Job> {
     );
     out.put("wire.payload", text);
     let units = mib(&images);
-    let encoding = Job::new("wire.encode", units, false, move || {
+    let encoding = Job::new("wire.encode", units, move || {
         for ir in &modules {
             encode(ir);
         }
     });
-    let mut decoding = Job::new("wire.decode", units, true, move || decode(&images));
+    let mut decoding = Job::new("wire.decode", units, move || decode(&images));
     decoding.collector = true;
     vec![encoding, decoding]
 }
@@ -353,12 +343,12 @@ fn brisc_jobs(out: &mut Out) -> Vec<Job> {
     );
     out.put("brisc.payload", text);
     let units = mib(&images);
-    let load = Job::new("brisc.load", units, true, move || {
+    let load = Job::new("brisc.load", units, move || {
         for img in &images {
             BriscImage::from_bytes(img).expect("loads");
         }
     });
-    let mut interp = Job::new("brisc.interp", instrs as f64 / 1e6, false, move || {
+    let mut interp = Job::new("brisc.interp", instrs as f64 / 1e6, move || {
         interpret();
     });
     interp.unit = "mips";

@@ -25,17 +25,6 @@ pub const SAMPLES: usize = 15;
 /// container when uncontended), in ns.
 pub const PROBE_REFERENCE_NS: f64 = 1.0e6;
 
-/// The cache state every sample starts from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cache {
-    /// The Huffman decoder and inflate table caches are invalidated
-    /// before each sample: the first decode of a newly delivered input.
-    Cold,
-    /// The caches keep what earlier runs interned: a re-decode of
-    /// inputs already seen.
-    Warm,
-}
-
 /// A probe-normalized rate in units per second: the median over
 /// [`SAMPLES`] and its median absolute deviation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,14 +41,10 @@ pub struct Rate {
 /// after a probe run that normalizes it. The caller decides whether a
 /// telemetry collector is installed; the tracker measures with none
 /// unless it says otherwise.
-pub fn measure(units: f64, cache: Cache, mut run: impl FnMut()) -> Rate {
+pub fn measure(units: f64, mut run: impl FnMut()) -> Rate {
     run();
     let rates: Vec<f64> = (0..SAMPLES)
         .map(|_| {
-            if cache == Cache::Cold {
-                codecomp_coding::huffman::bump_decoder_cache_generation();
-                codecomp_flate::inflate::bump_table_cache_generation();
-            }
             let probe = probe_ns();
             let t = Instant::now();
             run();
@@ -135,7 +120,7 @@ fn probe_kernel(seed: u64) -> u64 {
     sums.iter().fold(hits, |a, &s| a.rotate_left(7) ^ s)
 }
 
-/// A tracker report: a flat map from dotted keys (`"wire.decode.cold_mib_s"`)
+/// A tracker report: a flat map from dotted keys (`"wire.decode_mib_s"`)
 /// to raw JSON values. Recorded baselines sit under `<stage>.baseline.`.
 pub type Report = BTreeMap<String, String>;
 
@@ -269,7 +254,7 @@ mod tests {
     fn the_reader_reads_back_what_the_writer_writes() {
         let mut r = Report::new();
         r.insert("deflate.baseline.fast_bytes".into(), num(181864.0));
-        r.insert("wire.decode.cold_mib_s".into(), num(6.25));
+        r.insert("wire.decode_mib_s".into(), num(6.25));
         r.insert("wire.decode.collector_tax_pct".into(), "null".into());
         r.insert("wire.payload".into(), "\"10 modules, 8376 bytes\"".into());
         r.insert(
@@ -313,7 +298,7 @@ mod tests {
     #[test]
     fn measure_warms_up_then_takes_every_sample() {
         let mut calls = 0;
-        let r = measure(1.0, Cache::Cold, || calls += 1);
+        let r = measure(1.0, || calls += 1);
         assert_eq!(calls, SAMPLES + 1);
         assert!(r.median > 0.0 && r.mad >= 0.0);
     }

@@ -19,8 +19,9 @@
 //! entries, their scores and their order are those of scoring every key.
 
 use crate::entry::{DictEntry, FieldKind, ImmEnc, InstPattern, PatternField, MAX_ENTRY_PATTERNS};
-use crate::image::{assemble_with, uvarint_len, zigzag, BriscImage, FuncItems, Item};
+use crate::image::{assemble_with, BriscImage, FuncItems, Item};
 use crate::BriscError;
+use codecomp_core::bytesio::{uvarint_len, zigzag};
 use codecomp_core::dict::{select_top_k, Benefit, MemoryRegime, PassPolicy};
 use codecomp_core::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use codecomp_vm::encode::{field_refs, Field, FieldRef};

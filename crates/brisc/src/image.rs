@@ -13,6 +13,7 @@ use crate::entry::{DictEntry, FieldKind, ImmEnc, InstPattern, PatternField, MAX_
 use crate::markov::{MarkovTables, SuccessorTable, BLOCK_START};
 use crate::BriscError;
 use codecomp_coding::bits::{BitReader, BitWriter};
+use codecomp_core::bytesio::{put_ivarint, put_string, put_uvarint, Cursor};
 use codecomp_core::cov_hit;
 use codecomp_vm::encode::{BaseOp, Field};
 use codecomp_vm::isa::{FuncRef, Inst};
@@ -578,112 +579,6 @@ fn write_field(
 
 // ---- byte-level serialization ----------------------------------------------------
 
-fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Bytes [`put_uvarint`] writes for `v`.
-pub(crate) fn uvarint_len(v: u64) -> usize {
-    (u64::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
-}
-
-/// The zigzag mapping [`put_ivarint`] applies before the varint.
-pub(crate) fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn put_ivarint(out: &mut Vec<u8>, v: i64) {
-    put_uvarint(out, zigzag(v));
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_uvarint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Rd<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    /// Bytes left to read; bounds `with_capacity` pre-allocation so a
-    /// forged count cannot request more memory than the input could
-    /// possibly describe.
-    fn remaining(&self) -> usize {
-        self.bytes.len().saturating_sub(self.pos)
-    }
-
-    fn u8(&mut self) -> Result<u8, BriscError> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| BriscError::Corrupt("unexpected end of image".into()))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], BriscError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| BriscError::Corrupt("unexpected end of image".into()))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn uvarint(&mut self) -> Result<u64, BriscError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8()?;
-            if shift >= 63 && b > 1 {
-                return Err(BriscError::Corrupt("varint overflow".into()));
-            }
-            v |= u64::from(b & 0x7F) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn ivarint(&mut self) -> Result<i64, BriscError> {
-        let u = self.uvarint()?;
-        Ok(((u >> 1) as i64) ^ -((u & 1) as i64))
-    }
-
-    /// A varint declaring an in-memory count or length, checked into
-    /// `usize`: a value above `usize::MAX` (possible on 32-bit hosts)
-    /// is structurally corrupt, never silently truncated.
-    fn usize_varint(&mut self) -> Result<usize, BriscError> {
-        usize::try_from(self.uvarint()?)
-            .map_err(|_| BriscError::Corrupt("declared length exceeds address space".into()))
-    }
-
-    /// A varint whose value must fit the image's 32-bit offset space.
-    fn u32_varint(&mut self) -> Result<u32, BriscError> {
-        u32::try_from(self.uvarint()?)
-            .map_err(|_| BriscError::Corrupt("value exceeds 32 bits".into()))
-    }
-
-    fn string(&mut self) -> Result<String, BriscError> {
-        let len = self.usize_varint()?;
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| BriscError::Corrupt("string is not UTF-8".into()))
-    }
-}
-
 fn base_op_index() -> &'static (Vec<BaseOp>, HashMap<BaseOp, u8>) {
     static TABLE: OnceLock<(Vec<BaseOp>, HashMap<BaseOp, u8>)> = OnceLock::new();
     TABLE.get_or_init(|| {
@@ -726,7 +621,7 @@ pub fn serialize_entry(entry: &DictEntry) -> Vec<u8> {
     out
 }
 
-fn deserialize_entry(r: &mut Rd<'_>) -> Result<DictEntry, BriscError> {
+fn deserialize_entry(r: &mut Cursor<'_>) -> Result<DictEntry, BriscError> {
     let n = r.usize_varint()?;
     if n == 0 || n > MAX_ENTRY_PATTERNS {
         cov_hit!("brisc.entry.bad_pattern_count");
@@ -784,7 +679,7 @@ fn serialize_markov(markov: &MarkovTables) -> Vec<u8> {
 }
 
 fn deserialize_markov(
-    r: &mut Rd<'_>,
+    r: &mut Cursor<'_>,
     budget: &codecomp_core::Budget,
 ) -> Result<MarkovTables, BriscError> {
     let n = r.usize_varint()?;
@@ -879,7 +774,7 @@ impl BriscImage {
         bytes: &[u8],
         budget: &codecomp_core::Budget,
     ) -> Result<BriscImage, BriscError> {
-        let mut outer = Rd { bytes, pos: 0 };
+        let mut outer = Cursor::new(bytes);
         if outer.take(4)? != b"CCBR" {
             cov_hit!("brisc.image.bad_magic");
             return Err(BriscError::Corrupt("bad magic".into()));
@@ -903,10 +798,7 @@ impl BriscImage {
                 }
             })?;
         cov_hit!("brisc.image.header_inflated");
-        let mut r = Rd {
-            bytes: &header,
-            pos: 0,
-        };
+        let mut r = Cursor::new(&header);
         let ndict = r.usize_varint()?;
         budget.check_table_entries(ndict as u64)?;
         budget.charge_fuel(ndict as u64)?;
@@ -974,14 +866,14 @@ impl BriscImage {
                 extra_leaders,
             });
         }
-        if r.pos != header.len() {
+        if r.remaining() != 0 {
             cov_hit!("brisc.image.trailing_header");
             return Err(BriscError::Corrupt("trailing header bytes".into()));
         }
         let code_len = outer.usize_varint()?;
         budget.check_output_bytes(code_len as u64)?;
         let code = outer.take(code_len)?.to_vec();
-        if outer.pos != bytes.len() {
+        if outer.remaining() != 0 {
             cov_hit!("brisc.image.trailing_bytes");
             return Err(BriscError::Corrupt("trailing bytes".into()));
         }
@@ -1022,19 +914,6 @@ mod tests {
     }
 
     #[test]
-    fn varint_lengths_match_the_writers() {
-        let edges = [0i64, 1, -1, 63, -64, 64, -65, 8191, 8192];
-        for v in edges.into_iter().chain([i64::from(i32::MIN), i64::MAX]) {
-            let mut out = Vec::new();
-            put_ivarint(&mut out, v);
-            assert_eq!(uvarint_len(zigzag(v)), out.len(), "{v}");
-        }
-        let mut out = Vec::new();
-        put_uvarint(&mut out, u64::MAX);
-        assert_eq!(uvarint_len(u64::MAX), out.len());
-    }
-
-    #[test]
     fn entry_serialization_roundtrip() {
         let samples = [
             base_entry("mov.i n4,n0"),
@@ -1047,13 +926,10 @@ mod tests {
         ];
         for e in &samples {
             let bytes = serialize_entry(e);
-            let mut r = Rd {
-                bytes: &bytes,
-                pos: 0,
-            };
+            let mut r = Cursor::new(&bytes);
             let back = deserialize_entry(&mut r).unwrap();
             assert_eq!(&back, e, "roundtrip failed for {e}");
-            assert_eq!(r.pos, bytes.len());
+            assert_eq!(r.remaining(), 0);
         }
     }
 
@@ -1064,10 +940,7 @@ mod tests {
         p.fields[1] = PatternField::Burned(Field::Imm(-300));
         let e = DictEntry::single(p);
         let bytes = serialize_entry(&e);
-        let mut r = Rd {
-            bytes: &bytes,
-            pos: 0,
-        };
+        let mut r = Cursor::new(&bytes);
         assert_eq!(deserialize_entry(&mut r).unwrap(), e);
     }
 
@@ -1164,10 +1037,7 @@ mod tests {
         put_uvarint(&mut bytes, 1); // one list
         put_uvarint(&mut bytes, u64::MAX); // context id too big for u32
         put_uvarint(&mut bytes, 0); // no successors
-        let mut r = Rd {
-            bytes: &bytes,
-            pos: 0,
-        };
+        let mut r = Cursor::new(&bytes);
         assert!(matches!(
             deserialize_markov(&mut r, &budget),
             Err(BriscError::Corrupt(_))
@@ -1177,35 +1047,11 @@ mod tests {
         put_uvarint(&mut bytes, 7); // context
         put_uvarint(&mut bytes, 1); // one successor
         put_uvarint(&mut bytes, u64::from(u32::MAX) + 1); // successor too big
-        let mut r = Rd {
-            bytes: &bytes,
-            pos: 0,
-        };
+        let mut r = Cursor::new(&bytes);
         assert!(matches!(
             deserialize_markov(&mut r, &budget),
             Err(BriscError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn oversized_declared_lengths_rejected() {
-        // u32_varint / usize_varint refuse values past their range.
-        let mut bytes = Vec::new();
-        put_uvarint(&mut bytes, u64::from(u32::MAX) + 1);
-        let mut r = Rd {
-            bytes: &bytes,
-            pos: 0,
-        };
-        assert!(matches!(r.u32_varint(), Err(BriscError::Corrupt(_))));
-        // A huge string length must fail cleanly (truncation), not wrap.
-        let mut bytes = Vec::new();
-        put_uvarint(&mut bytes, u64::MAX / 2);
-        bytes.push(b'x');
-        let mut r = Rd {
-            bytes: &bytes,
-            pos: 0,
-        };
-        assert!(r.string().is_err());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Two bit orders are provided because the two consumers in this
 //! workspace disagree: canonical Huffman streams in the wire format are
 //! written MSB-first ([`BitWriter`]/[`BitReader`]), while DEFLATE
-//! mandates LSB-first packing ([`LsbBitWriter`]/[`LsbBitReader`]).
+//! mandates LSB-first packing ([`LsbBitWriter`]; inflate reads with its
+//! own bit reservoir).
 
 use crate::CodingError;
 
@@ -235,79 +236,6 @@ impl LsbBitWriter {
     }
 }
 
-/// Reads bits LSB-first within each byte, as required by DEFLATE.
-#[derive(Debug, Clone)]
-pub struct LsbBitReader<'a> {
-    bytes: &'a [u8],
-    pos: u64,
-}
-
-impl<'a> LsbBitReader<'a> {
-    /// Creates a reader over `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    /// Reads one bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodingError::UnexpectedEof`] when the stream is exhausted.
-    pub fn read_bit(&mut self) -> Result<bool, CodingError> {
-        let byte = self
-            .bytes
-            .get((self.pos / 8) as usize)
-            .ok_or(CodingError::UnexpectedEof)?;
-        let bit = (byte >> (self.pos % 8)) & 1 == 1;
-        self.pos += 1;
-        Ok(bit)
-    }
-
-    /// Reads `count` bits, least significant first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodingError::UnexpectedEof`] when fewer than `count` bits remain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count > 32`.
-    pub fn read_bits(&mut self, count: u8) -> Result<u32, CodingError> {
-        assert!(count <= 32, "cannot read more than 32 bits at once");
-        let mut value = 0u32;
-        for i in 0..count {
-            value |= u32::from(self.read_bit()?) << i;
-        }
-        Ok(value)
-    }
-
-    /// Skips forward to the next byte boundary.
-    pub fn align_to_byte(&mut self) {
-        self.pos = self.pos.div_ceil(8) * 8;
-    }
-
-    /// Reads `len` whole bytes after aligning to a byte boundary.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodingError::UnexpectedEof`] when fewer than `len` bytes remain.
-    pub fn read_aligned_bytes(&mut self, len: usize) -> Result<&'a [u8], CodingError> {
-        self.align_to_byte();
-        let start = (self.pos / 8) as usize;
-        let end = start.checked_add(len).ok_or(CodingError::UnexpectedEof)?;
-        if end > self.bytes.len() {
-            return Err(CodingError::UnexpectedEof);
-        }
-        self.pos += len as u64 * 8;
-        Ok(&self.bytes[start..end])
-    }
-
-    /// Bits consumed so far.
-    pub fn bit_pos(&self) -> u64 {
-        self.pos
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,6 +308,16 @@ mod tests {
         assert_eq!(w.finish().len(), 2);
     }
 
+    /// Takes `n` bits LSB-first from bit offset `*pos` of `bytes`.
+    fn take_lsb(bytes: &[u8], pos: &mut usize, n: u8) -> u32 {
+        let mut v = 0;
+        for i in 0..n {
+            v |= u32::from(bytes[*pos / 8] >> (*pos % 8) & 1) << i;
+            *pos += 1;
+        }
+        v
+    }
+
     #[test]
     fn lsb_roundtrip_various_widths() {
         let mut w = LsbBitWriter::new();
@@ -394,9 +332,9 @@ mod tests {
             w.write_bits(v, n);
         }
         let bytes = w.finish();
-        let mut r = LsbBitReader::new(&bytes);
+        let mut pos = 0;
         for &(v, n) in &values {
-            assert_eq!(r.read_bits(n).unwrap(), v);
+            assert_eq!(take_lsb(&bytes, &mut pos, n), v);
         }
     }
 
@@ -412,12 +350,16 @@ mod tests {
             w.write_bits(0xDEAD_BEEF, 32);
             w.write_bits(u32::MAX, 32);
             let bytes = w.finish();
-            let mut r = LsbBitReader::new(&bytes);
-            assert_eq!(r.read_bits(lead).unwrap(), u32::from(0x55 & ((1u16 << lead) - 1) as u8));
-            assert_eq!(r.read_bits(24).unwrap(), 0xAB_CDEF);
-            assert_eq!(r.read_bits(25).unwrap(), 0x1AB_CDEF);
-            assert_eq!(r.read_bits(32).unwrap(), 0xDEAD_BEEF);
-            assert_eq!(r.read_bits(32).unwrap(), u32::MAX);
+            let mut pos = 0;
+            let take = |pos: &mut usize, n| take_lsb(&bytes, pos, n);
+            assert_eq!(
+                take(&mut pos, lead),
+                u32::from(0x55 & ((1u16 << lead) - 1) as u8)
+            );
+            assert_eq!(take(&mut pos, 24), 0xAB_CDEF);
+            assert_eq!(take(&mut pos, 25), 0x1AB_CDEF);
+            assert_eq!(take(&mut pos, 32), 0xDEAD_BEEF);
+            assert_eq!(take(&mut pos, 32), u32::MAX);
         }
     }
 
@@ -448,20 +390,6 @@ mod tests {
         let mut w = LsbBitWriter::new();
         w.write_bits(0b101, 3);
         w.write_aligned_bytes(b"hi");
-        let bytes = w.finish();
-        let mut r = LsbBitReader::new(&bytes);
-        assert_eq!(r.read_bits(3).unwrap(), 0b101);
-        assert_eq!(r.read_aligned_bytes(2).unwrap(), b"hi");
-    }
-
-    #[test]
-    fn lsb_align_is_idempotent() {
-        let mut r = LsbBitReader::new(&[0xAA, 0xBB]);
-        r.read_bits(2).unwrap();
-        r.align_to_byte();
-        let p = r.bit_pos();
-        r.align_to_byte();
-        assert_eq!(r.bit_pos(), p);
-        assert_eq!(r.read_bits(8).unwrap(), 0xBB);
+        assert_eq!(w.finish(), [0b101, b'h', b'i']);
     }
 }

@@ -657,44 +657,10 @@ impl HuffmanDecoder {
     }
 }
 
-/// Process-wide decoder cache keyed by the raw code-length vector.
-///
-/// The length vector is the complete description of a canonical decoder,
-/// so equal keys build byte-identical tables; capacity covers the full
-/// working set of a multi-module corpus (tens of distinct codes) with
-/// room to spare.
-static DECODER_CACHE: crate::cache::DescCache<HuffmanDecoder> =
-    crate::cache::DescCache::new("coding.huffman.table_cache", 256);
-
-/// The cached decoder for `lengths`, building and interning it on first
-/// sight. Semantically identical to [`HuffmanDecoder::from_lengths`] —
-/// including its errors, which are never cached — but repeat
-/// descriptions skip the table build entirely.
-///
-/// # Errors
-///
-/// As [`HuffmanDecoder::from_lengths`].
-pub fn cached_decoder(lengths: &[u8]) -> Result<std::sync::Arc<HuffmanDecoder>, CodingError> {
-    DECODER_CACHE.get_or_build(lengths, || HuffmanDecoder::from_lengths(lengths))
-}
-
-/// Empties the process-wide decoder cache (test hook for cold-cache
-/// differential runs).
-pub fn clear_decoder_cache() {
-    DECODER_CACHE.clear();
-}
-
-/// Starts a new decoder-cache generation: O(1) lazy invalidation of
-/// every interned decoder. The fuzz campaign's per-case reset.
-pub fn bump_decoder_cache_generation() {
-    DECODER_CACHE.bump_generation();
-}
-
-/// Publishes the decoder cache's accumulated hit/miss/eviction counts
-/// to telemetry. Decoders call this once per pass.
-pub fn flush_decoder_cache_stats() {
-    DECODER_CACHE.flush_stats();
-}
+/// Does nothing: decoders are built per stream and no cache is left to
+/// report on. Kept only because perfbench (`perfbench/src/lifecycle.rs`)
+/// still calls it.
+pub fn flush_decoder_cache_stats() {}
 
 /// Total encoded size in bits of `freqs` under an optimal `max_len`-limited code.
 ///
@@ -735,29 +701,6 @@ mod tests {
     #[test]
     fn roundtrip_single_symbol() {
         roundtrip(&[5; 100], 8);
-    }
-
-    #[test]
-    fn cached_decoder_matches_fresh_build() {
-        let data: Vec<usize> = (0..64).map(|i| i % 7).collect();
-        let mut freqs = vec![0u64; 7];
-        for &s in &data {
-            freqs[s] += 1;
-        }
-        let enc = HuffmanEncoder::from_frequencies(&freqs, 15).unwrap();
-        let bits = enc.encode_symbols(data.iter().copied()).unwrap();
-        let fresh = HuffmanDecoder::from_lengths(enc.lengths()).unwrap();
-        let warm = cached_decoder(enc.lengths()).unwrap();
-        assert_eq!(
-            fresh.decode_exact(&bits, data.len()).unwrap(),
-            warm.decode_exact(&bits, data.len()).unwrap()
-        );
-        // A second lookup hands back the interned table.
-        let again = cached_decoder(enc.lengths()).unwrap();
-        assert!(std::sync::Arc::ptr_eq(&warm, &again));
-        // Bad descriptions keep failing through the cache.
-        assert!(cached_decoder(&[1, 1, 1]).is_err());
-        assert!(cached_decoder(&[1, 1, 1]).is_err());
     }
 
     #[test]

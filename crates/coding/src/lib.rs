@@ -3,7 +3,7 @@
 //! This crate collects the low-level coding machinery shared by the wire
 //! format and BRISC compressors:
 //!
-//! - [`bits`]: MSB-first and LSB-first bit-stream readers and writers.
+//! - [`bits`]: MSB-first bit-stream reader and writer, LSB-first writer.
 //! - [`huffman`]: canonical, length-limited Huffman coding.
 //! - [`mtf`]: move-to-front transform, including the paper's
 //!   "zero denotes a symbol not seen previously" variant.
@@ -40,7 +40,6 @@
 
 pub mod arith;
 pub mod bits;
-pub mod cache;
 pub mod huffman;
 pub mod model;
 pub mod mtf;

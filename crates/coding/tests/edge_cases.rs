@@ -6,7 +6,7 @@
 use codecomp_coding::arith::{
     compress_bytes_adaptive, decompress_bytes_adaptive, ArithDecoder, ArithEncoder,
 };
-use codecomp_coding::bits::{BitReader, BitWriter, LsbBitReader};
+use codecomp_coding::bits::{BitReader, BitWriter};
 use codecomp_coding::huffman::HuffmanDecoder;
 use codecomp_coding::model::{AdaptiveModel, ContextModel, FrequencyTable};
 use codecomp_coding::mtf::{mtf_decode, mtf_decode_classic, mtf_encode, MtfEncoded};
@@ -19,34 +19,15 @@ fn empty_input_hits_eof_immediately() {
         BitReader::new(&[]).read_bits(1),
         Err(CodingError::UnexpectedEof)
     );
-    assert_eq!(
-        LsbBitReader::new(&[]).read_bit(),
-        Err(CodingError::UnexpectedEof)
-    );
-    assert_eq!(
-        LsbBitReader::new(&[]).read_bits(1),
-        Err(CodingError::UnexpectedEof)
-    );
 }
 
 #[test]
-fn lsb_reader_eof_mid_symbol() {
+fn msb_reader_eof_mid_symbol() {
     // One byte holds 8 bits; a 4-bit read succeeds, the following 8-bit
     // read starts inside the stream but runs off the end.
-    let mut r = LsbBitReader::new(&[0xA5]);
-    assert!(r.read_bits(4).is_ok());
-    assert_eq!(r.read_bits(8), Err(CodingError::UnexpectedEof));
-    // The MSB-first reader behaves identically.
     let mut r = BitReader::new(&[0xA5]);
     assert!(r.read_bits(4).is_ok());
     assert_eq!(r.read_bits(8), Err(CodingError::UnexpectedEof));
-}
-
-#[test]
-fn lsb_reader_reads_all_bits_then_eof() {
-    let mut r = LsbBitReader::new(&[0xFF, 0x00]);
-    assert_eq!(r.read_bits(16).unwrap(), 0x00FF);
-    assert_eq!(r.read_bit(), Err(CodingError::UnexpectedEof));
 }
 
 #[test]

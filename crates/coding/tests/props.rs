@@ -4,7 +4,7 @@
 //! [`codecomp_core::fault::XorShift64`] PRNG.
 
 use codecomp_coding::arith::{compress_bytes_adaptive, decompress_bytes_adaptive};
-use codecomp_coding::bits::{BitReader, BitWriter, LsbBitReader, LsbBitWriter};
+use codecomp_coding::bits::{BitReader, BitWriter};
 use codecomp_coding::huffman::{HuffmanDecoder, HuffmanEncoder};
 use codecomp_coding::model::ContextModel;
 use codecomp_coding::mtf::{mtf_decode, mtf_decode_classic, mtf_encode, mtf_encode_classic};
@@ -33,27 +33,6 @@ fn msb_bits_roundtrip() {
         let mut r = BitReader::new(&bytes);
         for &(v, n) in &chunks {
             assert_eq!(r.read_bits(n).unwrap(), v & (u64::MAX >> (64 - n)));
-        }
-    }
-}
-
-#[test]
-fn lsb_bits_roundtrip() {
-    for case in 0..CASES {
-        let mut rng = XorShift64::new(0x2000 + case);
-        let n_chunks = rng.below(64) as usize;
-        let chunks: Vec<(u32, u8)> = (0..n_chunks)
-            .map(|_| (rng.next_u64() as u32, rng.below(25) as u8))
-            .collect();
-        let mut w = LsbBitWriter::new();
-        for &(v, n) in &chunks {
-            w.write_bits(v, n);
-        }
-        let bytes = w.finish();
-        let mut r = LsbBitReader::new(&bytes);
-        for &(v, n) in &chunks {
-            let mask = if n == 0 { 0 } else { u32::MAX >> (32 - n) };
-            assert_eq!(r.read_bits(n).unwrap(), v & mask);
         }
     }
 }

@@ -1,8 +1,11 @@
-//! Byte-level helpers: LEB128 varints, zigzag, length-prefixed strings.
+//! Byte-level helpers shared by the wire and BRISC formats: LEB128
+//! varints, zigzag, length-prefixed strings, and a bounds-checked
+//! [`Cursor`] that reads them back.
 
-use crate::WireError;
+use crate::DecodeError;
 
 /// Appends an unsigned LEB128 varint.
+#[inline]
 pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
@@ -15,18 +18,37 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes [`put_uvarint`] writes for `v`.
+#[inline]
+pub fn uvarint_len(v: u64) -> usize {
+    (u64::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
+}
+
+/// The zigzag mapping [`put_ivarint`] applies before the varint.
+#[inline]
+pub fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
 /// Appends a zigzag-encoded signed varint.
+#[inline]
 pub fn put_ivarint(out: &mut Vec<u8>, v: i64) {
-    put_uvarint(out, ((v << 1) ^ (v >> 63)) as u64);
+    put_uvarint(out, zigzag(v));
 }
 
 /// Appends a length-prefixed UTF-8 string.
+#[inline]
 pub fn put_string(out: &mut Vec<u8>, s: &str) {
     put_uvarint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
 }
 
 /// A cursor over a byte slice.
+///
+/// Every read fails with [`DecodeError::Truncated`] when the input ends
+/// first and with [`DecodeError::Malformed`] when the bytes are there
+/// but invalid: an overlong varint, a value outside the requested
+/// integer type, or a string that is not UTF-8.
 #[derive(Debug, Clone)]
 pub struct Cursor<'a> {
     bytes: &'a [u8],
@@ -39,51 +61,43 @@ impl<'a> Cursor<'a> {
         Self { bytes, pos: 0 }
     }
 
-    /// Bytes remaining.
+    /// Bytes remaining; bounds `with_capacity` pre-allocation so a
+    /// forged count cannot request more memory than the input could
+    /// possibly describe.
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
     /// Reads one byte.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] at end of input.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        let b = *self.bytes.get(self.pos).ok_or(WireError::Truncated)?;
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        let b = *self.bytes.get(self.pos).ok_or(DecodeError::Truncated)?;
         self.pos += 1;
         Ok(b)
     }
 
     /// Reads `n` bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] at end of input.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         let end = self
             .pos
             .checked_add(n)
             .filter(|&e| e <= self.bytes.len())
-            .ok_or(WireError::Truncated)?;
+            .ok_or(DecodeError::Truncated)?;
         let s = &self.bytes[self.pos..end];
         self.pos = end;
         Ok(s)
     }
 
     /// Reads an unsigned varint.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] on truncation, [`WireError::Corrupt`] on
-    /// overlong encodings.
-    pub fn uvarint(&mut self) -> Result<u64, WireError> {
+    #[inline]
+    pub fn uvarint(&mut self) -> Result<u64, DecodeError> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
             let b = self.u8()?;
             if shift >= 63 && b > 1 {
-                return Err(WireError::Corrupt("varint overflow".into()));
+                return Err(DecodeError::malformed("varint overflow"));
             }
             v |= u64::from(b & 0x7F) << shift;
             if b & 0x80 == 0 {
@@ -94,42 +108,33 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads a zigzag-encoded signed varint.
-    ///
-    /// # Errors
-    ///
-    /// As [`Cursor::uvarint`].
-    pub fn ivarint(&mut self) -> Result<i64, WireError> {
+    #[inline]
+    pub fn ivarint(&mut self) -> Result<i64, DecodeError> {
         let u = self.uvarint()?;
         Ok(((u >> 1) as i64) ^ -((u & 1) as i64))
     }
 
-    /// Reads a varint declaring an in-memory count or length, checked
-    /// into `usize`.
-    ///
-    /// Every length in the format is bounded by the input that carries
-    /// it, so a value above `usize::MAX` (possible on 32-bit hosts) is
-    /// structurally corrupt, not merely truncated.
-    ///
-    /// # Errors
-    ///
-    /// As [`Cursor::uvarint`], plus [`WireError::Corrupt`] when the
-    /// value does not fit a `usize`.
-    pub fn usize_varint(&mut self) -> Result<usize, WireError> {
+    /// Reads a varint declaring an in-memory count or length. A value
+    /// above `usize::MAX` (possible on 32-bit hosts) is structurally
+    /// corrupt, never silently truncated.
+    #[inline]
+    pub fn usize_varint(&mut self) -> Result<usize, DecodeError> {
         usize::try_from(self.uvarint()?)
-            .map_err(|_| WireError::Corrupt("declared length exceeds address space".into()))
+            .map_err(|_| DecodeError::malformed("declared length exceeds address space"))
     }
 
-    /// Reads a length-prefixed string.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] on truncation, [`WireError::Corrupt`] on
-    /// invalid UTF-8.
-    pub fn string(&mut self) -> Result<String, WireError> {
+    /// Reads a varint whose value must fit 32 bits.
+    #[inline]
+    pub fn u32_varint(&mut self) -> Result<u32, DecodeError> {
+        u32::try_from(self.uvarint()?).map_err(|_| DecodeError::malformed("value exceeds 32 bits"))
+    }
+
+    /// Reads a length-prefixed UTF-8 string.
+    #[inline]
+    pub fn string(&mut self) -> Result<String, DecodeError> {
         let len = self.usize_varint()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Corrupt("string is not UTF-8".into()))
+        String::from_utf8(self.take(len)?.to_vec())
+            .map_err(|_| DecodeError::malformed("string is not UTF-8"))
     }
 }
 
@@ -206,13 +211,40 @@ mod tests {
     }
 
     #[test]
+    fn varint_lengths_match_the_writers() {
+        let edges = [0i64, 1, -1, 63, -64, 64, -65, 8191, 8192];
+        for v in edges.into_iter().chain([i64::from(i32::MIN), i64::MAX]) {
+            let mut out = Vec::new();
+            put_ivarint(&mut out, v);
+            assert_eq!(uvarint_len(zigzag(v)), out.len(), "{v}");
+        }
+        let mut out = Vec::new();
+        put_uvarint(&mut out, u64::MAX);
+        assert_eq!(uvarint_len(u64::MAX), out.len());
+    }
+
+    #[test]
+    fn oversized_declared_lengths_rejected() {
+        // u32_varint refuses values past its range.
+        let mut bytes = Vec::new();
+        put_uvarint(&mut bytes, u64::from(u32::MAX) + 1);
+        let r = Cursor::new(&bytes).u32_varint();
+        assert!(matches!(r, Err(DecodeError::Malformed { .. })));
+        // A huge string length must fail cleanly (truncation), not wrap.
+        let mut bytes = Vec::new();
+        put_uvarint(&mut bytes, u64::MAX / 2);
+        bytes.push(b'x');
+        assert!(Cursor::new(&bytes).string().is_err());
+    }
+
+    #[test]
     fn truncation_detected() {
         let mut buf = Vec::new();
         put_uvarint(&mut buf, 1 << 20);
         let mut c = Cursor::new(&buf[..1]);
-        assert!(c.uvarint().is_err());
+        assert_eq!(c.uvarint(), Err(DecodeError::Truncated));
         let mut c = Cursor::new(&[]);
-        assert!(c.u8().is_err());
+        assert_eq!(c.u8(), Err(DecodeError::Truncated));
         assert!(Cursor::new(&[5, b'a']).string().is_err());
     }
 }

@@ -177,41 +177,10 @@ pub fn mutation_schedule(seed: u64, payload_len: usize, count: usize) -> Vec<Mut
     out
 }
 
-/// One hostile input from [`sweep_decoder`]: a strict prefix of the
-/// payload or one seeded mutation of it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SweepCase {
-    /// The first `len` bytes of the payload.
-    Prefix {
-        /// Bytes kept.
-        len: usize,
-    },
-    /// Mutation number `index` from the schedule.
-    Mutation {
-        /// Position in the schedule (for reproduction messages).
-        index: usize,
-        /// The applied corruption.
-        mutation: Mutation,
-    },
-}
-
-impl std::fmt::Display for SweepCase {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SweepCase::Prefix { len } => write!(f, "{len}-byte prefix"),
-            SweepCase::Mutation { index, mutation } => {
-                write!(f, "mutation {index} ({mutation:?})")
-            }
-        }
-    }
-}
-
 /// The shared mutation-sweep loop behind every per-decoder totality
-/// test: runs `decode` over each strict prefix of `payload` (when
-/// `prefixes` is set) and over `mutations` seeded corruptions from
-/// [`mutation_schedule`], asserting that no input panics. After every
-/// hostile case `after_each` runs — the hook cache-poisoning tests use
-/// to verify the hostile attempt left no observable residue.
+/// test: runs `decode` over each strict prefix of `payload` and over
+/// `mutations` seeded corruptions from [`mutation_schedule`], asserting
+/// that no input panics.
 ///
 /// Deterministic in `seed`, so a failure message's case description
 /// reproduces the exact input.
@@ -219,48 +188,33 @@ impl std::fmt::Display for SweepCase {
 /// # Panics
 ///
 /// Panics (failing the calling test) when `decode` panics on any case.
-pub fn sweep_decoder(
-    what: &str,
-    payload: &[u8],
-    seed: u64,
-    mutations: usize,
-    prefixes: bool,
-    mut decode: impl FnMut(&[u8]),
-    mut after_each: impl FnMut(&SweepCase),
-) {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    let mut run = |case: SweepCase, input: &[u8]| {
-        let r = catch_unwind(AssertUnwindSafe(|| decode(input)));
-        assert!(
-            r.is_ok(),
-            "{what}: decoder panicked on {case} (seed {seed:#x})"
-        );
-        after_each(&case);
-    };
-    if prefixes {
-        for len in 0..payload.len() {
-            run(SweepCase::Prefix { len }, &payload[..len]);
-        }
-    }
-    for (index, mutation) in mutation_schedule(seed, payload.len(), mutations)
-        .into_iter()
-        .enumerate()
-    {
-        let mutated = mutation.apply(payload);
-        run(SweepCase::Mutation { index, mutation }, &mutated);
-    }
-}
-
-/// [`sweep_decoder`] with prefixes on and no per-case hook — the shape
-/// every plain per-decoder totality test uses.
 pub fn assert_decoder_total(
     what: &str,
     payload: &[u8],
     seed: u64,
     mutations: usize,
-    decode: impl FnMut(&[u8]),
+    mut decode: impl FnMut(&[u8]),
 ) {
-    sweep_decoder(what, payload, seed, mutations, true, decode, |_| {});
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let mut run = |case: std::fmt::Arguments<'_>, input: &[u8]| {
+        let r = catch_unwind(AssertUnwindSafe(|| decode(input)));
+        assert!(
+            r.is_ok(),
+            "{what}: decoder panicked on {case} (seed {seed:#x})"
+        );
+    };
+    for len in 0..payload.len() {
+        run(format_args!("{len}-byte prefix"), &payload[..len]);
+    }
+    for (index, mutation) in mutation_schedule(seed, payload.len(), mutations)
+        .into_iter()
+        .enumerate()
+    {
+        run(
+            format_args!("mutation {index} ({mutation:?})"),
+            &mutation.apply(payload),
+        );
+    }
 }
 
 #[cfg(test)]
@@ -332,34 +286,18 @@ mod tests {
     }
 
     #[test]
-    fn sweep_visits_every_prefix_and_mutation() {
+    fn sweep_visits_every_prefix_then_every_mutation() {
         let payload = b"sweep target payload";
-        let mut decoded = 0usize;
-        let mut cases = Vec::new();
-        sweep_decoder(
-            "sweep-test",
-            payload,
-            0xBEEF,
-            25,
-            true,
-            |_| decoded += 1,
-            |c| cases.push(c.clone()),
-        );
-        assert_eq!(decoded, payload.len() + 25);
-        assert_eq!(cases.len(), decoded);
-        assert!(matches!(cases[0], SweepCase::Prefix { len: 0 }));
-        assert!(matches!(
-            cases[payload.len()],
-            SweepCase::Mutation { index: 0, .. }
-        ));
-    }
-
-    #[test]
-    fn sweep_without_prefixes_runs_mutations_only() {
-        let payload = b"mutations only";
-        let mut decoded = 0usize;
-        sweep_decoder("sweep-test", payload, 7, 12, false, |_| decoded += 1, |_| {});
-        assert_eq!(decoded, 12);
+        let mut inputs = Vec::new();
+        assert_decoder_total("sweep-test", payload, 0xBEEF, 25, |b| {
+            inputs.push(b.to_vec())
+        });
+        assert_eq!(inputs.len(), payload.len() + 25);
+        for (len, input) in inputs.iter().enumerate().take(payload.len()) {
+            assert_eq!(input[..], payload[..len]);
+        }
+        let first = &mutation_schedule(0xBEEF, payload.len(), 25)[0];
+        assert_eq!(inputs[payload.len()], first.apply(payload));
     }
 
     #[test]

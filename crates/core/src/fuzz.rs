@@ -9,10 +9,9 @@
 //! mutations toward decoder states blind schedules never reach.
 //!
 //! The driver is decoder-agnostic: the target is a closure from bytes to
-//! a [`Verdict`], and a `reset` closure runs before every case so callers
-//! can restore shared state (bump decode-cache generations, drop warmed
-//! tables) and keep cases independent. Everything is deterministic in
-//! the seed; a finding reproduces from its persisted input bytes alone.
+//! a [`Verdict`]. The decoders hold no state between calls, so every
+//! case is independent. Everything is deterministic in the seed; a
+//! finding reproduces from its persisted input bytes alone.
 
 use crate::coverage;
 use crate::fault::{mutation_schedule, XorShift64};
@@ -258,14 +257,12 @@ fn mutate(
     out
 }
 
-/// Runs one case: reset shared state, clear the coverage map, execute
-/// the target under `catch_unwind`.
-fn exec_case<T, R>(target: &mut T, reset: &mut R, input: &[u8]) -> Result<Verdict, String>
+/// Runs one case: clear the coverage map, execute the target under
+/// `catch_unwind`.
+fn exec_case<T>(target: &mut T, input: &[u8]) -> Result<Verdict, String>
 where
     T: FnMut(&[u8]) -> Verdict,
-    R: FnMut(),
 {
-    reset();
     coverage::reset();
     catch_unwind(AssertUnwindSafe(|| target(input))).map_err(|payload| {
         payload
@@ -276,20 +273,36 @@ where
     })
 }
 
+/// Tallies one case's outcome; a violation or panic becomes a [`Finding`].
+fn record(report: &mut CampaignReport, case: u64, input: &[u8], outcome: Result<Verdict, String>) {
+    match outcome {
+        Ok(Verdict::Accept) => report.accepts += 1,
+        Ok(Verdict::Reject) => report.rejects += 1,
+        Ok(Verdict::Violation(why)) => report.findings.push(Finding {
+            case,
+            kind: FindingKind::Violation(why),
+            input: input.to_vec(),
+        }),
+        Err(msg) => report.findings.push(Finding {
+            case,
+            kind: FindingKind::Panic(msg),
+            input: input.to_vec(),
+        }),
+    }
+}
+
 /// Greedy chunk-removal minimization preserving `required` edge bits
 /// (or, for findings, preserving the panic/violation itself). Bounded
 /// by `budget` extra executions.
-fn minimize_input<T, R>(
+fn minimize_input<T>(
     target: &mut T,
-    reset: &mut R,
     input: Vec<u8>,
-    keep: &mut dyn FnMut(&mut T, &mut R, &[u8]) -> bool,
+    keep: &mut dyn FnMut(&mut T, &[u8]) -> bool,
     budget: u64,
     executions: &mut u64,
 ) -> Vec<u8>
 where
     T: FnMut(&[u8]) -> Verdict,
-    R: FnMut(),
 {
     let mut cur = input;
     let mut spent = 0u64;
@@ -303,7 +316,7 @@ where
             candidate.extend_from_slice(&cur[end..]);
             spent += 1;
             *executions += 1;
-            if keep(target, reset, &candidate) {
+            if keep(target, &candidate) {
                 cur = candidate;
             } else {
                 offset = end;
@@ -340,21 +353,19 @@ impl Drop for HookGuard {
 /// Runs a coverage-guided campaign.
 ///
 /// `seeds` are executed first (and always kept); each of `config.cases`
-/// mutated cases then runs against `target` with `reset` called
-/// beforehand. With the `coverage` feature live and `config.guided`
-/// set, inputs lighting new edges are minimized and join the corpus.
+/// mutated cases then runs against `target`. With the `coverage`
+/// feature live and `config.guided` set, inputs lighting new edges are
+/// minimized and join the corpus.
 /// Panics are caught and recorded as [`Finding`]s — the campaign always
 /// runs to completion.
-pub fn run_campaign<T, R>(
+pub fn run_campaign<T>(
     config: &FuzzConfig,
     seeds: &[Vec<u8>],
     dictionary: &[Vec<u8>],
     mut target: T,
-    mut reset: R,
 ) -> CampaignReport
 where
     T: FnMut(&[u8]) -> Verdict,
-    R: FnMut(),
 {
     let _hook = HookGuard::new(config.quiet_panics);
     let mut rng = XorShift64::new(config.seed);
@@ -362,25 +373,10 @@ where
     let mut report = CampaignReport::default();
     let mut corpus: Vec<Vec<u8>> = Vec::new();
 
-    let record = |report: &mut CampaignReport, case, input: &[u8], outcome| match outcome {
-        Ok(Verdict::Accept) => report.accepts += 1,
-        Ok(Verdict::Reject) => report.rejects += 1,
-        Ok(Verdict::Violation(why)) => report.findings.push(Finding {
-            case,
-            kind: FindingKind::Violation(why),
-            input: input.to_vec(),
-        }),
-        Err(msg) => report.findings.push(Finding {
-            case,
-            kind: FindingKind::Panic(msg),
-            input: input.to_vec(),
-        }),
-    };
-
     for seed in seeds {
         let mut seed = seed.clone();
         seed.truncate(config.max_input_len);
-        let outcome = exec_case(&mut target, &mut reset, &seed);
+        let outcome = exec_case(&mut target, &seed);
         report.executions += 1;
         record(&mut report, 0, &seed, outcome);
         coverage::new_edges(&mut seen);
@@ -430,7 +426,7 @@ where
             };
             mutate(&mut rng, base, &corpus, dictionary, config.max_input_len)
         };
-        let outcome = exec_case(&mut target, &mut reset, &input);
+        let outcome = exec_case(&mut target, &input);
         report.executions += 1;
         report.cases += 1;
 
@@ -444,10 +440,9 @@ where
                 let want_panic = outcome.is_err();
                 minimize_input(
                     &mut target,
-                    &mut reset,
                     input.clone(),
-                    &mut |t, r, cand| {
-                        let keep = match exec_case(t, r, cand) {
+                    &mut |t, cand| {
+                        let keep = match exec_case(t, cand) {
                             Err(_) => want_panic,
                             Ok(Verdict::Violation(_)) => !want_panic,
                             Ok(_) => false,
@@ -479,10 +474,9 @@ where
             let kept = if config.minimize {
                 minimize_input(
                     &mut target,
-                    &mut reset,
                     input,
-                    &mut |t, r, cand| {
-                        let ok = exec_case(t, r, cand).is_ok();
+                    &mut |t, cand| {
+                        let ok = exec_case(t, cand).is_ok();
                         let keep = ok && coverage::snapshot() == case_map;
                         coverage::new_edges(&mut seen);
                         keep
@@ -516,15 +510,13 @@ where
 /// [`mutation_schedule`]'s fixed truncate/bitflip/splice schedule over
 /// the seeds, round-robin, with no feedback. Reports the same edge
 /// accounting so guided and blind campaigns compare directly.
-pub fn run_blind_schedule<T, R>(
+pub fn run_blind_schedule<T>(
     config: &FuzzConfig,
     seeds: &[Vec<u8>],
     mut target: T,
-    mut reset: R,
 ) -> CampaignReport
 where
     T: FnMut(&[u8]) -> Verdict,
-    R: FnMut(),
 {
     let _hook = HookGuard::new(config.quiet_panics);
     let mut seen = Vec::new();
@@ -543,22 +535,9 @@ where
     };
 
     for seed in &seeds {
-        let outcome = exec_case(&mut target, &mut reset, seed);
+        let outcome = exec_case(&mut target, seed);
         report.executions += 1;
-        match outcome {
-            Ok(Verdict::Accept) => report.accepts += 1,
-            Ok(Verdict::Reject) => report.rejects += 1,
-            Ok(Verdict::Violation(why)) => report.findings.push(Finding {
-                case: 0,
-                kind: FindingKind::Violation(why),
-                input: seed.clone(),
-            }),
-            Err(msg) => report.findings.push(Finding {
-                case: 0,
-                kind: FindingKind::Panic(msg),
-                input: seed.clone(),
-            }),
-        }
+        record(&mut report, 0, seed, outcome);
         coverage::new_edges(&mut seen);
     }
 
@@ -575,24 +554,11 @@ where
                 break 'outer;
             }
             let input = m.apply(seed);
-            let outcome = exec_case(&mut target, &mut reset, &input);
+            let outcome = exec_case(&mut target, &input);
             report.executions += 1;
             report.cases += 1;
             case += 1;
-            match outcome {
-                Ok(Verdict::Accept) => report.accepts += 1,
-                Ok(Verdict::Reject) => report.rejects += 1,
-                Ok(Verdict::Violation(why)) => report.findings.push(Finding {
-                    case,
-                    kind: FindingKind::Violation(why),
-                    input,
-                }),
-                Err(msg) => report.findings.push(Finding {
-                    case,
-                    kind: FindingKind::Panic(msg),
-                    input,
-                }),
-            }
+            record(&mut report, case, &input, outcome);
             coverage::new_edges(&mut seen);
         }
     }
@@ -634,8 +600,8 @@ mod tests {
             ..FuzzConfig::default()
         };
         let seeds = vec![b"M\x01".to_vec(), b"junk".to_vec()];
-        let a = run_campaign(&config, &seeds, &default_dictionary(), toy_target, || {});
-        let b = run_campaign(&config, &seeds, &default_dictionary(), toy_target, || {});
+        let a = run_campaign(&config, &seeds, &default_dictionary(), toy_target);
+        let b = run_campaign(&config, &seeds, &default_dictionary(), toy_target);
         assert_eq!(a.cases, 200);
         assert_eq!(a.accepts, b.accepts);
         assert_eq!(a.rejects, b.rejects);
@@ -654,7 +620,7 @@ mod tests {
             Verdict::Reject
         };
         let seeds = vec![vec![0xEE, 0, 0]];
-        let report = run_campaign(&config, &seeds, &[], target, || {});
+        let report = run_campaign(&config, &seeds, &[], target);
         assert!(!report.findings.is_empty(), "planted bug not found");
         for f in &report.findings {
             assert!(matches!(f.kind, FindingKind::Panic(ref m) if m.contains("planted bug")));
@@ -671,24 +637,12 @@ mod tests {
             ..FuzzConfig::default()
         };
         let target = |_: &[u8]| Verdict::Violation("budget overrun".into());
-        let report = run_campaign(&config, &[vec![0]], &[], target, || {});
+        let report = run_campaign(&config, &[vec![0]], &[], target);
         assert!(report
             .findings
             .iter()
             .all(|f| matches!(f.kind, FindingKind::Violation(_))));
         assert!(!report.findings.is_empty());
-    }
-
-    #[test]
-    fn reset_runs_before_every_case() {
-        let mut resets = 0u64;
-        let config = FuzzConfig {
-            cases: 25,
-            minimize: false,
-            ..FuzzConfig::default()
-        };
-        let report = run_campaign(&config, &[vec![1]], &[], |_| Verdict::Reject, || resets += 1);
-        assert_eq!(resets, report.executions);
     }
 
     #[test]
@@ -700,8 +654,8 @@ mod tests {
         };
         // Seeds that do not reach the magic: feedback must climb to it.
         let seeds = vec![b"Mx".to_vec()];
-        let guided = run_campaign(&config, &seeds, &default_dictionary(), toy_target, || {});
-        let blind = run_blind_schedule(&config, &seeds, toy_target, || {});
+        let guided = run_campaign(&config, &seeds, &default_dictionary(), toy_target);
+        let blind = run_blind_schedule(&config, &seeds, toy_target);
         assert!(
             guided.unique_edges >= blind.unique_edges,
             "guided {} < blind {}",
@@ -717,7 +671,7 @@ mod tests {
             cases: 123,
             ..FuzzConfig::default()
         };
-        let report = run_blind_schedule(&config, &[vec![0; 64], vec![1; 32]], |_| Verdict::Reject, || {});
+        let report = run_blind_schedule(&config, &[vec![0; 64], vec![1; 32]], |_| Verdict::Reject);
         assert_eq!(report.cases, 123);
     }
 }

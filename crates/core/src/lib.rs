@@ -16,7 +16,9 @@
 //!   pass, stop when a pass yields fewer than `K` positive candidates).
 //! - [`fxhash`]: a fast non-cryptographic hasher for in-process tables
 //!   keyed by small values (the BRISC compressor's candidate keys).
-
+//! - [`bytesio`]: LEB128 varints, zigzag and length-prefixed strings,
+//!   with the bounds-checked cursor the wire and BRISC loaders read them
+//!   back through.
 //! - [`error`]: the shared [`DecodeError`] taxonomy every decoder in the
 //!   workspace folds into at its public boundary.
 //! - [`limits`]: per-call decode resource governance — [`DecodeLimits`]
@@ -33,6 +35,7 @@
 //!   (counters, collapsed-stack self times, trace spans) when a
 //!   collector is installed.
 
+pub mod bytesio;
 pub mod coverage;
 pub mod dict;
 pub mod error;

@@ -64,51 +64,22 @@ impl SplitStreams {
         }
     }
 
-    /// Reassembles the original tree sequence.
+    /// Reassembles the original tree sequence, consuming the streams.
+    ///
+    /// This is the decode hot path. The slot→stream mapping is resolved
+    /// once per distinct pattern (memoized against the sorted key list)
+    /// and literals are moved out of their streams in order, so the
+    /// per-literal work is one indexed iterator step.
     ///
     /// # Errors
     ///
     /// [`CoreError`] if a stream underflows or a symbol is out of range.
-    pub fn join(&self) -> Result<Vec<Tree>, CoreError> {
-        self.clone().join_consuming()
-    }
-
-    /// [`Self::join`] that consumes the streams instead of cloning them.
-    ///
-    /// This is the decode hot path: the generic joiner rendered a
-    /// stream-key `String` and chased a `BTreeMap` cursor for *every*
-    /// literal. Here the slot→stream mapping is resolved once per
-    /// distinct pattern (memoized against the sorted key list) and
-    /// literals are moved out of their streams in order, so the
-    /// per-literal work is one indexed iterator step. Missing-stream
-    /// and underflow errors still surface at the same consumption
-    /// point, with the same messages, as [`Self::join`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::join`].
-    pub fn join_consuming(self) -> Result<Vec<Tree>, CoreError> {
+    pub fn join(self) -> Result<Vec<Tree>, CoreError> {
         let SplitStreams {
             patterns,
             pattern_stream,
             literals,
         } = self;
-        Self::join_parts(&patterns, &pattern_stream, literals)
-    }
-
-    /// [`Self::join_consuming`] over borrowed pattern parts: callers
-    /// that intern the decoded pattern table (wire's payload-keyed
-    /// cache) reassemble against a shared `&[TreePattern]` without
-    /// cloning it, consuming only the literal streams.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::join`].
-    pub fn join_parts(
-        patterns: &[TreePattern],
-        pattern_stream: &[u32],
-        literals: BTreeMap<StreamKey, Vec<Literal>>,
-    ) -> Result<Vec<Tree>, CoreError> {
         /// Where a pattern's literal slot draws from.
         #[derive(Clone, Copy)]
         enum Slot {
@@ -132,7 +103,7 @@ impl SplitStreams {
         let mut op_slots: BTreeMap<(Op, Width), Slot> = BTreeMap::new();
         let mut slot_maps: Vec<Option<Vec<Slot>>> = (0..patterns.len()).map(|_| None).collect();
         let mut out = Vec::with_capacity(pattern_stream.len());
-        for &sym in pattern_stream {
+        for sym in pattern_stream {
             let pat = patterns
                 .get(sym as usize)
                 .ok_or_else(|| CoreError::Mismatch(format!("bad pattern symbol {sym}")))?;
@@ -168,11 +139,6 @@ impl SplitStreams {
             out.push(tree);
         }
         Ok(out)
-    }
-
-    /// Total number of literals across all streams.
-    pub fn literal_count(&self) -> usize {
-        self.literals.values().map(Vec::len).sum()
     }
 }
 
@@ -281,7 +247,7 @@ mod tests {
     fn empty_input() {
         let split = SplitStreams::split(&[]);
         assert!(split.patterns.is_empty());
+        assert!(split.literals.is_empty());
         assert_eq!(split.join().unwrap(), Vec::<Tree>::new());
-        assert_eq!(split.literal_count(), 0);
     }
 }

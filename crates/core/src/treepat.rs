@@ -52,11 +52,6 @@ impl TreePattern {
                 .sum::<usize>()
     }
 
-    /// The literal-stream key of this node, e.g. `"ADDRLP8"` or `"CNSTC"`.
-    pub fn stream_key(&self) -> StreamKeyStr {
-        StreamKeyStr(stream_key_of(self.op, self.width))
-    }
-
     /// Visits nodes in prefix order.
     pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a TreePattern)) {
         f(self);
@@ -90,8 +85,8 @@ impl TreePattern {
 
     /// Keyless [`Self::rebuild`]: draws one literal per slot in prefix
     /// order without rendering stream keys. Callers that resolved the
-    /// slot→stream mapping up front (via [`Self::slot_stream_keys`])
-    /// use this to skip the per-slot `String` allocation.
+    /// slot→stream mapping up front use this to skip the per-slot
+    /// `String` allocation.
     ///
     /// # Errors
     ///
@@ -107,31 +102,10 @@ impl TreePattern {
         }
         Tree::build(self.op, literal, kids).map_err(|e| crate::CoreError::Mismatch(e.to_string()))
     }
-
-    /// Stream key of every literal slot, in the prefix order
-    /// [`Self::rebuild`] and [`Self::rebuild_slots`] consume them.
-    pub fn slot_stream_keys(&self) -> Vec<String> {
-        let mut keys = Vec::with_capacity(self.literal_slots());
-        self.walk(&mut |node| {
-            if node.has_literal {
-                keys.push(stream_key_of(node.op, node.width));
-            }
-        });
-        keys
-    }
 }
 
-/// A literal-stream key rendered as the paper renders it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StreamKeyStr(pub String);
-
-impl fmt::Display for StreamKeyStr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// The stream key for an operator/width pair.
+/// The literal-stream key for an operator/width pair, rendered as the
+/// paper renders it, e.g. `"ADDRLP8"` or `"CNSTC"`.
 pub fn stream_key_of(op: Op, width: Width) -> String {
     let mut key = op.mnemonic();
     if matches!(op.opcode, Opcode::AddrL | Opcode::AddrF) && width != Width::W32 {
@@ -142,10 +116,7 @@ pub fn stream_key_of(op: Op, width: Width) -> String {
 
 impl fmt::Display for TreePattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.op.mnemonic())?;
-        if matches!(self.op.opcode, Opcode::AddrL | Opcode::AddrF) && self.width != Width::W32 {
-            write!(f, "{}", self.width.print_suffix())?;
-        }
+        write!(f, "{}", stream_key_of(self.op, self.width))?;
         if self.has_literal {
             write!(f, "[*]")?;
         }
@@ -205,23 +176,12 @@ mod tests {
 
     #[test]
     fn stream_keys() {
-        assert_eq!(
-            TreePattern::of(&Tree::addr_local(72)).stream_key().0,
-            "ADDRLP8"
-        );
-        assert_eq!(
-            TreePattern::of(&Tree::addr_local(300)).stream_key().0,
-            "ADDRLP16"
-        );
-        assert_eq!(
-            TreePattern::of(&Tree::addr_local(100_000)).stream_key().0,
-            "ADDRLP"
-        );
-        assert_eq!(
-            TreePattern::of(&Tree::cnst(IrType::C, 1)).stream_key().0,
-            "CNSTC"
-        );
-        assert_eq!(TreePattern::of(&Tree::label(1)).stream_key().0, "LABELV");
+        let key = |t: &Tree| stream_key_of(t.op(), t.width());
+        assert_eq!(key(&Tree::addr_local(72)), "ADDRLP8");
+        assert_eq!(key(&Tree::addr_local(300)), "ADDRLP16");
+        assert_eq!(key(&Tree::addr_local(100_000)), "ADDRLP");
+        assert_eq!(key(&Tree::cnst(IrType::C, 1)), "CNSTC");
+        assert_eq!(key(&Tree::label(1)), "LABELV");
     }
 
     #[test]

@@ -440,8 +440,8 @@ fn inflate_governed(
             }
             0b10 => {
                 cov_hit!("flate.block.dynamic");
-                let tables = read_dynamic_tables(&mut r)?;
-                inflate_block(&mut r, &tables.0, &tables.1, &mut out, max_output, &mut stats)?;
+                let (lit, dist) = read_dynamic_tables(&mut r)?;
+                inflate_block(&mut r, &lit, &dist, &mut out, max_output, &mut stats)?;
             }
             _ => {
                 cov_hit!("flate.block.reserved");
@@ -500,35 +500,13 @@ fn fixed_tables() -> Result<&'static (Decoder, Decoder), FlateError> {
     Ok(FIXED.get_or_init(|| (lit, dist)))
 }
 
-/// Dynamic-block tables interned by their expanded length vector (plus
-/// `hlit`, which fixes the lit/dist split). The code description still
-/// has to be *parsed* from the bit stream every block — it is inline
-/// data — but repeat descriptions skip the two table builds, which
-/// dominate small-block decode.
-static DYN_TABLE_CACHE: codecomp_coding::cache::DescCache<(Decoder, Decoder)> =
-    codecomp_coding::cache::DescCache::new("flate.inflate.table_cache", 128);
-
-/// Empties the dynamic-table cache (test hook for cold-cache runs).
-pub fn clear_table_cache() {
-    DYN_TABLE_CACHE.clear();
-}
-
-/// Starts a new dynamic-table cache generation: O(1) lazy invalidation
-/// of every interned table. The fuzz campaign's per-case reset.
-pub fn bump_table_cache_generation() {
-    DYN_TABLE_CACHE.bump_generation();
-}
-
-/// Publishes the dynamic-table cache's accumulated hit/miss/eviction
-/// counts to telemetry. Decoders call this once per pass.
-pub fn flush_table_cache_stats() {
-    DYN_TABLE_CACHE.flush_stats();
-}
+/// Does nothing: inflate builds its tables per block and keeps no cache
+/// to report on. Kept only because perfbench (`perfbench/src/lifecycle.rs`)
+/// still calls it.
+pub fn flush_table_cache_stats() {}
 
 #[allow(clippy::same_item_push)] // RLE expansion genuinely repeats values
-fn read_dynamic_tables(
-    r: &mut BitSource<'_>,
-) -> Result<std::sync::Arc<(Decoder, Decoder)>, FlateError> {
+fn read_dynamic_tables(r: &mut BitSource<'_>) -> Result<(Decoder, Decoder), FlateError> {
     let hlit = r.read_bits(5)? as usize + 257;
     let hdist = r.read_bits(5)? as usize + 1;
     let hclen = r.read_bits(4)? as usize + 4;
@@ -577,25 +555,11 @@ fn read_dynamic_tables(
         cov_hit!("flate.clc.overrun");
         return Err(FlateError::Corrupt("code length overrun".into()));
     }
-    // hlit ≤ 288 and hdist ≤ 32, so the key fits a fixed stack buffer.
-    let mut key = [0u8; 322];
-    key[0] = (hlit & 0xFF) as u8;
-    key[1] = (hlit >> 8) as u8;
-    key[2..2 + lengths.len()].copy_from_slice(&lengths);
-    let mut was_cold = false;
-    let tables = DYN_TABLE_CACHE.get_or_build(&key[..2 + lengths.len()], || {
-        was_cold = true;
-        cov_hit!("flate.tables.cold_build");
-        let lit = Decoder::from_lengths(&lengths[..hlit], Completeness::Exact)?;
-        // RFC 1951 §3.2.7: a block with no matches may carry one distance
-        // code (or none); anything else must be complete.
-        let dist = Decoder::from_lengths(&lengths[hlit..], Completeness::ExactOrDegenerate)?;
-        Ok::<_, FlateError>((lit, dist))
-    })?;
-    if !was_cold {
-        cov_hit!("flate.tables.warm_hit");
-    }
-    Ok(tables)
+    let lit = Decoder::from_lengths(&lengths[..hlit], Completeness::Exact)?;
+    // RFC 1951 §3.2.7: a block with no matches may carry one distance
+    // code (or none); anything else must be complete.
+    let dist = Decoder::from_lengths(&lengths[hlit..], Completeness::ExactOrDegenerate)?;
+    Ok((lit, dist))
 }
 
 fn inflate_block(

@@ -23,7 +23,7 @@
 //!   ones recover.
 //! - [`server`] — [`server::ModuleServer`]: a thread-safe function-unit
 //!   server with a sharded verification cache (per-shard mutex,
-//!   generation-stamped eviction in the `DescCache` discipline),
+//!   stamp-ordered eviction of the oldest half of a full shard),
 //!   per-client [`codecomp_core::limits::Budget`]s, bounded admission
 //!   that sheds load with an explicit retry-after verdict, and raw-bytes
 //!   fallback under memory pressure.

@@ -2,10 +2,11 @@
 //!
 //! [`ModuleServer`] serves compressed function units out of a
 //! [`DemandImage`]. Every served unit is *verified* when capacity
-//! allows — decoded server-side into a tree cached in a sharded,
-//! generation-stamped cache (the `DescCache` eviction discipline:
-//! per-shard mutex, evict-oldest-half sweeps, failed builds never
-//! cached) — and the verdicts degrade gracefully:
+//! allows — decoded server-side into a tree cached in a sharded cache
+//! (one mutex per shard; each entry stamped from the shard's logical
+//! clock on every use; an over-full shard drops its oldest half in one
+//! sweep; a unit that fails to verify is never cached) — and the
+//! verdicts degrade gracefully:
 //!
 //! - cache hit → serve bytes, already verified;
 //! - cache miss with headroom → verify-decode under the requesting
@@ -139,7 +140,8 @@ struct Shard {
 }
 
 impl Shard {
-    /// DescCache discipline: drop the oldest half by stamp.
+    /// Drops the oldest half of the entries by stamp in one sweep, so
+    /// eviction is paid once per half-shard rather than per insert.
     fn evict_oldest_half(&mut self) -> u64 {
         if self.entries.is_empty() {
             return 0;

@@ -11,9 +11,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
-use crate::bytesio::{put_string, put_uvarint, Cursor};
 use crate::format::{compress, decompress_budgeted, WireOptions};
 use crate::WireError;
+use codecomp_core::bytesio::{put_string, put_uvarint, Cursor};
 use codecomp_core::{telemetry, Budget, DecodeError, DecodeLimits};
 use codecomp_ir::eval::{EvalOutcome, Evaluator};
 use codecomp_ir::op::Literal;

@@ -1,11 +1,11 @@
 //! The wire-format container: compression pipeline and its inverse.
 
-use crate::bytesio::{put_ivarint, put_string, put_uvarint, Cursor};
 use crate::WireError;
 use codecomp_coding::arith::{ArithDecoder, ArithEncoder};
-use codecomp_coding::huffman::{cached_decoder, HuffmanEncoder};
+use codecomp_coding::huffman::{HuffmanDecoder, HuffmanEncoder};
 use codecomp_coding::model::AdaptiveModel;
 use codecomp_coding::mtf::{mtf_decode_identity, mtf_encode};
+use codecomp_core::bytesio::{put_ivarint, put_string, put_uvarint, Cursor};
 use codecomp_core::cov_hit;
 use codecomp_core::streams::SplitStreams;
 use codecomp_core::telemetry;
@@ -283,11 +283,6 @@ impl DecodeStats {
     /// sections are set, and `container_bytes` plus the section byte
     /// gauges sum exactly to `total_bytes`.
     fn flush(&self, total_bytes: u64) {
-        // Cache stats accumulate in relaxed atomics across every
-        // lookup; drain them here so hit/miss counters cost one
-        // registry walk per decode instead of one per section.
-        codecomp_coding::huffman::flush_decoder_cache_stats();
-        codecomp_flate::inflate::flush_table_cache_stats();
         if !self.enabled {
             return;
         }
@@ -444,7 +439,12 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
     let join = telemetry::stage!("wire.decode.join");
     let trees: Vec<Tree> = if options.split_streams {
         cov_hit!("wire.join.split");
-        SplitStreams::join_parts(&patterns, &stream, literal_sections.into_iter().collect())?
+        SplitStreams {
+            patterns,
+            pattern_stream: stream,
+            literals: literal_sections.into_iter().collect(),
+        }
+        .join()?
     } else {
         cov_hit!("wire.join.mixed");
         let (_, all) = literal_sections
@@ -835,12 +835,9 @@ fn decode_indices(
             let lengths = c.take(alphabet)?;
             let nbytes = c.usize_varint()?;
             let bits = c.take(nbytes)?;
-            // The length vector keys a process-wide decoder cache, so a
-            // code description seen in any earlier section (or module)
-            // skips the table build entirely.
             let dec = {
                 let _build = telemetry::stage!("wire.decode.table_build");
-                cached_decoder(lengths)?
+                HuffmanDecoder::from_lengths(lengths)?
             };
             // Table-driven bulk decode: two-level lookup against a
             // 64-bit reservoir instead of a bit-walk per symbol.

@@ -28,7 +28,6 @@
 //! # }
 //! ```
 
-mod bytesio;
 pub mod demand;
 mod format;
 

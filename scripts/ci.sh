@@ -44,7 +44,7 @@ echo "==> deflate ratio smoke (corpus size within 1% per level)"
 cargo run --release --offline -q -p codecomp-bench --bin bench -- --ratio-smoke
 
 # Wire decode smoke: round-trip the full corpus byte-exactly, then gate
-# the cold-cache, collector-off wire decode rate, normalized by a probe
+# the collector-off wire decode rate, normalized by a probe
 # kernel timed beside every sample, against a floor set from its
 # measured median and spread (CHANGES.md has the derivation).
 echo "==> wire decode smoke (byte-exact roundtrip + probe-normalized rate floor)"

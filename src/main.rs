@@ -275,12 +275,6 @@ fn print_stage_counters(snap: &telemetry::Snapshot) {
         "flate.deflate.input_bytes",
         "wire.encode.symbols",
         "wire.decode.symbols",
-        "coding.huffman.table_cache.hits",
-        "coding.huffman.table_cache.misses",
-        "coding.huffman.table_cache.evictions",
-        "flate.inflate.table_cache.hits",
-        "flate.inflate.table_cache.misses",
-        "flate.inflate.table_cache.evictions",
         "brisc.interp.dispatches",
         "brisc.interp.fuel_consumed",
         "serve.requests",
@@ -1042,12 +1036,6 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, AnyError> {
         max_resident_bytes: 1 << 22,
         ..DecodeLimits::default()
     };
-    // Between cases every decode-structure cache rolls its generation,
-    // so one case's hostile residue can never shape the next case.
-    let reset = || {
-        code_compression::coding::huffman::bump_decoder_cache_generation();
-        code_compression::flate::inflate::bump_table_cache_generation();
-    };
     let names: Vec<&str> = if target == "all" {
         vec!["wire", "gzip", "demand", "brisc"]
     } else {
@@ -1066,9 +1054,9 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, AnyError> {
                 ..FuzzConfig::default()
             };
             let report = if blind {
-                run_blind_schedule(&config, &seeds, &mut run, reset)
+                run_blind_schedule(&config, &seeds, &mut run)
             } else {
-                run_campaign(&config, &seeds, &default_dictionary(), &mut run, reset)
+                run_campaign(&config, &seeds, &default_dictionary(), &mut run)
             };
             print_fuzz_report(name, blind, &report)?;
             if save_repros {

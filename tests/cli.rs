@@ -287,7 +287,7 @@ fn cli_telemetry_flags() {
     assert_eq!(total, on_disk, "--stats total must equal the image size");
 
     // Decode-side --stats: unpack prints the decoder's reset-and-set
-    // stream table plus the decode-table cache hit/miss counters.
+    // stream table plus the decode counters.
     let (_, stderr, ok) = run(
         &["wire", "unpack", "tele.ccwf", "-o", "tele-back.ccir", "--stats"],
         &dir,
@@ -299,8 +299,8 @@ fn cli_telemetry_flags() {
     );
     assert!(!stderr.contains("WARNING"), "decode sections must sum: {stderr}");
     assert!(
-        stderr.contains("coding.huffman.table_cache.misses"),
-        "cache counters missing from --stats: {stderr}"
+        stderr.contains("wire.decode.symbols"),
+        "decode counters missing from --stats: {stderr}"
     );
 
     // --metrics=PATH dumps a registry snapshot holding the same total.

@@ -47,11 +47,6 @@ fn wire_target(bytes: &[u8]) -> Verdict {
     }
 }
 
-fn reset_caches() {
-    code_compression::coding::huffman::bump_decoder_cache_generation();
-    code_compression::flate::inflate::bump_table_cache_generation();
-}
-
 /// The measurement protocol EXPERIMENTS.md documents: three campaigns
 /// per mode (seeds 1–3) at an equal case budget, coverage compared as
 /// the union of edges across the three — single campaigns are noisy by
@@ -70,9 +65,9 @@ fn run_rounds(guided: bool) -> Vec<CampaignReport> {
                 ..FuzzConfig::default()
             };
             if guided {
-                run_campaign(&config, &seeds, &default_dictionary(), wire_target, reset_caches)
+                run_campaign(&config, &seeds, &default_dictionary(), wire_target)
             } else {
-                run_blind_schedule(&config, &seeds, wire_target, reset_caches)
+                run_blind_schedule(&config, &seeds, wire_target)
             }
         })
         .collect()
@@ -122,8 +117,8 @@ fn campaign_is_deterministic_for_a_fixed_seed() {
         cases: 150,
         ..FuzzConfig::default()
     };
-    let a = run_campaign(&config, &seeds, &default_dictionary(), wire_target, reset_caches);
-    let b = run_campaign(&config, &seeds, &default_dictionary(), wire_target, reset_caches);
+    let a = run_campaign(&config, &seeds, &default_dictionary(), wire_target);
+    let b = run_campaign(&config, &seeds, &default_dictionary(), wire_target);
     assert_eq!(a.executions, b.executions);
     assert_eq!(a.unique_edges, b.unique_edges);
     assert_eq!(a.corpus_size, b.corpus_size);

@@ -1,26 +1,18 @@
-//! Differential round-trip for multi-module synthetic programs.
+//! Differential round trips for the wire encoder and decoder.
 //!
-//! The corpus synthesizer emits translation units that share a
-//! byte-identical prelude (the repetition that makes cross-module
-//! decode-table interning observable) on top of module-private
-//! functions with deep expression spines. Every unit must round-trip
-//! byte-exactly through the wire encoder → decoder at every option
-//! combination, whether the decode-structure caches are cold, warm
-//! from the same module, or warm with the *other* modules' tables —
-//! caching must be unobservable in decoder output.
+//! The inputs are the bundled corpus plus multi-module synthetic
+//! programs: translation units that share a byte-identical prelude on
+//! top of module-private functions with deep expression spines. Every
+//! module must round-trip byte-exactly through the wire encoder →
+//! decoder, and through a demand image (whole-module and per-function
+//! loads), at every option combination. The decoders hold no state
+//! between calls, so each image is decoded once.
 
-use code_compression::coding::huffman::clear_decoder_cache;
-use code_compression::corpus::{synthetic_modules, MultiModuleConfig};
-use code_compression::flate::inflate::clear_table_cache;
+use code_compression::corpus::{benchmarks, synthetic_modules, MultiModuleConfig};
 use code_compression::front::compile;
 use code_compression::ir::binary::encode_module;
 use code_compression::ir::Module;
-use code_compression::wire::{compress, decompress, Coder, WireOptions};
-
-fn clear_all_decode_caches() {
-    clear_decoder_cache();
-    clear_table_cache();
-}
+use code_compression::wire::{compress, decompress, Coder, DemandImage, WireOptions};
 
 /// Every pipeline-stage combination the container can express.
 fn option_matrix() -> Vec<(&'static str, WireOptions)> {
@@ -82,6 +74,22 @@ fn synthetic_program(seed: u64) -> Vec<Module> {
         .collect()
 }
 
+/// The synthetic program's modules followed by the bundled corpus,
+/// each with a name for failure messages.
+fn inputs() -> Vec<(String, Module)> {
+    let synth = synthetic_program(0x00DD_BA11)
+        .into_iter()
+        .enumerate()
+        .map(|(i, m)| (format!("module{i}"), m));
+    let corpus = benchmarks().into_iter().map(|b| {
+        (
+            b.name.to_string(),
+            b.compile().expect("corpus programs compile"),
+        )
+    });
+    synth.chain(corpus).collect()
+}
+
 /// Asserts `decoded` is byte-exactly the module that was encoded: the
 /// IR trees compare equal *and* their binary serializations match.
 fn assert_byte_exact(context: &str, original: &Module, decoded: &Module) {
@@ -95,30 +103,28 @@ fn assert_byte_exact(context: &str, original: &Module, decoded: &Module) {
 
 #[test]
 fn multi_module_round_trips_at_every_option_combination() {
-    let modules = synthetic_program(0x00DD_BA11);
+    let inputs = inputs();
     for (oname, options) in option_matrix() {
-        let images: Vec<Vec<u8>> = modules
-            .iter()
-            .map(|m| compress(m, options).expect("compress").bytes)
-            .collect();
-        for (i, (module, image)) in modules.iter().zip(&images).enumerate() {
-            // Cold: every decode structure is a per-section rebuild.
-            clear_all_decode_caches();
-            let cold = decompress(image).expect("cold decode");
-            assert_byte_exact(&format!("{oname}/module{i}/cold"), module, &cold);
-            // Warm from the same module.
-            let warm = decompress(image).expect("warm decode");
-            assert_byte_exact(&format!("{oname}/module{i}/warm"), module, &warm);
+        for (name, module) in &inputs {
+            let image = compress(module, options).expect("compress").bytes;
+            let back = decompress(&image).expect("decode");
+            assert_byte_exact(&format!("{oname}/{name}"), module, &back);
         }
-        // Cross-module warm: decode every unit with the caches full of
-        // the *other* units' tables — the shared prelude means most
-        // lookups hit entries another module interned, and they must
-        // be indistinguishable from fresh rebuilds.
-        clear_all_decode_caches();
-        for round in 0..2 {
-            for (i, (module, image)) in modules.iter().zip(&images).enumerate() {
-                let got = decompress(image).expect("cross-module decode");
-                assert_byte_exact(&format!("{oname}/module{i}/cross-round{round}"), module, &got);
+    }
+}
+
+#[test]
+fn demand_images_invert_at_every_option_combination() {
+    let inputs = inputs();
+    for (oname, options) in option_matrix() {
+        for (name, module) in &inputs {
+            let built = DemandImage::build(module, options).expect("demand build");
+            let image = DemandImage::from_bytes(&built.to_bytes()).expect("demand image reloads");
+            let all = image.load_all().expect("load_all");
+            assert_byte_exact(&format!("demand/{oname}/{name}"), module, &all);
+            for f in &module.functions {
+                let got = image.load_function(&f.name).expect("unit decode");
+                assert_eq!(&got, f, "demand/{oname}/{name}/{}: unit differs", f.name);
             }
         }
     }
@@ -130,7 +136,6 @@ fn multi_module_round_trip_is_seed_stable() {
     // generator drifting into programs the wire pipeline mishandles.
     for seed in [1u64, 0xFEED_5EED] {
         let modules = synthetic_program(seed);
-        clear_all_decode_caches();
         for (i, module) in modules.iter().enumerate() {
             let image = compress(module, WireOptions::default())
                 .expect("compress")
