@@ -89,7 +89,7 @@ pub enum PatternField {
 }
 
 /// One instruction pattern, e.g. `[ld.iw n0,*(sp)]`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct InstPattern {
     /// The base instruction.
     pub base: BaseOp,
@@ -236,7 +236,7 @@ impl std::fmt::Display for InstPattern {
 }
 
 /// A dictionary entry: one pattern, or an opcode-combined sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct DictEntry {
     /// The component patterns, executed in order.
     pub patterns: Vec<InstPattern>,
@@ -279,7 +279,10 @@ impl DictEntry {
     /// term "minus the number of bytes needed to represent the
     /// instruction pattern in the dictionary").
     pub fn dict_bytes(&self) -> usize {
-        crate::image::serialize_entry(self).len()
+        let mut out = Vec::new();
+        crate::image::code_entry(&mut out, &mut self.clone())
+            .expect("writing a dictionary entry cannot fail");
+        out.len()
     }
 
     /// The decompressor working-set cost `W`: the mean size of native

@@ -9,13 +9,13 @@
 //! offsets, so the code is randomly addressable at basic-block
 //! granularity — the property that makes in-place interpretation work.
 
-use crate::entry::{DictEntry, FieldKind, ImmEnc, InstPattern, PatternField, MAX_ENTRY_PATTERNS};
+use crate::entry::{DictEntry, FieldKind, ImmEnc, PatternField, MAX_ENTRY_PATTERNS};
 use crate::markov::{MarkovTables, SuccessorTable, BLOCK_START};
 use crate::BriscError;
 use codecomp_coding::bits::{BitReader, BitWriter};
-use codecomp_core::bytesio::{put_ivarint, put_string, put_uvarint, Cursor};
+use codecomp_core::bytesio::{code_global, Cursor, Io};
 use codecomp_core::cov_hit;
-use codecomp_vm::encode::{BaseOp, Field};
+use codecomp_vm::encode::{canonical_instance, field_refs, BaseOp, Field};
 use codecomp_vm::isa::{FuncRef, Inst};
 use codecomp_vm::program::VmGlobal;
 use codecomp_vm::reg::Reg;
@@ -54,7 +54,7 @@ pub struct FuncItems {
 }
 
 /// Function metadata in the image.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BriscFunction {
     /// Name.
     pub name: String,
@@ -74,7 +74,7 @@ pub struct BriscFunction {
 }
 
 /// A complete BRISC program.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BriscImage {
     /// The instruction-pattern dictionary.
     pub dictionary: Vec<DictEntry>,
@@ -365,7 +365,7 @@ fn read_field(
     tables: &DecodeTables,
     callee: &mut Callee,
 ) -> Result<Field, BriscError> {
-    let eof = |_| BriscError::Corrupt("operand bits truncated".into());
+    let eof = |_| BriscError::Corrupt("operand bits past end of code".into());
     Ok(match kind {
         FieldKind::Reg => Field::Reg(Reg::new(bits.read_bits(4).map_err(eof)? as u8)),
         FieldKind::Imm(ImmEnc::X4) => Field::Imm(bits.read_bits(4).map_err(eof)? as i32 * 4),
@@ -579,6 +579,8 @@ fn write_field(
 
 // ---- byte-level serialization ----------------------------------------------------
 
+const MAGIC: &[u8; 4] = b"CCBR";
+
 fn base_op_index() -> &'static (Vec<BaseOp>, HashMap<BaseOp, u8>) {
     static TABLE: OnceLock<(Vec<BaseOp>, HashMap<BaseOp, u8>)> = OnceLock::new();
     TABLE.get_or_init(|| {
@@ -589,117 +591,167 @@ fn base_op_index() -> &'static (Vec<BaseOp>, HashMap<BaseOp, u8>) {
     })
 }
 
-/// Serializes one dictionary entry (also defines its `P`-cost size).
-pub fn serialize_entry(entry: &DictEntry) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_uvarint(&mut out, entry.patterns.len() as u64);
-    for p in &entry.patterns {
-        out.push(base_op_index().1[&p.base]);
-        for f in &p.fields {
-            match f {
-                PatternField::Wildcard(FieldKind::Reg) => out.push(0x00),
-                PatternField::Wildcard(FieldKind::Imm(ImmEnc::X4)) => out.push(0x01),
-                PatternField::Wildcard(FieldKind::Imm(ImmEnc::I8)) => out.push(0x02),
-                PatternField::Wildcard(FieldKind::Imm(ImmEnc::I16)) => out.push(0x03),
-                PatternField::Wildcard(FieldKind::Imm(ImmEnc::I32)) => out.push(0x04),
-                PatternField::Wildcard(FieldKind::Target) => out.push(0x05),
-                PatternField::Wildcard(FieldKind::Func) => out.push(0x06),
-                PatternField::Burned(Field::Reg(r)) => out.push(0x10 | r.number()),
-                PatternField::Burned(Field::Imm(v)) => {
-                    out.push(0x20);
-                    put_ivarint(&mut out, i64::from(*v));
-                }
+/// One dictionary entry; its length is the entry's `P`-cost size. Per
+/// pattern: the base-op byte, then one tag per field of that base op (a
+/// burned immediate's value follows its tag).
+pub fn code_entry<I: Io>(io: &mut I, entry: &mut DictEntry) -> Result<(), BriscError> {
+    io.seq(&mut entry.patterns, |io, p| {
+        io.tag(
+            &mut p.base,
+            |base| Ok(base_op_index().1[base]),
+            |byte| {
+                base_op_index()
+                    .0
+                    .get(usize::from(byte))
+                    .copied()
+                    .ok_or_else(|| {
+                        cov_hit!("brisc.entry.bad_base_op");
+                        BriscError::Corrupt(format!("bad base op {byte}"))
+                    })
+            },
+        )?;
+        let arity = field_refs(&canonical_instance(p.base)).len();
+        p.fields
+            .resize(arity, PatternField::Wildcard(FieldKind::Reg));
+        p.fields.iter_mut().try_for_each(|f| code_field(io, f))
+    })
+}
+
+/// Wildcard kinds, indexed by their field tag.
+const WILDCARD_TAGS: [FieldKind; 7] = [
+    FieldKind::Reg,
+    FieldKind::Imm(ImmEnc::X4),
+    FieldKind::Imm(ImmEnc::I8),
+    FieldKind::Imm(ImmEnc::I16),
+    FieldKind::Imm(ImmEnc::I32),
+    FieldKind::Target,
+    FieldKind::Func,
+];
+
+/// One pattern field: a wildcard's tag is its kind's index in
+/// [`WILDCARD_TAGS`]; a burned register is `0x10 | reg`; a burned
+/// immediate is `0x20` followed by its value.
+fn code_field<I: Io>(io: &mut I, field: &mut PatternField) -> Result<(), BriscError> {
+    io.tag(
+        field,
+        |f| {
+            Ok(match f {
+                PatternField::Wildcard(kind) => WILDCARD_TAGS
+                    .iter()
+                    .position(|k| k == kind)
+                    .expect("every kind has a tag")
+                    as u8,
+                PatternField::Burned(Field::Reg(r)) => 0x10 | r.number(),
+                PatternField::Burned(Field::Imm(_)) => 0x20,
                 PatternField::Burned(other) => {
                     // Targets and function refs are never burned; encode
                     // defensively as an impossible tag.
                     debug_assert!(false, "unexpected burned field {other:?}");
-                    out.push(0x7F);
+                    0x7F
                 }
-            }
-        }
-    }
-    out
-}
-
-fn deserialize_entry(r: &mut Cursor<'_>) -> Result<DictEntry, BriscError> {
-    let n = r.usize_varint()?;
-    if n == 0 || n > MAX_ENTRY_PATTERNS {
-        cov_hit!("brisc.entry.bad_pattern_count");
-        return Err(BriscError::Corrupt(format!("bad pattern count {n}")));
-    }
-    let mut patterns = Vec::with_capacity(n);
-    for _ in 0..n {
-        let base_byte = r.u8()?;
-        let Some(&base) = base_op_index().0.get(usize::from(base_byte)) else {
-            cov_hit!("brisc.entry.bad_base_op");
-            return Err(BriscError::Corrupt(format!("bad base op {base_byte}")));
-        };
-        let arity =
-            codecomp_vm::encode::fields(&codecomp_vm::encode::canonical_instance(base)).len();
-        let mut fields = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            let tag = r.u8()?;
-            fields.push(match tag {
-                0x00 => PatternField::Wildcard(FieldKind::Reg),
-                0x01 => PatternField::Wildcard(FieldKind::Imm(ImmEnc::X4)),
-                0x02 => PatternField::Wildcard(FieldKind::Imm(ImmEnc::I8)),
-                0x03 => PatternField::Wildcard(FieldKind::Imm(ImmEnc::I16)),
-                0x04 => PatternField::Wildcard(FieldKind::Imm(ImmEnc::I32)),
-                0x05 => PatternField::Wildcard(FieldKind::Target),
-                0x06 => PatternField::Wildcard(FieldKind::Func),
+            })
+        },
+        |tag| {
+            Ok(match tag {
+                t if usize::from(t) < WILDCARD_TAGS.len() => {
+                    PatternField::Wildcard(WILDCARD_TAGS[usize::from(t)])
+                }
                 t if t & 0xF0 == 0x10 => PatternField::Burned(Field::Reg(Reg::new(t & 0x0F))),
-                0x20 => PatternField::Burned(Field::Imm(
-                    i32::try_from(r.ivarint()?)
-                        .map_err(|_| BriscError::Corrupt("burned imm out of range".into()))?,
-                )),
+                0x20 => PatternField::Burned(Field::Imm(0)),
                 other => {
                     cov_hit!("brisc.entry.bad_field_tag");
                     return Err(BriscError::Corrupt(format!("bad field tag {other}")));
                 }
-            });
-        }
-        patterns.push(InstPattern { base, fields });
+            })
+        },
+    )?;
+    if let PatternField::Burned(Field::Imm(v)) = field {
+        io.i32(v)?;
     }
-    Ok(DictEntry { patterns })
+    Ok(())
 }
 
-/// Serializes the Markov tables (defines their charged size).
-fn serialize_markov(markov: &MarkovTables) -> Vec<u8> {
-    let mut out = Vec::new();
-    let lists = markov.iter_sorted();
-    put_uvarint(&mut out, lists.len() as u64);
-    for (ctx, succ) in lists {
-        put_uvarint(&mut out, u64::from(ctx));
-        put_uvarint(&mut out, succ.len() as u64);
-        for &e in succ {
-            put_uvarint(&mut out, u64::from(e));
-        }
-    }
-    out
+/// The Markov tables (their length is charged to the program): one
+/// `(context, successors)` list per context, in context order.
+pub fn code_markov<I: Io>(io: &mut I, markov: &mut MarkovTables) -> Result<(), BriscError> {
+    let mut lists: Vec<(u32, Vec<u32>)> = markov
+        .iter_sorted()
+        .into_iter()
+        .map(|(ctx, succ)| (ctx, succ.to_vec()))
+        .collect();
+    io.seq(&mut lists, |io, (ctx, succ)| {
+        io.u32(ctx)?;
+        io.seq(succ, |io, e| io.u32(e))
+    })?;
+    *markov = MarkovTables::from_lists(lists);
+    Ok(())
 }
 
-fn deserialize_markov(
-    r: &mut Cursor<'_>,
-    budget: &codecomp_core::Budget,
-) -> Result<MarkovTables, BriscError> {
-    let n = r.usize_varint()?;
-    budget.check_table_entries(n as u64)?;
-    budget.charge_fuel(n as u64)?;
-    // Each list takes at least two bytes (context + count), each
-    // successor at least one.
-    let mut lists = Vec::with_capacity(n.min(r.remaining() / 2));
-    for _ in 0..n {
-        let ctx = r.u32_varint()?;
-        let m = r.usize_varint()?;
-        budget.check_table_entries(m as u64)?;
-        budget.charge_fuel(m as u64)?;
-        let mut succ = Vec::with_capacity(m.min(r.remaining()));
-        for _ in 0..m {
-            succ.push(r.u32_varint()?);
-        }
-        lists.push((ctx, succ));
-    }
-    Ok(MarkovTables::from_lists(lists))
+/// One function-table entry. Extra leaders travel as deltas from the
+/// previous one.
+pub fn code_function<I: Io>(io: &mut I, f: &mut BriscFunction) -> Result<(), BriscError> {
+    io.string(&mut f.name)?;
+    io.usize(&mut f.param_count)?;
+    io.u32(&mut f.frame_size)?;
+    io.seq(&mut f.saved_regs, |io, r| {
+        io.tag(
+            r,
+            |r| Ok(r.number()),
+            |n| {
+                if n >= Reg::COUNT {
+                    cov_hit!("brisc.image.bad_saved_reg");
+                    return Err(BriscError::Corrupt("bad saved register".into()));
+                }
+                Ok(Reg::new(n))
+            },
+        )
+    })?;
+    io.u32(&mut f.start)?;
+    io.u32(&mut f.len)?;
+    let mut prev = 0u32;
+    let mut deltas: Vec<u32> = f
+        .extra_leaders
+        .iter()
+        .map(|&l| l - std::mem::replace(&mut prev, l))
+        .collect();
+    io.seq(&mut deltas, |io, d| io.u32(d))?;
+    let mut prev = 0u32;
+    f.extra_leaders = deltas
+        .into_iter()
+        .map(|d| {
+            prev = prev
+                .checked_add(d)
+                .ok_or_else(|| BriscError::Corrupt("leader offset overflow".into()))?;
+            Ok(prev)
+        })
+        .collect::<Result<_, BriscError>>()?;
+    Ok(())
+}
+
+/// The header: load-time metadata the decompressor expands once.
+pub fn code_header<I: Io>(io: &mut I, image: &mut BriscImage) -> Result<(), BriscError> {
+    io.seq(&mut image.dictionary, code_entry)?;
+    code_markov(io, &mut image.markov)?;
+    io.seq(&mut image.globals, code_global)?;
+    io.seq(&mut image.functions, code_function)
+}
+
+/// The container around the header: magic, the order-0 flag, the
+/// DEFLATEd header, and the code blob.
+pub fn code_container<I: Io>(
+    io: &mut I,
+    image: &mut BriscImage,
+    packed_header: &mut Vec<u8>,
+) -> Result<(), BriscError> {
+    io.magic(MAGIC)?;
+    io.tag(
+        &mut image.order0,
+        |&order0| Ok(u8::from(order0)),
+        |b| Ok::<_, BriscError>(b != 0),
+    )?;
+    io.bytes(packed_header)?;
+    io.bytes(&mut image.code)?;
+    Ok(())
 }
 
 impl BriscImage {
@@ -710,46 +762,13 @@ impl BriscImage {
     /// DEFLATEs it; the *code* stream is stored raw — it must remain
     /// byte-addressable for in-place interpretation.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut image = self.clone();
         let mut header = Vec::new();
-        put_uvarint(&mut header, self.dictionary.len() as u64);
-        for e in &self.dictionary {
-            header.extend_from_slice(&serialize_entry(e));
-        }
-        header.extend_from_slice(&serialize_markov(&self.markov));
-        put_uvarint(&mut header, self.globals.len() as u64);
-        for g in &self.globals {
-            put_string(&mut header, &g.name);
-            put_uvarint(&mut header, u64::from(g.size));
-            put_uvarint(&mut header, g.init.len() as u64);
-            header.extend_from_slice(&g.init);
-        }
-        put_uvarint(&mut header, self.functions.len() as u64);
-        for f in &self.functions {
-            put_string(&mut header, &f.name);
-            put_uvarint(&mut header, f.param_count as u64);
-            put_uvarint(&mut header, u64::from(f.frame_size));
-            put_uvarint(&mut header, f.saved_regs.len() as u64);
-            for r in &f.saved_regs {
-                header.push(r.number());
-            }
-            put_uvarint(&mut header, u64::from(f.start));
-            put_uvarint(&mut header, u64::from(f.len));
-            put_uvarint(&mut header, f.extra_leaders.len() as u64);
-            let mut prev = 0u32;
-            for &l in &f.extra_leaders {
-                put_uvarint(&mut header, u64::from(l - prev));
-                prev = l;
-            }
-        }
-        let packed_header =
+        code_header(&mut header, &mut image).expect("writing a header cannot fail");
+        let mut packed =
             codecomp_flate::deflate_compress(&header, codecomp_flate::CompressionLevel::Best);
         let mut out = Vec::new();
-        out.extend_from_slice(b"CCBR");
-        out.push(u8::from(self.order0));
-        put_uvarint(&mut out, packed_header.len() as u64);
-        out.extend_from_slice(&packed_header);
-        put_uvarint(&mut out, self.code.len() as u64);
-        out.extend_from_slice(&self.code);
+        code_container(&mut out, &mut image, &mut packed).expect("writing a container cannot fail");
         out
     }
 
@@ -757,14 +776,15 @@ impl BriscImage {
     ///
     /// # Errors
     ///
-    /// [`BriscError::Corrupt`] on malformed input.
+    /// [`BriscError::Truncated`] if the bytes end before the declared
+    /// structure does; [`BriscError::Corrupt`] on malformed input.
     pub fn from_bytes(bytes: &[u8]) -> Result<BriscImage, BriscError> {
         Self::from_bytes_budgeted(bytes, &codecomp_core::Budget::default())
     }
 
-    /// Budget-governed [`Self::from_bytes`]: the header inflate, the
-    /// dictionary / Markov / global / function table sizes, and the code
-    /// blob are all checked against `budget` before allocation.
+    /// Budget-governed [`Self::from_bytes`]: the header inflate, every
+    /// table count, and the code blob are all checked against `budget`
+    /// before allocation.
     ///
     /// # Errors
     ///
@@ -774,17 +794,17 @@ impl BriscImage {
         bytes: &[u8],
         budget: &codecomp_core::Budget,
     ) -> Result<BriscImage, BriscError> {
-        let mut outer = Cursor::new(bytes);
-        if outer.take(4)? != b"CCBR" {
-            cov_hit!("brisc.image.bad_magic");
-            return Err(BriscError::Corrupt("bad magic".into()));
+        let mut image = BriscImage::default();
+        let mut packed_header = Vec::new();
+        let mut outer = Cursor::new(bytes, budget);
+        code_container(&mut outer, &mut image, &mut packed_header)?;
+        if outer.remaining() != 0 {
+            cov_hit!("brisc.image.trailing_bytes");
+            return Err(BriscError::Corrupt("trailing bytes".into()));
         }
-        cov_hit!("brisc.image.magic_ok");
-        let order0 = outer.u8()? != 0;
-        let header_len = outer.usize_varint()?;
-        let packed_header = outer.take(header_len)?;
+        budget.check_output_bytes(image.code.len() as u64)?;
         let header =
-            codecomp_flate::inflate_budgeted(packed_header, budget).map_err(|e| match e {
+            codecomp_flate::inflate_budgeted(&packed_header, budget).map_err(|e| match e {
                 codecomp_flate::FlateError::LimitExceeded { limit } => {
                     cov_hit!("brisc.image.header_limit");
                     BriscError::Limit {
@@ -798,87 +818,29 @@ impl BriscImage {
                 }
             })?;
         cov_hit!("brisc.image.header_inflated");
-        let mut r = Cursor::new(&header);
-        let ndict = r.usize_varint()?;
-        budget.check_table_entries(ndict as u64)?;
-        budget.charge_fuel(ndict as u64)?;
-        // Every entry takes at least two bytes (pattern count + base op).
-        let mut dictionary = Vec::with_capacity(ndict.min(r.remaining() / 2));
-        for _ in 0..ndict {
-            dictionary.push(deserialize_entry(&mut r)?);
-        }
-        let markov = deserialize_markov(&mut r, budget)?;
-        let nglobals = r.usize_varint()?;
-        budget.check_table_entries(nglobals as u64)?;
-        budget.charge_fuel(nglobals as u64)?;
-        let mut globals = Vec::with_capacity(nglobals.min(r.remaining() / 3));
-        for _ in 0..nglobals {
-            let name = r.string()?;
-            let size = r.u32_varint()?;
-            let init_len = r.usize_varint()?;
-            globals.push(VmGlobal {
-                name,
-                size,
-                init: r.take(init_len)?.to_vec(),
-            });
-        }
-        let nfuncs = r.usize_varint()?;
-        budget.check_table_entries(nfuncs as u64)?;
-        budget.charge_fuel(nfuncs as u64)?;
-        let mut functions = Vec::with_capacity(nfuncs.min(r.remaining() / 4));
-        for _ in 0..nfuncs {
-            let name = r.string()?;
-            let param_count = r.usize_varint()?;
-            let frame_size = r.u32_varint()?;
-            let nsaved = r.usize_varint()?;
-            if nsaved > usize::from(Reg::COUNT) {
-                cov_hit!("brisc.image.saved_regs_overflow");
-                return Err(BriscError::Corrupt("too many saved registers".into()));
-            }
-            let mut saved_regs = Vec::with_capacity(nsaved);
-            for _ in 0..nsaved {
-                let n = r.u8()?;
-                if n >= Reg::COUNT {
-                    cov_hit!("brisc.image.bad_saved_reg");
-                    return Err(BriscError::Corrupt("bad saved register".into()));
-                }
-                saved_regs.push(Reg::new(n));
-            }
-            let start = r.u32_varint()?;
-            let len = r.u32_varint()?;
-            let nleaders = r.usize_varint()?;
-            let mut extra_leaders = Vec::with_capacity(nleaders.min(r.remaining()));
-            let mut prev = 0u32;
-            for _ in 0..nleaders {
-                let delta = r.u32_varint()?;
-                prev = prev
-                    .checked_add(delta)
-                    .ok_or_else(|| BriscError::Corrupt("leader offset overflow".into()))?;
-                extra_leaders.push(prev);
-            }
-            functions.push(BriscFunction {
-                name,
-                param_count,
-                frame_size,
-                saved_regs,
-                start,
-                len,
-                extra_leaders,
-            });
-        }
+        let mut r = Cursor::new(&header, budget);
+        code_header(&mut r, &mut image)?;
         if r.remaining() != 0 {
             cov_hit!("brisc.image.trailing_header");
             return Err(BriscError::Corrupt("trailing header bytes".into()));
         }
-        let code_len = outer.usize_varint()?;
-        budget.check_output_bytes(code_len as u64)?;
-        let code = outer.take(code_len)?.to_vec();
-        if outer.remaining() != 0 {
-            cov_hit!("brisc.image.trailing_bytes");
-            return Err(BriscError::Corrupt("trailing bytes".into()));
+        if let Some(e) = image
+            .dictionary
+            .iter()
+            .find(|e| e.patterns.is_empty() || e.patterns.len() > MAX_ENTRY_PATTERNS)
+        {
+            cov_hit!("brisc.entry.bad_pattern_count");
+            return Err(BriscError::Corrupt(format!(
+                "bad pattern count {}",
+                e.patterns.len()
+            )));
         }
-        for f in &functions {
-            if u64::from(f.start) + u64::from(f.len) > code.len() as u64 {
+        for f in &image.functions {
+            if f.saved_regs.len() > usize::from(Reg::COUNT) {
+                cov_hit!("brisc.image.saved_regs_overflow");
+                return Err(BriscError::Corrupt("too many saved registers".into()));
+            }
+            if u64::from(f.start) + u64::from(f.len) > image.code.len() as u64 {
                 cov_hit!("brisc.image.function_overruns_code");
                 return Err(BriscError::Corrupt(format!(
                     "function {} extends past the code blob",
@@ -889,17 +851,10 @@ impl BriscImage {
         cov_hit!("brisc.image.load_ok");
         codecomp_core::telemetry::gauge_set(
             "brisc.dictionary_entries",
-            dictionary.len() as u64,
+            image.dictionary.len() as u64,
         );
         codecomp_core::telemetry::counter_add("brisc.image.loads", 1);
-        Ok(BriscImage {
-            dictionary,
-            markov,
-            order0,
-            globals,
-            functions,
-            code,
-        })
+        Ok(image)
     }
 }
 
@@ -915,6 +870,9 @@ mod tests {
 
     #[test]
     fn entry_serialization_roundtrip() {
+        let mut burned = InstPattern::base_of(&parse_inst("ld.iw n0,4(sp)", 1).unwrap());
+        burned.fields[0] = PatternField::Burned(Field::Reg(Reg::new(0)));
+        burned.fields[1] = PatternField::Burned(Field::Imm(-300));
         let samples = [
             base_entry("mov.i n4,n0"),
             base_entry("ld.iw n0,4(sp)"),
@@ -923,25 +881,17 @@ mod tests {
             base_entry("call pepper"),
             base_entry("epi"),
             DictEntry::combined(&base_entry("mov.i n4,n0"), &base_entry("mov.i n2,n1")),
+            DictEntry::single(burned),
         ];
+        let budget = codecomp_core::Budget::default();
         for e in &samples {
-            let bytes = serialize_entry(e);
-            let mut r = Cursor::new(&bytes);
-            let back = deserialize_entry(&mut r).unwrap();
+            let mut bytes = Vec::new();
+            code_entry(&mut bytes, &mut e.clone()).unwrap();
+            let (mut r, mut back) = (Cursor::new(&bytes, &budget), DictEntry::default());
+            code_entry(&mut r, &mut back).unwrap();
             assert_eq!(&back, e, "roundtrip failed for {e}");
             assert_eq!(r.remaining(), 0);
         }
-    }
-
-    #[test]
-    fn burned_fields_roundtrip() {
-        let mut p = InstPattern::base_of(&parse_inst("ld.iw n0,4(sp)", 1).unwrap());
-        p.fields[0] = PatternField::Burned(Field::Reg(Reg::new(0)));
-        p.fields[1] = PatternField::Burned(Field::Imm(-300));
-        let e = DictEntry::single(p);
-        let bytes = serialize_entry(&e);
-        let mut r = Cursor::new(&bytes);
-        assert_eq!(deserialize_entry(&mut r).unwrap(), e);
     }
 
     /// A tiny hand-built program exercising assemble + decode_at.
@@ -1029,27 +979,51 @@ mod tests {
     }
 
     #[test]
+    fn decode_error_class_does_not_depend_on_the_message() {
+        use codecomp_core::DecodeError;
+        // An overrunning function is malformed whatever its name says.
+        let mut img = tiny_image();
+        img.functions[0].name = "truncated_x".into();
+        img.functions[0].len += 100;
+        let err = BriscImage::from_bytes(&img.to_bytes()).unwrap_err();
+        assert!(
+            matches!(DecodeError::from(err.clone()), DecodeError::Malformed { .. }),
+            "got {err:?}"
+        );
+        // A cut image is truncated.
+        let bytes = tiny_image().to_bytes();
+        let err = BriscImage::from_bytes(&bytes[..bytes.len() - 1]).unwrap_err();
+        assert_eq!(DecodeError::from(err), DecodeError::Truncated);
+    }
+
+    #[test]
     fn oversized_markov_values_rejected_not_truncated() {
         // A context id or successor above u32::MAX must surface as
         // Corrupt, never be silently cast down to a valid-looking id.
         let budget = codecomp_core::Budget::default();
-        let mut bytes = Vec::new();
-        put_uvarint(&mut bytes, 1); // one list
-        put_uvarint(&mut bytes, u64::MAX); // context id too big for u32
-        put_uvarint(&mut bytes, 0); // no successors
-        let mut r = Cursor::new(&bytes);
+        let varints = |values: &[u64]| {
+            let mut bytes = Vec::new();
+            for &v in values {
+                bytes.uvarint(&mut { v }).unwrap();
+            }
+            bytes
+        };
+        // One list: a context id too big for u32, no successors.
+        let bytes = varints(&[1, u64::MAX, 0]);
         assert!(matches!(
-            deserialize_markov(&mut r, &budget),
+            code_markov(
+                &mut Cursor::new(&bytes, &budget),
+                &mut MarkovTables::default()
+            ),
             Err(BriscError::Corrupt(_))
         ));
-        let mut bytes = Vec::new();
-        put_uvarint(&mut bytes, 1);
-        put_uvarint(&mut bytes, 7); // context
-        put_uvarint(&mut bytes, 1); // one successor
-        put_uvarint(&mut bytes, u64::from(u32::MAX) + 1); // successor too big
-        let mut r = Cursor::new(&bytes);
+        // One list: context 7, one successor too big for u32.
+        let bytes = varints(&[1, 7, 1, u64::from(u32::MAX) + 1]);
         assert!(matches!(
-            deserialize_markov(&mut r, &budget),
+            code_markov(
+                &mut Cursor::new(&bytes, &budget),
+                &mut MarkovTables::default()
+            ),
             Err(BriscError::Corrupt(_))
         ));
     }

@@ -68,6 +68,8 @@ use std::fmt;
 pub enum BriscError {
     /// Compression failed.
     Compress(String),
+    /// The serialized image ends before the structure it declares.
+    Truncated,
     /// The serialized image is malformed.
     Corrupt(String),
     /// Execution failed.
@@ -92,6 +94,7 @@ impl fmt::Display for BriscError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BriscError::Compress(m) => write!(f, "brisc compression error: {m}"),
+            BriscError::Truncated => write!(f, "brisc image ended prematurely"),
             BriscError::Corrupt(m) => write!(f, "corrupt brisc image: {m}"),
             BriscError::Exec(m) => write!(f, "brisc execution error: {m}"),
             BriscError::Limit { what, limit } => {
@@ -110,9 +113,7 @@ impl From<BriscError> for codecomp_core::DecodeError {
     fn from(e: BriscError) -> Self {
         use codecomp_core::DecodeError;
         match e {
-            BriscError::Corrupt(m) if m.contains("end of image") || m.contains("truncated") => {
-                DecodeError::Truncated
-            }
+            BriscError::Truncated => DecodeError::Truncated,
             BriscError::Corrupt(m) | BriscError::Exec(m) => DecodeError::malformed(m),
             BriscError::Compress(m) => DecodeError::Internal(m),
             BriscError::Limit { what, limit } => DecodeError::LimitExceeded { what, limit },
@@ -126,7 +127,7 @@ impl From<codecomp_core::DecodeError> for BriscError {
     fn from(e: codecomp_core::DecodeError) -> Self {
         use codecomp_core::DecodeError;
         match e {
-            DecodeError::Truncated => BriscError::Corrupt("unexpected end of image".into()),
+            DecodeError::Truncated => BriscError::Truncated,
             DecodeError::LimitExceeded { what, limit } => BriscError::Limit { what, limit },
             other => BriscError::Corrupt(other.to_string()),
         }

@@ -191,7 +191,7 @@ impl SuccessorTable {
             let hi = bytes.get(*pos + 1).copied();
             *pos += 2;
             let (Some(lo), Some(hi)) = (lo, hi) else {
-                return Err(BriscError::Corrupt("escape opcode truncated".into()));
+                return Err(BriscError::Corrupt("escape opcode past end of code".into()));
             };
             return Ok(u32::from(u16::from_le_bytes([lo, hi])));
         }

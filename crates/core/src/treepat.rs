@@ -14,7 +14,7 @@ use std::fmt;
 /// The operator identity keeps the width flag for offset operators
 /// (`ADDRLP8` vs `ADDRLP`), since the paper treats those as distinct
 /// specialized operators.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct TreePattern {
     /// The operator.
     pub op: Op,

@@ -62,28 +62,13 @@ fn op_table() -> &'static (Vec<OpDesc>, HashMap<OpDesc, u8>) {
     })
 }
 
-/// Number of distinct operator bytes.
-pub fn op_byte_count() -> usize {
-    op_table().0.len()
-}
-
 /// The operator byte for a tree node.
 ///
 /// # Errors
 ///
 /// [`IrError::Malformed`] for operator/type combinations outside the table.
 pub fn op_byte(tree: &Tree) -> Result<u8, IrError> {
-    let op = tree.op();
-    let desc = match op.opcode {
-        Opcode::Cvt => OpDesc::Cvt(op.from.expect("validated CVT"), op.ty),
-        Opcode::AddrL | Opcode::AddrF => OpDesc::Addr(op.opcode, tree.width()),
-        _ => OpDesc::Plain(op.opcode, op.ty),
-    };
-    op_table()
-        .1
-        .get(&desc)
-        .copied()
-        .ok_or_else(|| IrError::Malformed(format!("no operator byte for {}", op.mnemonic())))
+    byte_for_op(tree.op(), tree.width())
 }
 
 /// Looks a byte back up into its descriptor.
@@ -195,35 +180,15 @@ pub fn encode_tree(
             Literal::Symbol(s) => push_u16(out, symbols.intern(s)),
         }
     }
-    // RET child presence is keyed on the type: RETV has no child.
-    if tree.op().opcode == Opcode::Ret {
-        let expect = usize::from(tree.op().ty != IrType::V);
-        if tree.kids().len() != expect {
-            return Err(IrError::Malformed(
-                "RET child count must match its type (RETV: none, RET<t>: one)".into(),
-            ));
-        }
+    if tree.kids().len() != tree.op().arity() {
+        return Err(IrError::Malformed(
+            "child count must match the operator (RETV: none, RET<t>: one)".into(),
+        ));
     }
     for k in tree.kids() {
         encode_tree(k, symbols, out)?;
     }
     Ok(())
-}
-
-/// Size in bytes of one tree's prefix encoding (without symbol table).
-pub fn tree_size(tree: &Tree) -> usize {
-    let mut n = 0usize;
-    tree.walk(&mut |node| {
-        n += 1;
-        if let Some(lit) = node.literal() {
-            n += match lit {
-                Literal::Int(_) => node.op().ty.size().max(1) as usize,
-                Literal::Offset(_) => node.width().bytes() as usize,
-                Literal::Label(_) | Literal::Symbol(_) => 2,
-            };
-        }
-    });
-    n
 }
 
 /// Encodes a whole module: header, symbol table, globals, functions.
@@ -356,10 +321,7 @@ fn decode_tree(r: &mut Reader<'_>, symbols: &SymbolTable) -> Result<Tree, IrErro
             ))
         }
     };
-    let arity = match op.opcode {
-        Opcode::Ret => usize::from(op.ty != IrType::V),
-        other => other.arity().expect("only RET is variable"),
-    };
+    let arity = op.arity();
     let mut kids = Vec::with_capacity(arity);
     for _ in 0..arity {
         kids.push(decode_tree(r, symbols)?);
@@ -418,18 +380,6 @@ pub fn decode_module(bytes: &[u8]) -> Result<Module, IrError> {
     Ok(module)
 }
 
-/// Size in bytes of the code segment only (operator bytes + literals,
-/// excluding the symbol table and headers): the paper's "code segment"
-/// measure.
-pub fn code_segment_size(module: &Module) -> usize {
-    module
-        .functions
-        .iter()
-        .flat_map(|f| f.body.iter())
-        .map(tree_size)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,14 +422,12 @@ mod tests {
 
     #[test]
     fn op_table_fits_a_byte_and_is_invertible() {
-        assert!(op_byte_count() <= 256);
-        for b in 0..op_byte_count() as u8 {
-            let desc = desc_for_byte(b).unwrap();
-            // Re-encode via the index map.
-            let t = op_table();
-            assert_eq!(t.1[&desc], b);
+        for b in 0..=u8::MAX {
+            if let Some(desc) = desc_for_byte(b) {
+                let (op, width) = desc_to_op(desc);
+                assert_eq!(byte_for_op(op, width).unwrap(), b);
+            }
         }
-        assert!(desc_for_byte(op_byte_count() as u8).is_none());
     }
 
     #[test]
@@ -491,24 +439,18 @@ mod tests {
     }
 
     #[test]
-    fn tree_size_matches_encoding() {
-        let m = sample_module();
-        let mut symbols = SymbolTable::new();
-        for stmt in &m.functions[0].body {
-            let mut out = Vec::new();
-            encode_tree(stmt, &mut symbols, &mut out).unwrap();
-            assert_eq!(out.len(), tree_size(stmt), "size mismatch for {stmt}");
-        }
-    }
-
-    #[test]
     fn char_literals_take_one_byte() {
         // CNSTC[1] = opcode byte + 1 literal byte.
-        assert_eq!(tree_size(&Tree::cnst(IrType::C, 1)), 2);
-        assert_eq!(tree_size(&Tree::cnst(IrType::S, 300)), 3);
-        assert_eq!(tree_size(&Tree::cnst(IrType::I, 1_000_000)), 5);
-        assert_eq!(tree_size(&Tree::addr_local(72)), 2);
-        assert_eq!(tree_size(&Tree::addr_local(300)), 3);
+        let size = |tree: &Tree| {
+            let mut out = Vec::new();
+            encode_tree(tree, &mut SymbolTable::new(), &mut out).unwrap();
+            out.len()
+        };
+        assert_eq!(size(&Tree::cnst(IrType::C, 1)), 2);
+        assert_eq!(size(&Tree::cnst(IrType::S, 300)), 3);
+        assert_eq!(size(&Tree::cnst(IrType::I, 1_000_000)), 5);
+        assert_eq!(size(&Tree::addr_local(72)), 2);
+        assert_eq!(size(&Tree::addr_local(300)), 3);
     }
 
     #[test]
@@ -554,14 +496,5 @@ mod tests {
         let mut symbols = SymbolTable::new();
         let mut out = Vec::new();
         assert!(encode_tree(&bad, &mut symbols, &mut out).is_err());
-    }
-
-    #[test]
-    fn code_segment_size_counts_only_code() {
-        let m = sample_module();
-        let sz = code_segment_size(&m);
-        assert!(sz > 0);
-        let encoded = encode_module(&m).unwrap();
-        assert!(sz < encoded.len());
     }
 }

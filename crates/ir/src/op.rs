@@ -3,9 +3,10 @@
 use std::fmt;
 
 /// The type suffix on a typed operator (lcc's `I`, `U`, `C`, `S`, `P`, `V`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum IrType {
     /// 32-bit signed integer.
+    #[default]
     I,
     /// 32-bit unsigned integer.
     U,
@@ -77,13 +78,14 @@ impl fmt::Display for IrType {
 /// Literal width flag: the paper augments the base intermediate code
 /// "with a few operators with the suffixes 8 and 16 to flag literals that
 /// fit in eight or sixteen bits".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Width {
     /// Fits in a signed 8-bit field.
     W8,
     /// Fits in a signed 16-bit field.
     W16,
     /// Needs a full 32-bit field.
+    #[default]
     W32,
 }
 
@@ -168,6 +170,13 @@ impl Literal {
     }
 }
 
+/// `Int(0)`: the placeholder a decoder overwrites.
+impl Default for Literal {
+    fn default() -> Self {
+        Literal::Int(0)
+    }
+}
+
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -180,9 +189,10 @@ impl fmt::Display for Literal {
 }
 
 /// Base opcodes of the tree IR (before type suffixes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Opcode {
     /// Integer constant; literal: [`LiteralKind::Int`].
+    #[default]
     Cnst,
     /// Address of a global symbol; literal: [`LiteralKind::Symbol`].
     AddrG,
@@ -418,7 +428,7 @@ impl Opcode {
 /// `ADDRLP` are different operators for compression purposes, which is
 /// why the width flag lives on the *tree node* (it derives from the
 /// literal) rather than here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Op {
     /// Base opcode.
     pub opcode: Opcode,
@@ -445,6 +455,14 @@ impl Op {
             ty: to,
             from: Some(from),
         }
+    }
+
+    /// Child count of a node with this operator. Only `RET` varies,
+    /// with its type: `RETV` has no child, `RET<t>` one.
+    pub fn arity(self) -> usize {
+        self.opcode
+            .arity()
+            .unwrap_or(usize::from(self.ty != IrType::V))
     }
 
     /// The printed mnemonic including type suffix(es), e.g. `ASGNI`,

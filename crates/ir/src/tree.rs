@@ -382,7 +382,7 @@ impl Function {
 }
 
 /// A global data definition.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Global {
     /// Symbol name.
     pub name: String,

@@ -13,14 +13,14 @@
 //! operand specialization burns [`Field`] values in one at a time.
 
 use crate::isa::{AluOp, Cond, FuncRef, Inst, MemWidth};
-use crate::program::{VmFunction, VmGlobal, VmProgram};
+use crate::program::VmProgram;
 use crate::reg::Reg;
 use crate::VmError;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Base-pattern identity: the mnemonic with all operand fields wildcard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum BaseOp {
     /// `li *,*`
     Li,
@@ -67,6 +67,7 @@ pub enum BaseOp {
     /// `bzero *,*`
     Bzero,
     /// `nop`
+    #[default]
     Nop,
 }
 
@@ -742,204 +743,6 @@ pub fn code_segment_size(program: &VmProgram) -> usize {
         .sum()
 }
 
-/// Encodes a whole program (container: symbols, globals, functions).
-///
-/// # Errors
-///
-/// Propagates instruction-encoding errors.
-pub fn encode_program(program: &VmProgram) -> Result<Vec<u8>, VmError> {
-    let mut symbols: Vec<String> = Vec::new();
-    let mut sym_index: HashMap<String, u16> = HashMap::new();
-    let mut code = Vec::new();
-    let mut func_meta = Vec::new();
-    for f in &program.functions {
-        let start = code.len();
-        let mut insts = 0u32;
-        let mut labels: Vec<(u32, u32)> = Vec::new();
-        for inst in &f.code {
-            if let Inst::Label(l) = inst {
-                labels.push((*l, insts));
-                continue;
-            }
-            let mut intern = |name: &str| -> u16 {
-                if let Some(&i) = sym_index.get(name) {
-                    return i;
-                }
-                let i = symbols.len() as u16;
-                symbols.push(name.to_string());
-                sym_index.insert(name.to_string(), i);
-                i
-            };
-            encode_inst(inst, &mut intern, &mut code)?;
-            insts += 1;
-        }
-        func_meta.push((f, start, code.len(), insts, labels));
-    }
-    let mut out = Vec::new();
-    out.extend_from_slice(b"CCVM");
-    out.push(u8::from(program.isa.immediates));
-    out.push(u8::from(program.isa.reg_displacement));
-    push_u16(&mut out, symbols.len() as u16);
-    for s in &symbols {
-        push_u16(&mut out, s.len() as u16);
-        out.extend_from_slice(s.as_bytes());
-    }
-    push_u16(&mut out, program.globals.len() as u16);
-    for g in &program.globals {
-        push_u16(&mut out, g.name.len() as u16);
-        out.extend_from_slice(g.name.as_bytes());
-        push_u32(&mut out, g.size);
-        push_u32(&mut out, g.init.len() as u32);
-        out.extend_from_slice(&g.init);
-    }
-    push_u16(&mut out, program.functions.len() as u16);
-    for (f, start, end, insts, labels) in func_meta {
-        push_u16(&mut out, f.name.len() as u16);
-        out.extend_from_slice(f.name.as_bytes());
-        push_u16(&mut out, f.param_count as u16);
-        push_u32(&mut out, f.frame_size);
-        push_u16(&mut out, f.saved_regs.len() as u16);
-        for r in &f.saved_regs {
-            out.push(r.number());
-        }
-        push_u16(&mut out, labels.len() as u16);
-        for (l, at) in labels {
-            push_u16(&mut out, l as u16);
-            push_u32(&mut out, at);
-        }
-        push_u32(&mut out, insts);
-        push_u32(&mut out, (end - start) as u32);
-        out.extend_from_slice(&code[start..end]);
-    }
-    Ok(out)
-}
-
-/// Decodes a program produced by [`encode_program`].
-///
-/// # Errors
-///
-/// [`VmError::Encode`] on malformed input.
-pub fn decode_program(bytes: &[u8]) -> Result<VmProgram, VmError> {
-    let mut r = ByteReader { bytes, pos: 0 };
-    if r.take(4)? != b"CCVM" {
-        return Err(VmError::Encode("bad magic".into()));
-    }
-    let immediates = r.u8()? != 0;
-    let reg_displacement = r.u8()? != 0;
-    let nsyms = r.u16()?;
-    let mut symbols = Vec::with_capacity(usize::from(nsyms));
-    for _ in 0..nsyms {
-        let len = r.u16()? as usize;
-        symbols.push(
-            String::from_utf8(r.take(len)?.to_vec())
-                .map_err(|_| VmError::Encode("bad symbol utf-8".into()))?,
-        );
-    }
-    let mut program = VmProgram::new();
-    program.isa = crate::isa::IsaConfig {
-        immediates,
-        reg_displacement,
-    };
-    let nglobals = r.u16()?;
-    for _ in 0..nglobals {
-        let len = r.u16()? as usize;
-        let name = String::from_utf8(r.take(len)?.to_vec())
-            .map_err(|_| VmError::Encode("bad global name".into()))?;
-        let size = r.u32()?;
-        let init_len = r.u32()? as usize;
-        let init = r.take(init_len)?.to_vec();
-        program.globals.push(VmGlobal { name, size, init });
-    }
-    let nfuncs = r.u16()?;
-    for _ in 0..nfuncs {
-        let len = r.u16()? as usize;
-        let name = String::from_utf8(r.take(len)?.to_vec())
-            .map_err(|_| VmError::Encode("bad function name".into()))?;
-        let params = r.u16()? as usize;
-        let frame = r.u32()?;
-        let nsaved = r.u16()?;
-        let mut saved = Vec::with_capacity(usize::from(nsaved));
-        for _ in 0..nsaved {
-            saved.push(Reg::new(r.u8()?));
-        }
-        let nlabels = r.u16()?;
-        let mut labels = Vec::with_capacity(usize::from(nlabels));
-        for _ in 0..nlabels {
-            let l = r.u16()?;
-            let at = r.u32()?;
-            labels.push((u32::from(l), at));
-        }
-        let insts = r.u32()?;
-        let code_len = r.u32()? as usize;
-        let code_bytes = r.take(code_len)?;
-        let mut f = VmFunction::new(name, params, frame);
-        f.saved_regs = saved;
-        let mut pos = 0usize;
-        let mut label_iter = labels.iter().peekable();
-        for i in 0..insts {
-            while label_iter.peek().is_some_and(|&&(_, at)| at == i) {
-                let &(l, _) = label_iter.next().expect("peeked");
-                f.code.push(Inst::Label(l));
-            }
-            f.code.push(decode_inst(code_bytes, &mut pos, &symbols)?);
-        }
-        // Labels at the very end of the function.
-        for &(l, _) in label_iter {
-            f.code.push(Inst::Label(l));
-        }
-        program.functions.push(f);
-    }
-    Ok(program)
-}
-
-fn push_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn u8(&mut self) -> Result<u8, VmError> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| VmError::Encode("unexpected end of input".into()))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u16(&mut self) -> Result<u16, VmError> {
-        Ok(u16::from_le_bytes([self.u8()?, self.u8()?]))
-    }
-
-    fn u32(&mut self) -> Result<u32, VmError> {
-        Ok(u32::from_le_bytes([
-            self.u8()?,
-            self.u8()?,
-            self.u8()?,
-            self.u8()?,
-        ]))
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], VmError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| VmError::Encode("unexpected end of input".into()))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1037,61 +840,6 @@ mod tests {
             assert_eq!(pos, buf.len());
             assert_eq!(back, inst, "encode/decode failed for {s}");
         }
-    }
-
-    #[test]
-    fn program_roundtrip() {
-        let text = "\
-.global buf 8 1 2
-.func salt params=2 frame=24 saves=n4
-    enter sp,sp,24
-    spill.i n4,16(sp)
-    spill.i ra,20(sp)
-    mov.i n4,n0
-    ble.i n4,0,$L56
-    mov.i n1,n4
-    call pepper
-$L56:
-    add.i n0,n4,-1
-    reload.i n4,16(sp)
-    reload.i ra,20(sp)
-    exit sp,sp,24
-    rjr ra
-.end
-.func pepper params=2 frame=0
-    add.i n0,n0,n1
-    rjr ra
-.end
-";
-        let p = crate::asm::parse_program(text).unwrap();
-        let bytes = encode_program(&p).unwrap();
-        let back = decode_program(&bytes).unwrap();
-        assert_eq!(back, p);
-    }
-
-    #[test]
-    fn label_positions_survive_roundtrip() {
-        let text = "\
-.func f params=0 frame=0
-$L1:
-    nop
-$L2:
-    j $L1
-$L3:
-.end
-";
-        let p = crate::asm::parse_program(text).unwrap();
-        let back = decode_program(&encode_program(&p).unwrap()).unwrap();
-        assert_eq!(back.functions[0].code, p.functions[0].code);
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(decode_program(b"").is_err());
-        assert!(decode_program(b"XXXXXX").is_err());
-        let p = crate::asm::parse_program(".func f params=0 frame=0\n    nop\n.end\n").unwrap();
-        let bytes = encode_program(&p).unwrap();
-        assert!(decode_program(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

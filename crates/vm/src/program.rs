@@ -5,16 +5,8 @@ use crate::reg::Reg;
 use crate::VmError;
 use std::collections::HashMap;
 
-/// A global data definition (same shape as the IR's).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VmGlobal {
-    /// Symbol name.
-    pub name: String,
-    /// Size in bytes.
-    pub size: u32,
-    /// Initializer bytes (zero-filled beyond).
-    pub init: Vec<u8>,
-}
+/// A global data definition: the IR's, unchanged.
+pub use codecomp_ir::tree::Global as VmGlobal;
 
 /// One compiled function.
 #[derive(Debug, Clone, PartialEq)]

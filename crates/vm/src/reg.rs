@@ -7,7 +7,7 @@ use std::fmt;
 /// `n0`–`n13` are general; `sp` (the stack pointer) and `ra` (the return
 /// address) are registers 14 and 15, so every register field fits in a
 /// 4-bit nibble — the property BRISC's operand packing relies on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Reg(u8);
 
 impl Reg {

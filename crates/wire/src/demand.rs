@@ -13,7 +13,7 @@ use std::fmt;
 
 use crate::format::{compress, decompress_budgeted, WireOptions};
 use crate::WireError;
-use codecomp_core::bytesio::{put_string, put_uvarint, Cursor};
+use codecomp_core::bytesio::{code_global, Cursor, Io};
 use codecomp_core::{telemetry, Budget, DecodeError, DecodeLimits};
 use codecomp_ir::eval::{EvalOutcome, Evaluator};
 use codecomp_ir::op::Literal;
@@ -23,7 +23,7 @@ use codecomp_ir::IrError;
 const MAGIC: &[u8; 4] = b"CCWD";
 
 /// A module compressed as independently decodable function units.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DemandImage {
     /// Shared data (globals), compressed once.
     globals: Vec<Global>,
@@ -198,25 +198,12 @@ impl DemandImage {
     /// Serializes the image.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.push(self.options.to_byte());
-        put_uvarint(&mut out, self.globals.len() as u64);
-        for g in &self.globals {
-            put_string(&mut out, &g.name);
-            put_uvarint(&mut out, u64::from(g.size));
-            put_uvarint(&mut out, g.init.len() as u64);
-            out.extend_from_slice(&g.init);
-        }
-        put_uvarint(&mut out, self.units.len() as u64);
-        for (name, bytes) in &self.units {
-            put_string(&mut out, name);
-            put_uvarint(&mut out, bytes.len() as u64);
-            out.extend_from_slice(bytes);
-        }
+        code_image(&mut out, &mut self.clone()).expect("writing a demand image cannot fail");
         out
     }
 
-    /// Deserializes an image.
+    /// Deserializes an image. Every count is checked against the
+    /// default [`DecodeLimits`].
     ///
     /// # Errors
     ///
@@ -224,46 +211,30 @@ impl DemandImage {
     /// structure does; [`WireError::Corrupt`] on malformed input,
     /// including two units sharing one name.
     pub fn from_bytes(bytes: &[u8]) -> Result<DemandImage, WireError> {
-        let mut c = Cursor::new(bytes);
-        if c.take(4)? != MAGIC {
-            return Err(WireError::Corrupt("bad magic".into()));
-        }
-        // Shares the container decoder's strict parse, so demand images
-        // reject reserved option bits the same way `decompress` does.
-        let options = WireOptions::from_byte(c.u8()?)?;
-        let nglobals = c.uvarint()? as usize;
-        // Counts are attacker-controlled: cap the preallocation by what
-        // the input could possibly hold so a corrupt varint cannot
-        // demand an absurd allocation up front.
-        let mut globals = Vec::with_capacity(nglobals.min(c.remaining()));
-        for _ in 0..nglobals {
-            let name = c.string()?;
-            let size = c.uvarint()? as u32;
-            let init_len = c.uvarint()? as usize;
-            globals.push(Global {
-                name,
-                size,
-                init: c.take(init_len)?.to_vec(),
-            });
-        }
-        let nunits = c.uvarint()? as usize;
-        let mut units = Vec::with_capacity(nunits.min(c.remaining()));
-        for _ in 0..nunits {
-            let name = c.string()?;
-            let len = c.uvarint()? as usize;
-            units.push((name, c.take(len)?.to_vec()));
-        }
+        let budget = Budget::default();
+        let mut c = Cursor::new(bytes, &budget);
+        let mut image = DemandImage::default();
+        code_image(&mut c, &mut image)?;
         if c.remaining() != 0 {
             return Err(WireError::Corrupt("trailing bytes".into()));
         }
-        let index = index_units(&units)?;
-        Ok(DemandImage {
-            globals,
-            units,
-            index,
-            options,
-        })
+        Ok(image)
     }
+}
+
+/// The image body: magic, options byte (parsed as strictly as the
+/// wire container's), globals, then one `(name, wire image)` unit per
+/// function. The name index is derived from the units, not stored.
+pub fn code_image<I: Io>(io: &mut I, image: &mut DemandImage) -> Result<(), WireError> {
+    io.magic(MAGIC)?;
+    io.tag(&mut image.options, |o| Ok(o.to_byte()), WireOptions::from_byte)?;
+    io.seq(&mut image.globals, code_global)?;
+    io.seq(&mut image.units, |io, (name, bytes)| {
+        io.string(name)?;
+        io.bytes(bytes)
+    })?;
+    image.index = index_units(&image.units)?;
+    Ok(())
 }
 
 /// Salvageable-vs-poisoned classification of a [`DemandImage`]'s units.
@@ -621,7 +592,9 @@ mod tests {
         let mut img = DemandImage::build(&m, WireOptions::default()).unwrap();
         let repeat = img.units[0].clone();
         img.units.push(repeat);
-        let bytes = img.to_bytes();
+        // The writer rejects the names too, but only after the last byte.
+        let mut bytes = Vec::new();
+        assert!(code_image(&mut bytes, &mut img).is_err());
         let err = DemandImage::from_bytes(&bytes).unwrap_err();
         assert!(
             matches!(err, WireError::Corrupt(ref w) if w.contains("duplicate")),

@@ -5,7 +5,7 @@ use codecomp_coding::arith::{ArithDecoder, ArithEncoder};
 use codecomp_coding::huffman::{HuffmanDecoder, HuffmanEncoder};
 use codecomp_coding::model::AdaptiveModel;
 use codecomp_coding::mtf::{mtf_decode_identity, mtf_encode};
-use codecomp_core::bytesio::{put_ivarint, put_string, put_uvarint, Cursor};
+use codecomp_core::bytesio::{code_global, put_uvarint, Cursor, Io};
 use codecomp_core::cov_hit;
 use codecomp_core::streams::SplitStreams;
 use codecomp_core::telemetry;
@@ -13,40 +13,22 @@ use codecomp_core::treepat::TreePattern;
 use codecomp_core::Budget;
 use codecomp_flate::{deflate_compress, inflate_budgeted, CompressionLevel};
 use codecomp_ir::binary::{byte_for_op, desc_for_byte, desc_to_op};
-use codecomp_ir::op::{Literal, Opcode};
+use codecomp_ir::op::{Literal, LiteralKind};
 use codecomp_ir::tree::{Function, Global, Module, Tree};
 
 const MAGIC: &[u8; 4] = b"CCWF";
 
-/// Index-coder selection for the MTF index streams.
+/// Index-coder selection for the MTF index streams. The discriminant
+/// is the coder's field in the options byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Coder {
     /// Varint indices, no entropy coding.
-    Raw,
+    Raw = 0,
     /// Semi-static canonical Huffman (the paper's choice).
     #[default]
-    Huffman,
+    Huffman = 1,
     /// Order-0 adaptive arithmetic coding (the design-space alternative).
-    Arithmetic,
-}
-
-impl Coder {
-    fn tag(self) -> u8 {
-        match self {
-            Coder::Raw => 0,
-            Coder::Huffman => 1,
-            Coder::Arithmetic => 2,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self, WireError> {
-        Ok(match tag {
-            0 => Coder::Raw,
-            1 => Coder::Huffman,
-            2 => Coder::Arithmetic,
-            other => return Err(WireError::Corrupt(format!("bad coder tag {other}"))),
-        })
-    }
+    Arithmetic = 2,
 }
 
 /// Pipeline-stage knobs; the default is the paper's full pipeline.
@@ -81,7 +63,7 @@ impl WireOptions {
     pub(crate) fn to_byte(self) -> u8 {
         u8::from(self.split_streams)
             | (u8::from(self.mtf) << 1)
-            | (self.coder.tag() << 2)
+            | ((self.coder as u8) << 2)
             | (u8::from(self.deflate) << 4)
     }
 
@@ -99,7 +81,12 @@ impl WireOptions {
         Ok(Self {
             split_streams: b & 1 != 0,
             mtf: b & 2 != 0,
-            coder: Coder::from_tag((b >> 2) & 3)?,
+            coder: match (b >> 2) & 3 {
+                0 => Coder::Raw,
+                1 => Coder::Huffman,
+                2 => Coder::Arithmetic,
+                other => return Err(WireError::Corrupt(format!("bad coder tag {other}"))),
+            },
             deflate: b & 16 != 0,
         })
     }
@@ -128,7 +115,7 @@ impl WireReport {
 /// # Errors
 ///
 /// [`WireError`] if the module contains trees outside the operator table.
-pub fn compress(module: &Module, options: WireOptions) -> Result<WireReport, WireError> {
+pub fn compress(module: &Module, mut options: WireOptions) -> Result<WireReport, WireError> {
     let _stage = telemetry::stage!("wire.compress");
     // 1-2. Gather statement trees and patternize into streams.
     let trees: Vec<Tree> = module
@@ -136,7 +123,7 @@ pub fn compress(module: &Module, options: WireOptions) -> Result<WireReport, Wir
         .iter()
         .flat_map(|f| f.body.iter().cloned())
         .collect();
-    let split = SplitStreams::split(&trees);
+    let mut split = SplitStreams::split(&trees);
     // Per-section symbol counts, filled in as each stream is encoded
     // and published as gauges next to the byte gauges below.
     let mut section_symbols: Vec<(String, u64)> = Vec::new();
@@ -144,33 +131,28 @@ pub fn compress(module: &Module, options: WireOptions) -> Result<WireReport, Wir
     let mut sections: Vec<(String, Vec<u8>)> = Vec::new();
 
     // $meta: globals and function shapes.
-    let mut meta = Vec::new();
-    put_uvarint(&mut meta, module.globals.len() as u64);
-    for g in &module.globals {
-        put_string(&mut meta, &g.name);
-        put_uvarint(&mut meta, u64::from(g.size));
-        put_uvarint(&mut meta, g.init.len() as u64);
-        meta.extend_from_slice(&g.init);
-    }
-    put_uvarint(&mut meta, module.functions.len() as u64);
-    for f in &module.functions {
-        put_string(&mut meta, &f.name);
-        put_uvarint(&mut meta, f.param_count as u64);
-        put_uvarint(&mut meta, u64::from(f.frame_size));
-        put_uvarint(&mut meta, f.body.len() as u64);
-    }
-    sections.push(("$meta".into(), meta));
+    let mut payload = Vec::new();
+    code_meta(
+        &mut payload,
+        &mut module.globals.clone(),
+        &mut module
+            .functions
+            .iter()
+            .map(|f| (f.name.clone(), f.param_count, f.frame_size, f.body.len()))
+            .collect(),
+    )?;
+    sections.push(("$meta".into(), payload));
 
     // $patterns: the operator-pattern stream.
-    let mut pat_payload = Vec::new();
+    let mut payload = Vec::new();
     encode_symbol_stream(
-        &mut pat_payload,
-        split.patterns.len(),
-        |out, i| encode_pattern(out, &split.patterns[i]),
+        &mut payload,
+        &mut split.patterns,
+        code_pattern,
         &split.pattern_stream,
         options,
     )?;
-    sections.push(("$patterns".into(), pat_payload));
+    sections.push(("$patterns".into(), payload));
     section_symbols.push(("$patterns".into(), split.pattern_stream.len() as u64));
 
     // Literal streams: per class, or one mixed stream.
@@ -193,22 +175,17 @@ pub fn compress(module: &Module, options: WireOptions) -> Result<WireReport, Wir
     }
 
     // 5. DEFLATE each stream in isolation and assemble the container.
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.push(options.to_byte());
-    put_uvarint(&mut out, sections.len() as u64);
-    let mut report_sections = Vec::with_capacity(sections.len());
-    for (key, raw) in sections {
-        let payload = if options.deflate {
-            deflate_compress(&raw, CompressionLevel::Best)
-        } else {
-            raw
-        };
-        put_string(&mut out, &key);
-        put_uvarint(&mut out, payload.len() as u64);
-        report_sections.push((key, payload.len()));
-        out.extend_from_slice(&payload);
+    if options.deflate {
+        for (_, payload) in &mut sections {
+            *payload = deflate_compress(payload, CompressionLevel::Best);
+        }
     }
+    let report_sections: Vec<(String, usize)> = sections
+        .iter()
+        .map(|(key, payload)| (key.clone(), payload.len()))
+        .collect();
+    let mut out = Vec::new();
+    code_container(&mut out, &mut options, &mut sections)?;
     if telemetry::enabled() {
         // The --stats contract: per-section byte gauges plus the
         // container framing gauge always sum to `total_bytes` exactly,
@@ -306,36 +283,28 @@ impl DecodeStats {
     }
 }
 
-/// Reads one framed section (key, length, payload) at the cursor and
-/// inflates its payload.
-fn read_section<'a>(
-    c: &mut Cursor<'a>,
+/// Inflates one section's payload (or passes it through when the image
+/// is not DEFLATEd).
+fn inflate_section(
+    payload: Vec<u8>,
     options: WireOptions,
     budget: &Budget,
-) -> Result<(String, Vec<u8>, u64), WireError> {
-    let key = c.string()?;
-    let len = c.usize_varint()?;
-    let payload = c.take(len)?;
+) -> Result<Vec<u8>, WireError> {
     let _inflate = telemetry::stage!("wire.decode.inflate");
-    let raw = if options.deflate {
+    if options.deflate {
         cov_hit!("wire.section.deflated");
-        inflate_budgeted(payload, budget)?
+        Ok(inflate_budgeted(&payload, budget)?)
     } else {
         cov_hit!("wire.section.raw");
         budget.check_output_bytes(payload.len() as u64)?;
-        payload.to_vec()
-    };
-    Ok((key, raw, len as u64))
+        Ok(payload)
+    }
 }
 
 /// Budget-governed [`decompress`]: every stage — section DEFLATE,
 /// stream symbol counts, table sizes, pattern nesting, decode fuel —
 /// is checked against `budget`, and usage high-water marks are
 /// recorded on it.
-///
-/// Decoding is single-pass over the container framing: each section is
-/// inflated and handed straight to its stream decoder as the cursor
-/// reaches it, with no intermediate `(key, payload)` section list.
 ///
 /// # Errors
 ///
@@ -346,93 +315,49 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
     telemetry::counter_add("wire.decode.modules", 1);
     telemetry::counter_add("wire.decode.input_bytes", bytes.len() as u64);
     let mut stats = DecodeStats::new();
-    let mut c = Cursor::new(bytes);
-    if c.take(4)? != MAGIC {
-        cov_hit!("wire.magic.bad");
-        return Err(WireError::Corrupt("bad magic".into()));
-    }
-    cov_hit!("wire.magic.ok");
-    let options = WireOptions::from_byte(c.u8()?)?;
-    let n_sections = c.usize_varint()?;
-
-    // Section 1: $meta — globals and function shapes.
-    if n_sections == 0 {
-        cov_hit!("wire.meta.missing");
-        return Err(WireError::Corrupt("missing $meta".into()));
-    }
-    let (meta_key, meta, meta_len) = read_section(&mut c, options, budget)?;
-    if meta_key != "$meta" {
-        cov_hit!("wire.meta.wrong_key");
-        return Err(WireError::Corrupt("first section is not $meta".into()));
-    }
-    cov_hit!("wire.meta.ok");
-    if stats.enabled {
-        stats.sections.push((meta_key, meta_len, 0));
-    }
-    let mut mc = Cursor::new(&meta);
-    let nglobals = mc.usize_varint()?;
-    budget.check_table_entries(nglobals as u64)?;
-    budget.charge_fuel(nglobals as u64)?;
-    let mut globals = Vec::with_capacity(nglobals.min(mc.remaining() / 3));
-    for _ in 0..nglobals {
-        let name = mc.string()?;
-        let size = u32::try_from(mc.uvarint()?)
-            .map_err(|_| WireError::Corrupt("global size out of range".into()))?;
-        let init_len = mc.usize_varint()?;
-        globals.push(Global {
-            name,
-            size,
-            init: mc.take(init_len)?.to_vec(),
-        });
-    }
-    let nfuncs = mc.usize_varint()?;
-    budget.check_table_entries(nfuncs as u64)?;
-    budget.charge_fuel(nfuncs as u64)?;
-    let mut func_meta = Vec::with_capacity(nfuncs.min(mc.remaining() / 4));
-    for _ in 0..nfuncs {
-        let name = mc.string()?;
-        let params = mc.usize_varint()?;
-        let frame = u32::try_from(mc.uvarint()?)
-            .map_err(|_| WireError::Corrupt("frame size out of range".into()))?;
-        let stmts = mc.usize_varint()?;
-        func_meta.push((name, params, frame, stmts));
-    }
-
-    // Section 2: $patterns — the operator-pattern stream.
-    if n_sections == 1 {
-        cov_hit!("wire.patterns.missing");
-        return Err(WireError::Corrupt("missing $patterns".into()));
-    }
-    let (pat_key, pat_raw, pat_len) = read_section(&mut c, options, budget)?;
-    if pat_key != "$patterns" {
-        cov_hit!("wire.patterns.wrong_key");
-        return Err(WireError::Corrupt("second section is not $patterns".into()));
-    }
-    let mut pc = Cursor::new(&pat_raw);
-    let (patterns, stream) = decode_symbol_stream(&mut pc, options, budget, &mut stats, |c| {
-        decode_pattern(c, budget)
-    })?;
-    if stats.enabled {
-        stats.sections.push((pat_key, pat_len, stream.len() as u64));
-    }
-
-    // Remaining sections: literal streams, decoded as they are framed.
-    let mut literal_sections: Vec<(String, Vec<Literal>)> =
-        Vec::with_capacity((n_sections - 2).min(c.remaining() / 2));
-    for _ in 2..n_sections {
-        let (key, raw, len) = read_section(&mut c, options, budget)?;
-        let mut lc = Cursor::new(&raw);
-        let lits = decode_literal_stream(&mut lc, options, budget, &mut stats)?;
-        if stats.enabled {
-            stats.sections.push((key.clone(), len, lits.len() as u64));
-        }
-        literal_sections.push((key, lits));
-    }
+    let mut c = Cursor::new(bytes, budget);
+    let (mut options, mut sections) = (WireOptions::default(), Vec::new());
+    code_container(&mut c, &mut options, &mut sections)?;
     if c.remaining() != 0 {
         cov_hit!("wire.trailing_bytes");
         return Err(WireError::Corrupt(
             "trailing bytes after last section".into(),
         ));
+    }
+    // `$meta` and `$patterns` lead, in that order; literal streams follow.
+    for (i, want) in ["$meta", "$patterns"].into_iter().enumerate() {
+        if sections.get(i).is_none_or(|(key, _)| key != want) {
+            cov_hit!("wire.sections.bad_lead");
+            return Err(WireError::Corrupt(format!("section {i} is not {want}")));
+        }
+    }
+    let (mut globals, mut shapes) = (Vec::new(), Vec::new());
+    let (mut patterns, mut stream) = (Vec::new(), Vec::new());
+    let mut literal_sections: Vec<(String, Vec<Literal>)> = Vec::with_capacity(sections.len());
+    for (i, (key, payload)) in sections.into_iter().enumerate() {
+        let len = payload.len() as u64;
+        let raw = inflate_section(payload, options, budget)?;
+        let c = &mut Cursor::new(&raw, budget);
+        let symbols = match i {
+            0 => {
+                code_meta(c, &mut globals, &mut shapes)?;
+                0
+            }
+            1 => {
+                (patterns, stream) =
+                    decode_symbol_stream(c, options, budget, &mut stats, code_pattern)?;
+                stream.len()
+            }
+            _ => {
+                let lits = decode_literal_stream(c, options, budget, &mut stats)?;
+                let n = lits.len();
+                literal_sections.push((key.clone(), lits));
+                n
+            }
+        };
+        if stats.enabled {
+            stats.sections.push((key, len, symbols as u64));
+        }
     }
 
     // Rebuild trees against the pattern table.
@@ -475,7 +400,7 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
     };
     let mut trees = trees.into_iter();
     let mut remaining = trees.len();
-    for (name, params, frame, stmts) in func_meta {
+    for (name, params, frame, stmts) in shapes {
         // `stmts` is attacker-controlled; compare against what is left,
         // never `cursor + stmts`, which could overflow.
         if stmts > remaining {
@@ -500,121 +425,134 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
     Ok(module)
 }
 
-// ---- pattern (de)serialization ---------------------------------------------
+// ---- container framing ---------------------------------------------------------
 
-fn encode_pattern(out: &mut Vec<u8>, pat: &TreePattern) -> Result<(), WireError> {
-    put_uvarint(out, pat.node_count() as u64);
-    fn emit(out: &mut Vec<u8>, p: &TreePattern) -> Result<(), WireError> {
-        out.push(byte_for_op(p.op, p.width)?);
-        for k in &p.kids {
-            emit(out, k)?;
-        }
-        Ok(())
-    }
-    emit(out, pat)
+/// The container: magic, options byte, then the `(key, payload)`
+/// sections, each payload DEFLATEd when the options say so.
+pub fn code_container<I: Io>(
+    io: &mut I,
+    options: &mut WireOptions,
+    sections: &mut Vec<(String, Vec<u8>)>,
+) -> Result<(), WireError> {
+    io.magic(MAGIC)?;
+    io.tag(options, |o| Ok(o.to_byte()), WireOptions::from_byte)?;
+    io.seq(sections, |io, (key, payload)| {
+        io.string(key)?;
+        io.bytes(payload)
+    })?;
+    Ok(())
 }
 
-fn decode_pattern(c: &mut Cursor<'_>, budget: &Budget) -> Result<TreePattern, WireError> {
-    let count = c.usize_varint()?;
-    let (pat, used) = decode_pattern_node(c, 0, budget)?;
+/// A function's `(name, params, frame size, statement count)`: its body
+/// is the next `statement count` trees of the stream.
+pub type FuncShape = (String, usize, u32, usize);
+
+/// The `$meta` section: globals and the shape of every function.
+pub fn code_meta<I: Io>(
+    io: &mut I,
+    globals: &mut Vec<Global>,
+    shapes: &mut Vec<FuncShape>,
+) -> Result<(), WireError> {
+    io.seq(globals, code_global)?;
+    io.seq(shapes, |io, (name, params, frame, stmts)| {
+        io.string(name)?;
+        io.usize(params)?;
+        io.u32(frame)?;
+        io.usize(stmts)
+    })?;
+    Ok(())
+}
+
+// ---- pattern and literal codecs ---------------------------------------------------
+
+/// A pattern: its node count, then one operator byte per node in prefix
+/// order. Each operator implies its child count, so kids are not
+/// framed; the node count cross-checks the walk.
+pub fn code_pattern<I: Io>(io: &mut I, pat: &mut TreePattern) -> Result<(), WireError> {
+    let mut count = pat.node_count();
+    io.usize(&mut count)?;
+    let used = code_pattern_node(io, pat, 0)?;
     if used != count {
         cov_hit!("wire.pattern.count_mismatch");
         return Err(WireError::Corrupt(format!(
             "pattern node count mismatch: header {count}, actual {used}"
         )));
     }
-    Ok(pat)
+    Ok(())
 }
 
-fn decode_pattern_node(
-    c: &mut Cursor<'_>,
+/// Codes one node and its subtree; returns the nodes coded.
+fn code_pattern_node<I: Io>(
+    io: &mut I,
+    p: &mut TreePattern,
     depth: u32,
-    budget: &Budget,
-) -> Result<(TreePattern, usize), WireError> {
+) -> Result<usize, WireError> {
     // Bounds stack use against hand-crafted deeply-nested inputs.
-    budget.check_pattern_depth(depth)?;
-    let byte = c.u8()?;
-    let Some(desc) = desc_for_byte(byte) else {
-        cov_hit!("wire.pattern.unknown_op");
-        return Err(WireError::Corrupt(format!("unknown operator byte {byte}")));
-    };
-    cov_hit!("wire.pattern.node");
-    let (op, width) = desc_to_op(desc);
-    let arity = match op.opcode {
-        Opcode::Ret => usize::from(op.ty != codecomp_ir::op::IrType::V),
-        other => other.arity().expect("only RET is variable"),
-    };
-    let mut kids = Vec::with_capacity(arity);
-    let mut used = 1usize;
-    for _ in 0..arity {
-        let (k, n) = decode_pattern_node(c, depth + 1, budget)?;
-        used += n;
-        kids.push(k);
+    if let Some(budget) = io.budget() {
+        budget.check_pattern_depth(depth)?;
     }
-    let has_literal = op.opcode.literal_kind() != codecomp_ir::op::LiteralKind::None;
-    Ok((
-        TreePattern {
-            op,
-            width,
-            has_literal,
-            kids,
+    let mut node = (p.op, p.width, p.kids.len());
+    io.tag(
+        &mut node,
+        |&(op, width, kids)| {
+            if kids != op.arity() {
+                let what = format!("{} with {kids} children", op.mnemonic());
+                return Err(codecomp_ir::IrError::Malformed(what).into());
+            }
+            Ok(byte_for_op(op, width)?)
         },
-        used,
-    ))
-}
-
-// ---- literal (de)serialization ----------------------------------------------
-
-fn encode_literal(out: &mut Vec<u8>, lit: &Literal) {
-    match lit {
-        Literal::Int(v) => {
-            out.push(0);
-            put_ivarint(out, *v);
-        }
-        Literal::Offset(v) => {
-            out.push(1);
-            put_ivarint(out, i64::from(*v));
-        }
-        Literal::Label(v) => {
-            out.push(2);
-            put_uvarint(out, u64::from(*v));
-        }
-        Literal::Symbol(s) => {
-            out.push(3);
-            put_string(out, s);
-        }
+        |byte| {
+            let Some(desc) = desc_for_byte(byte) else {
+                cov_hit!("wire.pattern.unknown_op");
+                return Err(WireError::Corrupt(format!("unknown operator byte {byte}")));
+            };
+            cov_hit!("wire.pattern.node");
+            let (op, width) = desc_to_op(desc);
+            Ok((op, width, op.arity()))
+        },
+    )?;
+    (p.op, p.width) = (node.0, node.1);
+    p.has_literal = p.op.opcode.literal_kind() != LiteralKind::None;
+    p.kids.resize_with(node.2, TreePattern::default);
+    let mut used = 1usize;
+    for k in &mut p.kids {
+        used += code_pattern_node(io, k, depth + 1)?;
     }
+    Ok(used)
 }
 
-fn decode_literal(c: &mut Cursor<'_>) -> Result<Literal, WireError> {
-    Ok(match c.u8()? {
-        0 => {
-            cov_hit!("wire.literal.int");
-            Literal::Int(c.ivarint()?)
-        }
-        1 => {
-            cov_hit!("wire.literal.offset");
-            Literal::Offset(
-                i32::try_from(c.ivarint()?)
-                    .map_err(|_| WireError::Corrupt("offset out of range".into()))?,
-            )
-        }
-        2 => {
-            cov_hit!("wire.literal.label");
-            Literal::Label(
-                u32::try_from(c.uvarint()?)
-                    .map_err(|_| WireError::Corrupt("label out of range".into()))?,
-            )
-        }
-        3 => {
-            cov_hit!("wire.literal.symbol");
-            Literal::Symbol(c.string()?)
-        }
-        other => {
-            cov_hit!("wire.literal.bad_tag");
-            return Err(WireError::Corrupt(format!("bad literal tag {other}")));
-        }
-    })
+/// A literal: a kind tag, then the value.
+pub fn code_literal<I: Io>(io: &mut I, lit: &mut Literal) -> Result<(), WireError> {
+    io.tag(
+        lit,
+        |l| {
+            Ok(match l {
+                Literal::Int(_) => 0,
+                Literal::Offset(_) => 1,
+                Literal::Label(_) => 2,
+                Literal::Symbol(_) => 3,
+            })
+        },
+        |tag| {
+            Ok(match tag {
+                0 => Literal::Int(0),
+                1 => Literal::Offset(0),
+                2 => Literal::Label(0),
+                3 => Literal::Symbol(String::new()),
+                other => {
+                    cov_hit!("wire.literal.bad_tag");
+                    return Err(WireError::Corrupt(format!("bad literal tag {other}")));
+                }
+            })
+        },
+    )?;
+    match lit {
+        Literal::Int(v) => io.ivarint(v)?,
+        Literal::Offset(v) => io.i32(v)?,
+        Literal::Label(v) => io.u32(v)?,
+        Literal::Symbol(s) => io.string(s)?,
+    }
+    Ok(())
 }
 
 fn collect_literals_prefix(tree: &Tree, out: &mut Vec<Literal>) {
@@ -628,21 +566,18 @@ fn collect_literals_prefix(tree: &Tree, out: &mut Vec<Literal>) {
 
 // ---- generic symbol-stream coding --------------------------------------------
 
-/// Encodes a stream of occurrences over a first-occurrence-ordered table.
-///
-/// `table_len` entries are written with `write_entry`; `occurrences` are
-/// indices into that table in program order.
-fn encode_symbol_stream(
+/// Encodes a stream of occurrences over a first-occurrence-ordered table:
+/// the table, coded entry by entry with `code_entry`, then the
+/// occurrences (indices into it, in program order).
+fn encode_symbol_stream<T: Default>(
     out: &mut Vec<u8>,
-    table_len: usize,
-    mut write_entry: impl FnMut(&mut Vec<u8>, usize) -> Result<(), WireError>,
+    table: &mut Vec<T>,
+    code_entry: impl FnMut(&mut Vec<u8>, &mut T) -> Result<(), WireError>,
     occurrences: &[u32],
     options: WireOptions,
 ) -> Result<(), WireError> {
-    put_uvarint(out, table_len as u64);
-    for i in 0..table_len {
-        write_entry(out, i)?;
-    }
+    out.seq(table, code_entry)?;
+    let table_len = table.len();
     let (indices, alphabet) = if options.mtf {
         // The paper's MTF variant: index 0 denotes a first occurrence.
         // Occurrence values are first-occurrence-ordered table indices,
@@ -656,23 +591,19 @@ fn encode_symbol_stream(
     encode_indices(out, &indices, alphabet.max(1), options.coder)
 }
 
-fn decode_symbol_stream<T>(
-    c: &mut Cursor<'_>,
+fn decode_symbol_stream<'a, T: Default>(
+    c: &mut Cursor<'a>,
     options: WireOptions,
     budget: &Budget,
     stats: &mut DecodeStats,
-    mut read_entry: impl FnMut(&mut Cursor<'_>) -> Result<T, WireError>,
+    code_entry: impl FnMut(&mut Cursor<'a>, &mut T) -> Result<(), WireError>,
 ) -> Result<(Vec<T>, Vec<u32>), WireError> {
-    let table_len = c.usize_varint()?;
-    budget.check_table_entries(table_len as u64)?;
-    budget.charge_fuel(table_len as u64)?;
-    let mut table = Vec::with_capacity(table_len.min(c.remaining()));
+    let mut table = Vec::new();
     {
         let _entries = telemetry::stage!("wire.decode.entry_table");
-        for _ in 0..table_len {
-            table.push(read_entry(c)?);
-        }
+        c.seq(&mut table, code_entry)?;
     }
+    let table_len = table.len();
     let alphabet = if options.mtf {
         table_len + 1
     } else {
@@ -725,16 +656,7 @@ fn encode_literal_stream(
         };
         occurrences.push(idx as u32);
     }
-    encode_symbol_stream(
-        out,
-        table.len(),
-        |o, i| {
-            encode_literal(o, &table[i]);
-            Ok(())
-        },
-        &occurrences,
-        options,
-    )
+    encode_symbol_stream(out, &mut table, code_literal, &occurrences, options)
 }
 
 fn decode_literal_stream(
@@ -743,7 +665,7 @@ fn decode_literal_stream(
     budget: &Budget,
     stats: &mut DecodeStats,
 ) -> Result<Vec<Literal>, WireError> {
-    let (table, occurrences) = decode_symbol_stream(c, options, budget, stats, decode_literal)?;
+    let (table, occurrences) = decode_symbol_stream(c, options, budget, stats, code_literal)?;
     occurrences
         .into_iter()
         .map(|o| {
@@ -807,7 +729,7 @@ fn decode_indices(
     coder: Coder,
     budget: &Budget,
 ) -> Result<Vec<u32>, WireError> {
-    let count = c.usize_varint()?;
+    let count = c.read_usize()?;
     if count == 0 {
         cov_hit!("wire.indices.empty");
         return Ok(Vec::new());
@@ -823,17 +745,16 @@ fn decode_indices(
             cov_hit!("wire.indices.raw");
             let mut out = Vec::with_capacity(count.min(c.remaining()));
             for _ in 0..count {
-                out.push(
-                    u32::try_from(c.uvarint()?)
-                        .map_err(|_| WireError::Corrupt("index out of range".into()))?,
-                );
+                let mut index = 0;
+                c.u32(&mut index)?;
+                out.push(index);
             }
             Ok(out)
         }
         Coder::Huffman => {
             cov_hit!("wire.indices.huffman");
             let lengths = c.take(alphabet)?;
-            let nbytes = c.usize_varint()?;
+            let nbytes = c.read_usize()?;
             let bits = c.take(nbytes)?;
             let dec = {
                 let _build = telemetry::stage!("wire.decode.table_build");
@@ -846,7 +767,7 @@ fn decode_indices(
         }
         Coder::Arithmetic => {
             cov_hit!("wire.indices.arith");
-            let nbytes = c.usize_varint()?;
+            let nbytes = c.read_usize()?;
             let bytes = c.take(nbytes)?;
             let mut model = AdaptiveModel::with_budget(alphabet, budget)?;
             let mut dec = ArithDecoder::new(bytes)?;
@@ -954,6 +875,20 @@ mod tests {
             .sections
             .iter()
             .any(|(k, _)| k == "ADDRLP8" || k == "CNSTC"));
+    }
+
+    #[test]
+    fn ret_whose_children_disagree_with_its_type_is_not_encoded() {
+        // RETI with no child: the decoder would expect one.
+        use codecomp_ir::op::{IrType, Op, Opcode};
+        let mut f = Function::new("f", 0, 0);
+        f.body
+            .push(Tree::build(Op::new(Opcode::Ret, IrType::I), None, Vec::new()).unwrap());
+        let module = Module {
+            globals: Vec::new(),
+            functions: vec![f],
+        };
+        assert!(compress(&module, WireOptions::default()).is_err());
     }
 
     #[test]

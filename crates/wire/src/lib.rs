@@ -29,7 +29,7 @@
 //! ```
 
 pub mod demand;
-mod format;
+pub mod format;
 
 pub use demand::{DemandError, DemandImage, DemandLoader, DemandReport, SalvageReport};
 pub use format::{compress, decompress, decompress_budgeted, Coder, WireOptions, WireReport};

@@ -2,7 +2,7 @@
 
 use codecomp_front::compile;
 use codecomp_ir::Module;
-use codecomp_wire::{compress, decompress, WireOptions};
+use codecomp_wire::{compress, decompress, DemandImage, WireError, WireOptions};
 
 #[test]
 fn empty_module_roundtrips() {
@@ -40,4 +40,20 @@ fn every_prefix_of_a_real_image_rejected() {
     for len in 0..bytes.len() {
         assert!(decompress(&bytes[..len]).is_err(), "prefix {len} accepted");
     }
+}
+
+#[test]
+fn demand_global_size_past_32_bits_rejected() {
+    // One global "g" of size 2^32 + 5, which must not decode as size 5.
+    let bytes = [
+        b'C', b'C', b'W', b'D', // magic
+        0x17, // default options
+        1, // one global
+        1, b'g', // its name
+        0x85, 0x80, 0x80, 0x80, 0x10, // its size: 2^32 + 5
+        0, // no initializer
+        0, // no units
+    ];
+    let err = DemandImage::from_bytes(&bytes).unwrap_err();
+    assert!(matches!(err, WireError::Corrupt(_)), "got {err:?}");
 }

@@ -13,11 +13,12 @@ cargo build --release --offline
 echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 
-# Compressor exactness at scale: the golden suite's ignored case pins
-# a synth-lcc-scale (300-function) image, pass count and candidate count
-# to recorded values; it is too slow for the debug profile above.
-echo "==> brisc compressor golden (release, includes the synth-lcc case)"
-cargo test --release --offline --test brisc_compress_golden -- --include-ignored
+# Format exactness at scale: each golden suite's ignored case pins a
+# 300-function synthetic module (the BRISC image, pass count and
+# candidate count; the wire and demand images) to recorded values; they
+# are too slow for the debug profile above.
+echo "==> brisc and wire golden (release, includes the 300-function cases)"
+cargo test --release --offline --test brisc_compress_golden --test wire_golden -- --include-ignored
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
