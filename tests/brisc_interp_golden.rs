@@ -4,11 +4,18 @@
 //! before the interpreter's decode path was rewritten. Any change to
 //! how many items are decoded in place, or which bytes are touched,
 //! shows up here as a count mismatch.
+//!
+//! The VM interpreter is pinned beside it, twice per program: on the
+//! `compile_module` output and on the `translate` output. Its
+//! instruction and call counts and a hash of its per-instruction
+//! execution counts must equal values recorded before the two
+//! interpreters came to share one execution core.
 
 use code_compression::brisc::compress::{compress, BriscOptions};
 use code_compression::brisc::entry::{DictEntry, InstPattern};
 use code_compression::brisc::image::{assemble, FuncItems, Item};
 use code_compression::brisc::interp::{BriscMachine, BriscOutcome};
+use code_compression::brisc::translate::translate;
 use code_compression::brisc::BriscError;
 use code_compression::corpus::benchmarks;
 use code_compression::front::compile;
@@ -17,6 +24,7 @@ use code_compression::vm::codegen::compile_module;
 use code_compression::vm::encode::Field;
 use code_compression::vm::interp::Machine;
 use code_compression::vm::isa::IsaConfig;
+use code_compression::vm::program::VmProgram;
 use code_compression::vm::reg::Reg;
 
 const MEM: u32 = 1 << 22;
@@ -63,14 +71,37 @@ fn pin(out: &BriscOutcome, runs: &[(u32, u32)]) -> Pinned {
     }
 }
 
+/// The VM interpreter's counters for one run: instructions, calls, and
+/// an FNV-1a hash of the per-instruction execution counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct VmPinned {
+    instructions: u64,
+    calls: u64,
+    exec_hash: u64,
+}
+
+/// Runs `main` of `vm` on the VM interpreter and pins its counters.
+fn run_vm(vm: &VmProgram) -> (VmPinned, code_compression::vm::RunOutcome) {
+    let mut m = Machine::new(vm, MEM, FUEL).unwrap();
+    let out = m.run("main", &[]).unwrap();
+    let pinned = VmPinned {
+        instructions: out.instructions,
+        calls: out.calls,
+        exec_hash: fnv1a(m.exec_counts.iter().flat_map(|c| c.to_le_bytes())),
+    };
+    (pinned, out)
+}
+
+/// Everything pinned for one program: the in-place BRISC run, then the
+/// VM runs of the compiled and of the translated program.
+type Pins = (Pinned, VmPinned, VmPinned);
+
 /// Compiles `src`, compresses it with default options, runs `main` in
-/// place, and checks value and output against the VM tier.
-fn run_pinned(name: &str, src_ir: &code_compression::ir::Module) -> Pinned {
+/// place, on the VM and on the translated program, and checks value and
+/// output against the VM tier.
+fn run_pinned(name: &str, src_ir: &code_compression::ir::Module) -> Pins {
     let vm = compile_module(src_ir, IsaConfig::full()).unwrap();
-    let expect = Machine::new(&vm, MEM, FUEL)
-        .unwrap()
-        .run("main", &[])
-        .unwrap();
+    let (vm_pin, expect) = run_vm(&vm);
     let image = compress(&vm, BriscOptions::default()).unwrap().image;
     let mut m = BriscMachine::new(&image, MEM, FUEL).unwrap();
     let out = m.run("main", &[]).unwrap();
@@ -79,7 +110,13 @@ fn run_pinned(name: &str, src_ir: &code_compression::ir::Module) -> Pinned {
         out.output, expect.output,
         "{name}: output differs from the VM"
     );
-    pin(&out, &m.touched_runs())
+    let (translated_pin, translated) = run_vm(&translate(&image).unwrap());
+    assert_eq!(translated.value, expect.value, "{name}: translated value");
+    assert_eq!(
+        translated.output, expect.output,
+        "{name}: translated output"
+    );
+    (pin(&out, &m.touched_runs()), vm_pin, translated_pin)
 }
 
 /// Values recorded with the interpreter as it was before its decode
@@ -98,6 +135,23 @@ const CORPUS_GOLDEN: &[(&str, Pinned)] = &[
     ("queens", Pinned { value: 210044092, output_len: 10, output_hash: 15422750932697968567, instructions: 628188, items_decoded: 487465, calls: 2840, touched_runs: 1, touched_bytes: 400, touched_hash: 11753753469464881546 }),
 ];
 
+/// VM counters per corpus program, for the `compile_module` output and
+/// for the `translate` output, recorded before the VM and the in-place
+/// interpreter came to share one execution core.
+#[rustfmt::skip]
+const CORPUS_VM_GOLDEN: &[(&str, VmPinned, VmPinned)] = &[
+    ("vmsim", VmPinned { instructions: 20715, calls: 562, exec_hash: 264188468082200202 }, VmPinned { instructions: 19336, calls: 562, exec_hash: 5573426054994517941 }),
+    ("dsp", VmPinned { instructions: 153802, calls: 264, exec_hash: 11042880248338352134 }, VmPinned { instructions: 151976, calls: 264, exec_hash: 17509911899852918825 }),
+    ("pack", VmPinned { instructions: 41589, calls: 8, exec_hash: 13685132137624694269 }, VmPinned { instructions: 41552, calls: 8, exec_hash: 6486102739488354116 }),
+    ("sortlib", VmPinned { instructions: 407189, calls: 556, exec_hash: 16621170949629553471 }, VmPinned { instructions: 403310, calls: 556, exec_hash: 15487283441152170373 }),
+    ("calc", VmPinned { instructions: 48427, calls: 1297, exec_hash: 14457807661355602235 }, VmPinned { instructions: 41876, calls: 1297, exec_hash: 8576263563958908281 }),
+    ("life", VmPinned { instructions: 13520221, calls: 466655, exec_hash: 11423909640866536267 }, VmPinned { instructions: 11653406, calls: 466655, exec_hash: 7987370479570602090 }),
+    ("hash", VmPinned { instructions: 458564, calls: 5182, exec_hash: 5788379858595615419 }, VmPinned { instructions: 448036, calls: 5182, exec_hash: 5963749063481689467 }),
+    ("regex", VmPinned { instructions: 2140176, calls: 42370, exec_hash: 15602097047391702545 }, VmPinned { instructions: 1865382, calls: 42370, exec_hash: 4025473652756230408 }),
+    ("bignum", VmPinned { instructions: 582236, calls: 862, exec_hash: 6096845686710914781 }, VmPinned { instructions: 579023, calls: 862, exec_hash: 1956997589101106736 }),
+    ("queens", VmPinned { instructions: 645205, calls: 2840, exec_hash: 15764148116930612057 }, VmPinned { instructions: 628188, calls: 2840, exec_hash: 288049248730210884 }),
+];
+
 #[test]
 fn corpus_outcomes_and_touch_maps_match_recorded_values() {
     let mut got = Vec::new();
@@ -105,9 +159,18 @@ fn corpus_outcomes_and_touch_maps_match_recorded_values() {
         got.push((b.name, run_pinned(b.name, &b.compile().unwrap())));
     }
     assert_eq!(got.len(), CORPUS_GOLDEN.len(), "corpus size changed");
-    for ((name, p), (gname, gp)) in got.iter().zip(CORPUS_GOLDEN) {
+    assert_eq!(got.len(), CORPUS_VM_GOLDEN.len(), "corpus size changed");
+    for (((name, (p, vm, translated)), (gname, gp)), (vname, gvm, gtranslated)) in
+        got.iter().zip(CORPUS_GOLDEN).zip(CORPUS_VM_GOLDEN)
+    {
         assert_eq!(name, gname);
+        assert_eq!(name, vname);
         assert_eq!(p, gp, "{name}: interpreter behaviour changed");
+        assert_eq!(vm, gvm, "{name}: VM behaviour changed");
+        assert_eq!(
+            translated, gtranslated,
+            "{name}: VM behaviour on the translated program changed"
+        );
     }
 }
 
@@ -156,12 +219,28 @@ const CHAIN_GOLDEN: Pinned = Pinned {
     touched_hash: 8812469009055820112,
 };
 
+/// Recorded alongside [`CORPUS_VM_GOLDEN`].
+const CHAIN_VM_GOLDEN: VmPinned = VmPinned {
+    instructions: 30030,
+    calls: 766,
+    exec_hash: 8308172538373739301,
+};
+
+/// Recorded alongside [`CORPUS_VM_GOLDEN`].
+const CHAIN_TRANSLATED_GOLDEN: VmPinned = VmPinned {
+    instructions: 25477,
+    calls: 766,
+    exec_hash: 2672735396949704704,
+};
+
 #[test]
 fn returns_into_many_functions_resolve_the_current_function() {
     let ir = compile(&chain_module(48)).unwrap();
     assert!(ir.functions.len() > 40);
-    let p = run_pinned("chain", &ir);
+    let (p, vm, translated) = run_pinned("chain", &ir);
     assert_eq!(p, CHAIN_GOLDEN);
+    assert_eq!(vm, CHAIN_VM_GOLDEN);
+    assert_eq!(translated, CHAIN_TRANSLATED_GOLDEN);
 }
 
 fn base_entry(s: &str) -> DictEntry {
