@@ -17,7 +17,7 @@ use codecomp_core::bytesio::{code_global, Cursor, Io};
 use codecomp_core::cov_hit;
 use codecomp_vm::encode::{canonical_instance, field_refs, BaseOp, Field};
 use codecomp_vm::isa::{FuncRef, Inst};
-use codecomp_vm::program::VmGlobal;
+use codecomp_vm::program::{callees_by_name, Callee, VmGlobal};
 use codecomp_vm::reg::Reg;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -101,19 +101,6 @@ pub struct DecodedItem {
     pub size: usize,
 }
 
-/// What a decoded `Inst::Call` calls, resolved the way a call by name
-/// resolves: to the first function of that name, else to the host
-/// function of that name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Callee {
-    /// Not a direct call.
-    None,
-    /// A function index into [`BriscImage::functions`].
-    Function(u32),
-    /// An index into [`codecomp_ir::eval::HOST_FUNCTIONS`].
-    Host(u32),
-}
-
 /// A reusable buffer that [`BriscImage::decode_into`] fills with one
 /// item. `Inst::Call`s carry an empty symbol; their targets are in
 /// [`Self::callees`], so decoding never allocates once the buffer has
@@ -151,16 +138,7 @@ pub struct DecodeTables {
 impl DecodeTables {
     /// Builds the tables for `image`.
     pub fn new(image: &BriscImage) -> DecodeTables {
-        let mut by_name: HashMap<&str, Callee> =
-            HashMap::with_capacity(image.functions.len() + codecomp_ir::eval::HOST_FUNCTIONS.len());
-        for (i, f) in image.functions.iter().enumerate() {
-            by_name
-                .entry(f.name.as_str())
-                .or_insert(Callee::Function(i as u32));
-        }
-        for (h, name) in codecomp_ir::eval::HOST_FUNCTIONS.iter().enumerate() {
-            by_name.entry(name).or_insert(Callee::Host(h as u32));
-        }
+        let by_name = callees_by_name(image.functions.iter().map(|f| f.name.as_str()));
         DecodeTables {
             successors: SuccessorTable::new(&image.markov, image.dictionary.len()),
             operand_bytes: image

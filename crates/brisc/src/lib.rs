@@ -136,6 +136,9 @@ impl From<codecomp_core::DecodeError> for BriscError {
 
 impl From<codecomp_vm::VmError> for BriscError {
     fn from(e: codecomp_vm::VmError) -> Self {
-        BriscError::Compress(e.to_string())
+        match e {
+            codecomp_vm::VmError::Exec(m) => BriscError::Exec(m),
+            other => BriscError::Compress(other.to_string()),
+        }
     }
 }

@@ -11,7 +11,7 @@ use crate::image::{BriscImage, DecodeTables};
 use crate::markov::BLOCK_START;
 use crate::BriscError;
 use codecomp_vm::isa::Inst;
-use codecomp_vm::program::{VmFunction, VmGlobal, VmProgram};
+use codecomp_vm::program::{VmFunction, VmProgram};
 use std::collections::BTreeSet;
 
 /// Decodes a compressed image back into a VM program.
@@ -39,15 +39,7 @@ pub fn translate_budgeted(
     budget: &codecomp_core::Budget,
 ) -> Result<VmProgram, BriscError> {
     let mut program = VmProgram::new();
-    program.globals = image
-        .globals
-        .iter()
-        .map(|g| VmGlobal {
-            name: g.name.clone(),
-            size: g.size,
-            init: g.init.clone(),
-        })
-        .collect();
+    program.globals = image.globals.clone();
     let tables = DecodeTables::new(image);
     for (fi, f) in image.functions.iter().enumerate() {
         // Pass 1: linear decode, collecting instructions and the branch

@@ -171,14 +171,44 @@ impl Default for VmProgram {
     }
 }
 
+/// What an `Inst::Call` calls, resolved once, before execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Callee {
+    /// Not a direct call, or a call whose name resolved to nothing.
+    None,
+    /// A function index into the program's function table.
+    Function(u32),
+    /// An index into [`codecomp_ir::eval::HOST_FUNCTIONS`].
+    Host(u32),
+}
+
+/// Resolves call targets by name the way every tier does: to the first
+/// function of that name, else to the host function of that name.
+pub fn callees_by_name<'a>(
+    function_names: impl ExactSizeIterator<Item = &'a str>,
+) -> HashMap<&'a str, Callee> {
+    let hosts = codecomp_ir::eval::HOST_FUNCTIONS;
+    let mut by_name = HashMap::with_capacity(function_names.len() + hosts.len());
+    for (i, name) in function_names.enumerate() {
+        by_name.entry(name).or_insert(Callee::Function(i as u32));
+    }
+    for (h, name) in hosts.iter().enumerate() {
+        by_name.entry(*name).or_insert(Callee::Host(h as u32));
+    }
+    by_name
+}
+
 /// A program flattened into one code space, ready for interpretation:
-/// labels resolved to absolute instruction indices and label
-/// pseudo-instructions removed.
+/// labels resolved to absolute instruction indices, label
+/// pseudo-instructions removed, and calls resolved to [`Callee`]s.
 #[derive(Debug, Clone)]
 pub struct FlatProgram {
     /// All instructions, label-free, with branch/jump targets rewritten
     /// to absolute indices (in `Branch::target` etc.).
     pub code: Vec<Inst>,
+    /// Parallel to `code`: each call's target, [`Callee::None`] for
+    /// everything else.
+    pub callees: Vec<Callee>,
     /// Per-function `(start, end)` index ranges, parallel to `functions`.
     pub ranges: Vec<(usize, usize)>,
     /// Function metadata (same order as the source program).
@@ -195,7 +225,9 @@ impl FlatProgram {
     /// Propagates validation errors.
     pub fn link(program: &VmProgram) -> Result<FlatProgram, VmError> {
         program.validate()?;
+        let by_name = callees_by_name(program.functions.iter().map(|f| f.name.as_str()));
         let mut code = Vec::new();
+        let mut callees = Vec::new();
         let mut ranges = Vec::new();
         for f in &program.functions {
             let start = code.len();
@@ -240,21 +272,33 @@ impl FlatProgram {
                     },
                     other => other.clone(),
                 };
+                callees.push(match &rewritten {
+                    Inst::Call {
+                        target: FuncRef::Symbol(name),
+                    } => by_name.get(name.as_str()).copied().unwrap_or(Callee::None),
+                    _ => Callee::None,
+                });
                 code.push(rewritten);
             }
             ranges.push((start, code.len()));
         }
         Ok(FlatProgram {
             code,
+            callees,
             ranges,
             functions: program.functions.clone(),
             globals: program.globals.clone(),
         })
     }
 
-    /// The function whose code contains absolute index `pc`.
+    /// The function whose code contains absolute index `pc`, by binary
+    /// search over the function starts.
     pub fn function_at(&self, pc: usize) -> Option<usize> {
-        self.ranges.iter().position(|&(s, e)| pc >= s && pc < e)
+        let i = self
+            .ranges
+            .partition_point(|&(s, _)| s <= pc)
+            .checked_sub(1)?;
+        (pc < self.ranges[i].1).then_some(i)
     }
 }
 

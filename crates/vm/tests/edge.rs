@@ -4,6 +4,7 @@
 use codecomp_vm::asm::parse_program;
 use codecomp_vm::interp::{Machine, FUNC_BASE};
 use codecomp_vm::isa::IsaConfig;
+use codecomp_vm::VmError;
 
 fn run(text: &str, entry: &str, args: &[i64]) -> i64 {
     let p = parse_program(text).unwrap();
@@ -177,4 +178,31 @@ $L1000000:
 .end
 ";
     assert_eq!(run(text, "main", &[]), 5);
+}
+
+#[test]
+fn memory_too_small_for_the_argument_staging_area_is_an_exec_error() {
+    let p = parse_program(".func main params=0 frame=0\n    li n0,1\n    rjr ra\n.end\n").unwrap();
+    for (mem, args) in [(2, &[][..]), (4, &[1, 2][..])] {
+        match Machine::new(&p, mem, 100).unwrap().run("main", args) {
+            Err(VmError::Exec(msg)) => assert!(msg.contains("arguments"), "got {msg}"),
+            other => panic!("mem {mem}: expected an exec error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn globals_overflowing_the_address_space_are_a_codegen_error() {
+    let mut module = codecomp_ir::Module::new();
+    for (name, size) in [("big", u32::MAX - 8), ("small", 64)] {
+        module.globals.push(codecomp_ir::Global {
+            name: name.into(),
+            size,
+            init: Vec::new(),
+        });
+    }
+    match codecomp_vm::codegen::compile_module(&module, IsaConfig::full()) {
+        Err(VmError::Codegen(msg)) => assert!(msg.contains("does not fit"), "got {msg}"),
+        other => panic!("expected a codegen error, got {other:?}"),
+    }
 }

@@ -8,7 +8,7 @@
 use code_compression::brisc::compress::{compress, BriscOptions};
 use code_compression::brisc::entry::{DictEntry, InstPattern};
 use code_compression::brisc::image::{
-    assemble, BriscImage, Callee, DecodeTables, FuncItems, Item, ItemBuf,
+    assemble, BriscImage, DecodeTables, FuncItems, Item, ItemBuf,
 };
 use code_compression::brisc::interp::BriscMachine;
 use code_compression::brisc::markov::BLOCK_START;
@@ -21,6 +21,7 @@ use code_compression::vm::asm::parse_inst;
 use code_compression::vm::codegen::compile_module;
 use code_compression::vm::encode::Field;
 use code_compression::vm::isa::{FuncRef, Inst, IsaConfig};
+use code_compression::vm::program::Callee;
 use code_compression::vm::reg::Reg;
 
 fn option_matrix() -> Vec<(&'static str, BriscOptions)> {
