@@ -13,12 +13,14 @@ cargo build --release --offline
 echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 
-# Format exactness at scale: each golden suite's ignored case pins a
-# 300-function synthetic module (the BRISC image, pass count and
-# candidate count; the wire and demand images) to recorded values; they
-# are too slow for the debug profile above.
-echo "==> brisc and wire golden (release, includes the 300-function cases)"
-cargo test --release --offline --test brisc_compress_golden --test wire_golden -- --include-ignored
+# Format exactness and tier agreement at scale: each golden suite's
+# ignored case pins a 300-function synthetic module (the BRISC image,
+# pass count and candidate count; the wire and demand images) to
+# recorded values, and end_to_end's runs one through every execution
+# tier; they are too slow for the debug profile above.
+echo "==> brisc and wire golden, tiers agree (release, includes the 300-function cases)"
+cargo test --release --offline --test brisc_compress_golden --test wire_golden \
+    --test end_to_end -- --include-ignored
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
