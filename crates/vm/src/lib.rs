@@ -18,9 +18,12 @@
 //! - [`codegen`]: the IR → VM compiler with callee-saved register
 //!   promotion, producing the prologue/spill/reload/epilogue idioms the
 //!   paper's example shows.
-//! - [`interp`]: the interpreter (the execution-semantics reference for
-//!   the BRISC tiers), with instruction counters and code-touch
-//!   instrumentation for working-set experiments.
+//! - [`interp`]: the one execution core (registers, memory, globals,
+//!   argument staging and the step over every instruction) that both
+//!   this crate's interpreter and the in-place BRISC interpreter drive,
+//!   plus the interpreter over linked flat code, with instruction
+//!   counters and per-instruction execution counts for working-set
+//!   experiments.
 //! - [`native`]: native code-size models — a variable-width x86-64
 //!   encoder and a fixed-width RISC ("SPARC-like") encoder — used as the
 //!   paper's native-code baselines.
