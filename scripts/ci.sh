@@ -14,11 +14,12 @@ echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 
 # Format exactness and tier agreement at scale: each golden suite's
-# ignored case pins a 300-function synthetic module (the BRISC image,
+# ignored cases pin a 300-function synthetic module (the BRISC image,
 # pass count and candidate count; the wire and demand images) to
-# recorded values, and end_to_end's runs one through every execution
+# recorded values, the BRISC golden also a 1200-function one, and
+# end_to_end's runs a 300-function module through every execution
 # tier; they are too slow for the debug profile above.
-echo "==> brisc and wire golden, tiers agree (release, includes the 300-function cases)"
+echo "==> brisc and wire golden, tiers agree (release, includes the 300- and 1200-function cases)"
 cargo test --release --offline --test brisc_compress_golden --test wire_golden \
     --test end_to_end -- --include-ignored
 

@@ -5,8 +5,10 @@
 //! skip keys that cannot reach a positive `P`. The scorer is exact, so
 //! any drift here is a behaviour change, not noise.
 //!
-//! The synth-lcc-scale case is `#[ignore]`d (too slow for the debug
-//! profile); `scripts/ci.sh` runs it with `--release --include-ignored`.
+//! The synth-lcc-scale (300-function) and synth-gcc-scale
+//! (1200-function) cases are `#[ignore]`d (too slow for the debug
+//! profile); `scripts/ci.sh` runs them with `--release
+//! --include-ignored`.
 //!
 //! A mismatch prints every case's actual row in the table's syntax.
 
@@ -232,6 +234,10 @@ const MODULES: &[Row] = &[
 const SYNTH_LCC: Row =
     ("synth-lcc", "default", 0x96de2eed4e2bccfa, 86859, 10, 113079, 226, 40);
 
+#[rustfmt::skip]
+const SYNTH_GCC: Row =
+    ("synth-gcc", "default", 0x05d2452291be9997, 351752, 7, 140492, 160, 40);
+
 #[test]
 fn corpus_images_match_recorded_values_under_every_option_set() {
     let mut actual = Vec::new();
@@ -286,6 +292,21 @@ fn synth_lcc_scale_image_matches_recorded_value() {
     );
     let report = compress(&vm_of(&src), BriscOptions::default()).unwrap();
     check(&[pin("synth-lcc", "default", &report)], &[SYNTH_LCC]);
+}
+
+#[test]
+#[ignore = "synth-gcc scale: run with --release --include-ignored"]
+fn synth_gcc_scale_image_matches_recorded_value() {
+    let src = synthetic(
+        0xC0DE,
+        SynthConfig {
+            functions: 1200,
+            statements_per_function: 10,
+            globals: 12,
+        },
+    );
+    let report = compress(&vm_of(&src), BriscOptions::default()).unwrap();
+    check(&[pin("synth-gcc", "default", &report)], &[SYNTH_GCC]);
 }
 
 const MEM: u32 = 1 << 22;
