@@ -334,6 +334,33 @@ fn stage_self_times_sum_exactly_to_their_parents() {
     }
 }
 
+const HUNT_PHASES: [&str; 3] = ["generate", "score", "rewrite"];
+
+#[test]
+fn hunt_phase_self_times_sum_exactly_to_the_compress_stage() {
+    let _serial = serial();
+    ring();
+    for b in benchmarks() {
+        let module = b.compile().expect("corpus compiles");
+        let vm = compile_module(&module, IsaConfig::full()).expect("codegen");
+        let (counters, stacks) = stage_deltas(|| {
+            brisc_compress(&vm, BriscOptions::default()).expect("brisc pack");
+        });
+        assert_stages_reconcile(&counters, &stacks);
+        // The compressor's own self time and one stack per phase, and
+        // nothing else, make up its inclusive time.
+        let mut expected: Vec<String> = HUNT_PHASES
+            .iter()
+            .map(|phase| format!("brisc.compress;brisc.compress.{phase}"))
+            .collect();
+        expected.push("brisc.compress".to_string());
+        expected.sort();
+        let actual: Vec<&String> = stacks.keys().collect();
+        assert_eq!(actual, expected.iter().collect::<Vec<_>>(), "{}", b.name);
+        assert_eq!(counters["brisc.ns.compress"], stacks.values().sum::<u64>());
+    }
+}
+
 #[test]
 fn stage_accounting_is_exact_across_threads() {
     let _serial = serial();
