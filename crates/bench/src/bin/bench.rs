@@ -23,9 +23,11 @@
 
 use codecomp_bench::perf::{self, num, Rate, Report, LEVELS};
 use codecomp_bench::{subjects, Scale};
+use codecomp_brisc::image::DecodeTables;
 use codecomp_brisc::interp::BriscMachine;
 use codecomp_brisc::BriscImage;
 use codecomp_core::telemetry;
+use codecomp_core::Budget;
 use codecomp_corpus::{benchmarks, synthetic, SynthConfig};
 use codecomp_flate::deflate::deflate_compress_fixed;
 use codecomp_flate::{deflate_compress, inflate, CompressionLevel};
@@ -137,9 +139,10 @@ fn fail(why: &str) -> ! {
 struct Job {
     /// Report key prefix, such as `wire.decode`.
     key: String,
-    /// Work done per call, in `unit`s (MiB, or millions of instructions).
+    /// Work done per call, in `unit`s (MiB, or millions of instructions
+    /// or of BRISC items).
     units: f64,
-    /// Rate unit suffix of the report key: `mib_s` or `mips`.
+    /// Rate unit suffix of the report key: `mib_s`, `mips` or `mitems_s`.
     unit: &'static str,
     /// Also measured with a collector installed.
     collector: bool,
@@ -342,6 +345,14 @@ fn brisc_jobs(out: &mut Out) -> Vec<Job> {
         images.len()
     );
     out.put("brisc.payload", text);
+    let scanned: Vec<(BriscImage, DecodeTables)> = images
+        .iter()
+        .map(|i| {
+            let image = BriscImage::from_bytes(i).expect("loads");
+            let tables = DecodeTables::new(&image);
+            (image, tables)
+        })
+        .collect();
     let units = mib(&images);
     let load = Job::new("brisc.load", units, move || {
         for img in &images {
@@ -352,5 +363,23 @@ fn brisc_jobs(out: &mut Out) -> Vec<Job> {
         interpret();
     });
     interp.unit = "mips";
-    vec![load, interp]
+    // Decodes every item of every function once, in order, as the
+    // load-time validation scan does; returns the items decoded.
+    let scan = move || -> u64 {
+        let scan_one = |(image, tables): &(BriscImage, DecodeTables)| {
+            let budget = Budget::default();
+            for f in 0..image.functions.len() {
+                image
+                    .validate_function(f, tables, &budget)
+                    .expect("corpus decodes");
+            }
+            budget.usage().fuel_spent
+        };
+        scanned.iter().map(scan_one).sum()
+    };
+    let mut decode = Job::new("brisc.decode", scan() as f64 / 1e6, move || {
+        scan();
+    });
+    decode.unit = "mitems_s";
+    vec![load, interp, decode]
 }

@@ -885,7 +885,7 @@ fn rewrite(f: &mut CFunc, dict: &Dictionary, new_ids: &[u32]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use codecomp_core::fxhash::FxHashSet;
     use codecomp_corpus::{synthetic_modules, MultiModuleConfig};
@@ -1125,7 +1125,7 @@ mod tests {
     }
 
     /// The option sets of `tests/brisc_compress_golden.rs`.
-    fn golden_variants() -> Vec<BriscOptions> {
+    pub(crate) fn golden_variants() -> Vec<BriscOptions> {
         let d = BriscOptions::default();
         vec![
             d,

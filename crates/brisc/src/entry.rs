@@ -1,8 +1,10 @@
 //! Dictionary entries: instruction patterns with burned and wildcard fields.
 
-use crate::BriscError;
-use codecomp_vm::encode::{canonical_instance, field_refs, fields, BaseOp, Field, FieldRef};
+use codecomp_vm::encode::{
+    canonical_instance, field_refs, fields, rebuild, set_field, BaseOp, Field, FieldRef,
+};
 use codecomp_vm::isa::Inst;
+use codecomp_vm::reg::Reg;
 
 /// Most component patterns one dictionary entry may hold. The image
 /// decoder rejects longer entries, so the compressor never generates a
@@ -75,6 +77,22 @@ impl FieldKind {
             FieldKind::Reg => 4,
             FieldKind::Imm(e) => e.bits(),
             FieldKind::Target | FieldKind::Func => 16,
+        }
+    }
+
+    /// The field value that `raw`, the [`Self::bits`] operand bits of a
+    /// wildcard of this kind, stand for. A `Func` field's is an empty
+    /// symbol: the call target `raw` names is resolved apart from it.
+    #[inline]
+    pub(crate) fn value(self, raw: u64) -> FieldRef<'static> {
+        match self {
+            FieldKind::Reg => FieldRef::Reg(Reg::new(raw as u8)),
+            FieldKind::Imm(ImmEnc::X4) => FieldRef::Imm(raw as i32 * 4),
+            FieldKind::Imm(ImmEnc::I8) => FieldRef::Imm(i32::from(raw as u8 as i8)),
+            FieldKind::Imm(ImmEnc::I16) => FieldRef::Imm(i32::from(raw as u16 as i16)),
+            FieldKind::Imm(ImmEnc::I32) => FieldRef::Imm(raw as i32),
+            FieldKind::Target => FieldRef::Target(raw as u32),
+            FieldKind::Func => FieldRef::Func(""),
         }
     }
 }
@@ -155,29 +173,32 @@ impl InstPattern {
             .collect()
     }
 
-    /// Rebuilds an instruction, asking `value` for each field position
-    /// in order (burned or wildcard). The fields are gathered on the
-    /// stack, so this allocates only if `value` does.
+    /// The instruction every instance of the pattern starts from: its
+    /// burned fields set and its wildcards zero, ready for decoding to
+    /// write each wildcard in with [`set_field`]. Fields past the base
+    /// instruction's arity are ignored, as [`rebuild`] ignores them.
     ///
-    /// # Errors
-    ///
-    /// Whatever `value` returns; [`BriscError::Corrupt`] when the values
-    /// do not fit the base instruction's shape.
-    pub fn instantiate(
-        &self,
-        mut value: impl FnMut(&PatternField) -> Result<Field, BriscError>,
-    ) -> Result<Inst, BriscError> {
-        // No base instruction has more than three fields; values past
-        // the third are still produced (and so checked) but unused.
-        let mut full = [Field::Imm(0), Field::Imm(0), Field::Imm(0)];
-        for (i, p) in self.fields.iter().enumerate() {
-            let v = value(p)?;
-            if let Some(slot) = full.get_mut(i) {
-                *slot = v;
-            }
+    /// `None` when no operand values make the pattern an instruction: a
+    /// call target is burned in (the compressor never burns one and the
+    /// image format cannot carry one), or the fields do not fit the base
+    /// instruction's shape.
+    pub(crate) fn template(&self) -> Option<Inst> {
+        if self
+            .fields
+            .iter()
+            .any(|p| matches!(p, PatternField::Burned(Field::Func(_))))
+        {
+            return None;
         }
-        codecomp_vm::encode::rebuild(self.base, &full[..self.fields.len().min(full.len())])
-            .map_err(|e| BriscError::Corrupt(e.to_string()))
+        let mut inst = canonical_instance(self.base);
+        for slot in 0..field_refs(&inst).len() {
+            let value = match self.fields.get(slot)? {
+                PatternField::Burned(v) => v.to_ref(),
+                PatternField::Wildcard(kind) => kind.value(0),
+            };
+            set_field(&mut inst, slot, value).ok()?;
+        }
+        Some(inst)
     }
 
     /// Number of wildcard fields.
@@ -211,7 +232,7 @@ impl InstPattern {
                 PatternField::Wildcard(_) => zero.clone(),
             })
             .collect();
-        codecomp_vm::encode::rebuild(self.base, &full).expect("canonical shape always rebuilds")
+        rebuild(self.base, &full).expect("canonical shape always rebuilds")
     }
 }
 
@@ -337,7 +358,6 @@ impl std::fmt::Display for DictEntry {
 mod tests {
     use super::*;
     use codecomp_vm::asm::parse_inst;
-    use codecomp_vm::reg::Reg;
 
     fn inst(s: &str) -> Inst {
         parse_inst(s, 1).unwrap()
@@ -367,10 +387,7 @@ mod tests {
         assert_eq!(vals[0], Field::Reg(Reg::new(0)));
         assert_eq!(vals[1], Field::Imm(4));
         assert_eq!(vals[2], Field::Reg(Reg::SP));
-        // Rebuild.
-        let mut iter = vals.into_iter();
-        let rebuilt = pat.instantiate(|_| Ok(iter.next().unwrap())).unwrap();
-        assert_eq!(rebuilt, ld);
+        assert_eq!(rebuild(pat.base, &vals).unwrap(), ld);
     }
 
     #[test]

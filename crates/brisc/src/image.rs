@@ -9,13 +9,13 @@
 //! offsets, so the code is randomly addressable at basic-block
 //! granularity — the property that makes in-place interpretation work.
 
-use crate::entry::{DictEntry, FieldKind, ImmEnc, PatternField, MAX_ENTRY_PATTERNS};
+use crate::entry::{DictEntry, FieldKind, ImmEnc, InstPattern, PatternField, MAX_ENTRY_PATTERNS};
 use crate::markov::{MarkovTables, SuccessorTable, BLOCK_START};
 use crate::BriscError;
 use codecomp_coding::bits::{BitReader, BitWriter};
 use codecomp_core::bytesio::{code_global, Cursor, Io};
 use codecomp_core::cov_hit;
-use codecomp_vm::encode::{canonical_instance, field_refs, BaseOp, Field};
+use codecomp_vm::encode::{canonical_instance, field_refs, rebuild, set_field, BaseOp, Field};
 use codecomp_vm::isa::{FuncRef, Inst};
 use codecomp_vm::program::{callees_by_name, Callee, VmGlobal};
 use codecomp_vm::reg::Reg;
@@ -120,15 +120,15 @@ pub struct ItemBuf {
 
 /// Lookup tables derived from an image's dictionary, Markov tables and
 /// function names — what "the decompressor can build" (§4) — so each
-/// in-place decode step indexes arrays instead of hashing, summing or
-/// comparing strings. Build once per image with [`DecodeTables::new`];
-/// they go stale if the image's dictionary, Markov tables or function
-/// table change.
+/// in-place decode step indexes arrays and copies a template instead of
+/// hashing, summing, comparing strings or rebuilding instructions.
+/// Build once per image with [`DecodeTables::new`]; they go stale if the
+/// image's dictionary, Markov tables or function table change.
 #[derive(Debug)]
 pub struct DecodeTables {
     successors: SuccessorTable,
-    /// Operand bytes of each dictionary entry.
-    operand_bytes: Vec<u32>,
+    /// One template per dictionary entry.
+    templates: Vec<Template>,
     /// Call target of each function index.
     function_callee: Vec<Callee>,
     /// Call target of each host index.
@@ -136,16 +136,27 @@ pub struct DecodeTables {
 }
 
 impl DecodeTables {
+    /// The target of the call whose `Func` operand bits are `raw`.
+    fn callee(&self, raw: u64) -> Result<Callee, BriscError> {
+        let idx = raw as u16;
+        let target = if idx >= HOST_FUNC_BASE {
+            self.host_callee
+                .get(usize::from(idx - HOST_FUNC_BASE))
+                .ok_or_else(|| BriscError::Corrupt("bad host index".into()))?
+        } else {
+            self.function_callee
+                .get(usize::from(idx))
+                .ok_or_else(|| BriscError::Corrupt("bad function index".into()))?
+        };
+        Ok(*target)
+    }
+
     /// Builds the tables for `image`.
     pub fn new(image: &BriscImage) -> DecodeTables {
         let by_name = callees_by_name(image.functions.iter().map(|f| f.name.as_str()));
         DecodeTables {
             successors: SuccessorTable::new(&image.markov, image.dictionary.len()),
-            operand_bytes: image
-                .dictionary
-                .iter()
-                .map(|e| e.wildcard_bits().div_ceil(8))
-                .collect(),
+            templates: image.dictionary.iter().map(Template::new).collect(),
             function_callee: image
                 .functions
                 .iter()
@@ -156,6 +167,116 @@ impl DecodeTables {
                 .map(|name| by_name[name])
                 .collect(),
         }
+    }
+}
+
+/// One dictionary entry decoded as far as it can be without operands:
+/// everything an item of the entry holds that its operand bits do not
+/// change. Its size follows the entry, never the code.
+#[derive(Debug)]
+struct Template {
+    /// One instruction per pattern, burned fields set, wildcards zero.
+    insts: Vec<Inst>,
+    /// The wildcards, in the order their bits are coded.
+    wildcards: Vec<Wildcard>,
+    /// Operand bytes of an item of this entry.
+    operand_bytes: usize,
+    /// The error every item of this entry raises once `wildcards` have
+    /// been read; `insts` then stops before the failing pattern.
+    fault: Option<Fault>,
+}
+
+/// Where one wildcard of a [`Template`] goes.
+#[derive(Debug, Clone, Copy)]
+struct Wildcard {
+    /// The instruction (the pattern's index in the entry).
+    inst: usize,
+    /// Its operand field there, or `None` for a field past the base
+    /// instruction's arity, which is read and checked but not stored. A
+    /// call target is never stored either: it sets the instruction's
+    /// callee, and the call keeps the template's empty symbol.
+    field: Option<usize>,
+    kind: FieldKind,
+}
+
+/// Why every item of a dictionary entry fails to decode.
+#[derive(Debug)]
+enum Fault {
+    /// The entry has no patterns.
+    Empty,
+    /// This pattern is no instruction whatever its operands (see
+    /// [`crate::entry::InstPattern::template`]). Its fields are read in
+    /// order up to the failure, so a bad operand before it is reported
+    /// first.
+    Pattern(InstPattern),
+}
+
+impl Template {
+    fn new(entry: &DictEntry) -> Template {
+        let mut template = Template {
+            insts: Vec::with_capacity(entry.patterns.len()),
+            wildcards: Vec::new(),
+            operand_bytes: entry.wildcard_bits().div_ceil(8) as usize,
+            fault: entry.patterns.is_empty().then_some(Fault::Empty),
+        };
+        for p in &entry.patterns {
+            let Some(inst) = p.template() else {
+                template.fault = Some(Fault::Pattern(p.clone()));
+                break;
+            };
+            let arity = field_refs(&inst).len();
+            for (i, f) in p.fields.iter().enumerate() {
+                if let PatternField::Wildcard(kind) = *f {
+                    template.wildcards.push(Wildcard {
+                        inst: template.insts.len(),
+                        field: (i < arity).then_some(i),
+                        kind,
+                    });
+                }
+            }
+            template.insts.push(inst);
+        }
+        template
+    }
+}
+
+impl Fault {
+    /// The error an item raises here, reading what the failing pattern
+    /// reads before it fails.
+    fn raise(&self, bits: &mut BitReader<'_>, tables: &DecodeTables) -> BriscError {
+        let p = match self {
+            Fault::Empty => return BriscError::Corrupt("empty dictionary entry".into()),
+            Fault::Pattern(p) => p,
+        };
+        // No base instruction has more than three fields; values past
+        // the third are still read (and so checked) but unused.
+        let mut full = [Field::Imm(0), Field::Imm(0), Field::Imm(0)];
+        for (i, f) in p.fields.iter().enumerate() {
+            let value = match f {
+                PatternField::Wildcard(kind) => {
+                    let raw = match read_operand(*kind, bits) {
+                        Ok(raw) => raw,
+                        Err(e) => return e,
+                    };
+                    if *kind == FieldKind::Func {
+                        if let Err(e) = tables.callee(raw) {
+                            return e;
+                        }
+                    }
+                    kind.value(raw).to_field()
+                }
+                PatternField::Burned(Field::Func(_)) => {
+                    return BriscError::Corrupt("call target burned into the dictionary".into())
+                }
+                PatternField::Burned(v) => v.clone(),
+            };
+            if let Some(slot) = full.get_mut(i) {
+                *slot = value;
+            }
+        }
+        let shape = rebuild(p.base, &full[..p.fields.len().min(full.len())])
+            .expect_err("a pattern without a template has the wrong shape");
+        BriscError::Corrupt(shape.to_string())
     }
 }
 
@@ -215,7 +336,9 @@ impl BriscImage {
     /// # Errors
     ///
     /// [`BriscError::Corrupt`] on invalid opcodes, entry ids, function
-    /// or host indices, or truncation.
+    /// or host indices, truncation, or an entry no item of which decodes
+    /// (no patterns, a burned call target, or fields that do not fit the
+    /// base instruction).
     pub fn decode_into(
         &self,
         pos: usize,
@@ -223,42 +346,45 @@ impl BriscImage {
         tables: &DecodeTables,
         item: &mut ItemBuf,
     ) -> Result<(), BriscError> {
-        item.insts.clear();
-        item.callees.clear();
         let mut cursor = pos;
         let entry_id =
             tables
                 .successors
                 .decode_opcode(self.effective_ctx(ctx), &self.code, &mut cursor)?;
-        let (Some(entry), Some(&operand_bytes)) = (
-            self.dictionary.get(entry_id as usize),
-            tables.operand_bytes.get(entry_id as usize),
-        ) else {
+        let Some(template) = tables.templates.get(entry_id as usize) else {
             cov_hit!("brisc.decode.bad_entry_id");
             return Err(BriscError::Corrupt(format!("bad entry id {entry_id}")));
         };
-        let operand_bytes = operand_bytes as usize;
-        let Some(operand_slice) = self.code.get(cursor..cursor + operand_bytes) else {
+        if self.code.len() < cursor + template.operand_bytes {
             cov_hit!("brisc.decode.operand_overrun");
             return Err(BriscError::Corrupt("operands past end of code".into()));
-        };
-        let mut bits = BitReader::new(operand_slice);
-        for p in &entry.patterns {
-            let mut callee = Callee::None;
-            let inst = p.instantiate(|field| match field {
-                PatternField::Wildcard(kind) => read_field(*kind, &mut bits, tables, &mut callee),
-                // The compressor never burns a call target and the
-                // image format cannot carry one.
-                PatternField::Burned(Field::Func(_)) => Err(BriscError::Corrupt(
-                    "call target burned into the dictionary".into(),
-                )),
-                PatternField::Burned(v) => Ok(v.clone()),
-            })?;
-            item.insts.push(inst);
-            item.callees.push(callee);
+        }
+        // The entry's wildcards fill at most its operand bytes, so the
+        // reads stay inside them; handing the reader the rest of the code
+        // only lets each read load a whole window.
+        let mut bits = BitReader::new(&self.code[cursor..]);
+        item.insts.clone_from(&template.insts);
+        item.callees.clear();
+        item.callees.resize(template.insts.len(), Callee::None);
+        for w in &template.wildcards {
+            let raw = read_operand(w.kind, &mut bits)?;
+            if w.kind == FieldKind::Func {
+                // A `Call` takes its target from its first `Func` field.
+                let target = tables.callee(raw)?;
+                let callee = &mut item.callees[w.inst];
+                if *callee == Callee::None {
+                    *callee = target;
+                }
+            } else if let Some(field) = w.field {
+                set_field(&mut item.insts[w.inst], field, w.kind.value(raw))
+                    .map_err(|e| BriscError::Corrupt(e.to_string()))?;
+            }
+        }
+        if let Some(fault) = &template.fault {
+            return Err(fault.raise(&mut bits, tables));
         }
         item.entry = entry_id;
-        item.size = cursor - pos + operand_bytes;
+        item.size = cursor - pos + template.operand_bytes;
         Ok(())
     }
 
@@ -335,46 +461,11 @@ impl BriscImage {
     }
 }
 
-/// Reads one wildcard field. A `Func` field comes back as an empty
-/// symbol; its resolved target goes to `callee`.
-fn read_field(
-    kind: FieldKind,
-    bits: &mut BitReader<'_>,
-    tables: &DecodeTables,
-    callee: &mut Callee,
-) -> Result<Field, BriscError> {
-    let eof = |_| BriscError::Corrupt("operand bits past end of code".into());
-    Ok(match kind {
-        FieldKind::Reg => Field::Reg(Reg::new(bits.read_bits(4).map_err(eof)? as u8)),
-        FieldKind::Imm(ImmEnc::X4) => Field::Imm(bits.read_bits(4).map_err(eof)? as i32 * 4),
-        FieldKind::Imm(ImmEnc::I8) => {
-            Field::Imm(i32::from(bits.read_bits(8).map_err(eof)? as u8 as i8))
-        }
-        FieldKind::Imm(ImmEnc::I16) => {
-            Field::Imm(i32::from(bits.read_bits(16).map_err(eof)? as u16 as i16))
-        }
-        FieldKind::Imm(ImmEnc::I32) => Field::Imm(bits.read_bits(32).map_err(eof)? as i32),
-        FieldKind::Target => Field::Target(bits.read_bits(16).map_err(eof)? as u32),
-        FieldKind::Func => {
-            let idx = bits.read_bits(16).map_err(eof)? as u16;
-            let target = if idx >= HOST_FUNC_BASE {
-                tables
-                    .host_callee
-                    .get(usize::from(idx - HOST_FUNC_BASE))
-                    .ok_or_else(|| BriscError::Corrupt("bad host index".into()))?
-            } else {
-                tables
-                    .function_callee
-                    .get(usize::from(idx))
-                    .ok_or_else(|| BriscError::Corrupt("bad function index".into()))?
-            };
-            // A `Call` takes its target from its first `Func` field.
-            if *callee == Callee::None {
-                *callee = *target;
-            }
-            Field::Func(String::new())
-        }
-    })
+/// Reads the operand bits of one wildcard of `kind`.
+#[inline]
+fn read_operand(kind: FieldKind, bits: &mut BitReader<'_>) -> Result<u64, BriscError> {
+    bits.read_bits(kind.bits() as u8)
+        .map_err(|_| BriscError::Corrupt("operand bits past end of code".into()))
 }
 
 // ---- assembly -----------------------------------------------------------------
@@ -839,7 +930,6 @@ impl BriscImage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::InstPattern;
     use codecomp_vm::asm::parse_inst;
 
     fn base_entry(s: &str) -> DictEntry {
@@ -1140,5 +1230,253 @@ mod tests {
                 target: FuncRef::Symbol(String::new())
             }
         );
+    }
+
+    // ---- the reference decoder ------------------------------------------------
+
+    /// One decode's observable result: entry, size, instructions and
+    /// callees, or the error.
+    type Decoded = Result<(u32, usize, Vec<Inst>, Vec<Callee>), BriscError>;
+
+    /// The decoder templates replaced: every pattern of the entry
+    /// instantiated from scratch, its fields read one by one. Kept as
+    /// the reference [`BriscImage::decode_into`] must equal item for
+    /// item. The one addition is the empty entry, which this decoded as
+    /// an empty item for the interpreter's run loop to trap on.
+    fn reference_decode(
+        image: &BriscImage,
+        pos: usize,
+        ctx: u32,
+        tables: &DecodeTables,
+    ) -> Decoded {
+        let mut cursor = pos;
+        let entry_id =
+            tables
+                .successors
+                .decode_opcode(image.effective_ctx(ctx), &image.code, &mut cursor)?;
+        let Some(entry) = image.dictionary.get(entry_id as usize) else {
+            return Err(BriscError::Corrupt(format!("bad entry id {entry_id}")));
+        };
+        let operand_bytes = entry.wildcard_bits().div_ceil(8) as usize;
+        let Some(operand_slice) = image.code.get(cursor..cursor + operand_bytes) else {
+            return Err(BriscError::Corrupt("operands past end of code".into()));
+        };
+        let mut bits = BitReader::new(operand_slice);
+        let (mut insts, mut callees) = (Vec::new(), Vec::new());
+        for p in &entry.patterns {
+            let mut callee = Callee::None;
+            let inst = instantiate(p, |field| match field {
+                PatternField::Wildcard(kind) => read_field(*kind, &mut bits, tables, &mut callee),
+                PatternField::Burned(Field::Func(_)) => Err(BriscError::Corrupt(
+                    "call target burned into the dictionary".into(),
+                )),
+                PatternField::Burned(v) => Ok(v.clone()),
+            })?;
+            insts.push(inst);
+            callees.push(callee);
+        }
+        if insts.is_empty() {
+            return Err(BriscError::Corrupt("empty dictionary entry".into()));
+        }
+        Ok((entry_id, cursor - pos + operand_bytes, insts, callees))
+    }
+
+    /// Rebuilds an instruction, asking `value` for each field position
+    /// in order (burned or wildcard).
+    fn instantiate(
+        p: &InstPattern,
+        mut value: impl FnMut(&PatternField) -> Result<Field, BriscError>,
+    ) -> Result<Inst, BriscError> {
+        // No base instruction has more than three fields; values past
+        // the third are still produced (and so checked) but unused.
+        let mut full = [Field::Imm(0), Field::Imm(0), Field::Imm(0)];
+        for (i, f) in p.fields.iter().enumerate() {
+            let v = value(f)?;
+            if let Some(slot) = full.get_mut(i) {
+                *slot = v;
+            }
+        }
+        rebuild(p.base, &full[..p.fields.len().min(full.len())])
+            .map_err(|e| BriscError::Corrupt(e.to_string()))
+    }
+
+    /// Reads one wildcard field. A `Func` field comes back as an empty
+    /// symbol; the first one's resolved target goes to `callee`.
+    fn read_field(
+        kind: FieldKind,
+        bits: &mut BitReader<'_>,
+        tables: &DecodeTables,
+        callee: &mut Callee,
+    ) -> Result<Field, BriscError> {
+        let eof = |_| BriscError::Corrupt("operand bits past end of code".into());
+        Ok(match kind {
+            FieldKind::Reg => Field::Reg(Reg::new(bits.read_bits(4).map_err(eof)? as u8)),
+            FieldKind::Imm(ImmEnc::X4) => Field::Imm(bits.read_bits(4).map_err(eof)? as i32 * 4),
+            FieldKind::Imm(ImmEnc::I8) => {
+                Field::Imm(i32::from(bits.read_bits(8).map_err(eof)? as u8 as i8))
+            }
+            FieldKind::Imm(ImmEnc::I16) => {
+                Field::Imm(i32::from(bits.read_bits(16).map_err(eof)? as u16 as i16))
+            }
+            FieldKind::Imm(ImmEnc::I32) => Field::Imm(bits.read_bits(32).map_err(eof)? as i32),
+            FieldKind::Target => Field::Target(bits.read_bits(16).map_err(eof)? as u32),
+            FieldKind::Func => {
+                let idx = bits.read_bits(16).map_err(eof)? as u16;
+                let target = if idx >= HOST_FUNC_BASE {
+                    tables
+                        .host_callee
+                        .get(usize::from(idx - HOST_FUNC_BASE))
+                        .ok_or_else(|| BriscError::Corrupt("bad host index".into()))?
+                } else {
+                    tables
+                        .function_callee
+                        .get(usize::from(idx))
+                        .ok_or_else(|| BriscError::Corrupt("bad function index".into()))?
+                };
+                if *callee == Callee::None {
+                    *callee = *target;
+                }
+                Field::Func(String::new())
+            }
+        })
+    }
+
+    /// Walks every function of `image` as the load scan does, decoding
+    /// each item with the templates and with the reference, until the
+    /// function's first error; returns the number of items compared and
+    /// the errors the walks stopped at.
+    fn assert_matches_reference(what: &str, image: &BriscImage) -> (usize, Vec<BriscError>) {
+        let tables = DecodeTables::new(image);
+        let mut buf = ItemBuf::default();
+        let (mut compared, mut errors) = (0, Vec::new());
+        for (fi, f) in image.functions.iter().enumerate() {
+            let start = f.start as usize;
+            let (mut pos, end) = (start, start + f.len as usize);
+            let mut ctx = BLOCK_START;
+            while pos < end {
+                if image.is_extra_leader(fi, (pos - start) as u32) {
+                    ctx = BLOCK_START;
+                }
+                let expect = reference_decode(image, pos, ctx, &tables);
+                let got: Decoded = image
+                    .decode_into(pos, ctx, &tables, &mut buf)
+                    .map(|()| (buf.entry, buf.size, buf.insts.clone(), buf.callees.clone()));
+                assert_eq!(got, expect, "{what}: item at {pos}, context {ctx}");
+                compared += 1;
+                let (entry, size, insts) = match expect {
+                    Ok((entry, size, insts, _)) => (entry, size, insts),
+                    Err(e) => {
+                        errors.push(e);
+                        break;
+                    }
+                };
+                ctx = if insts.last().is_some_and(Inst::ends_block) {
+                    BLOCK_START
+                } else {
+                    entry
+                };
+                pos += size;
+            }
+        }
+        (compared, errors)
+    }
+
+    fn compiled(src: &str) -> codecomp_vm::program::VmProgram {
+        let ir = codecomp_front::compile(src).unwrap();
+        codecomp_vm::codegen::compile_module(&ir, codecomp_vm::isa::IsaConfig::full()).unwrap()
+    }
+
+    #[test]
+    fn templates_decode_every_corpus_and_synthetic_item_as_the_reference_does() {
+        let modules = codecomp_corpus::synthetic_modules(
+            7,
+            codecomp_corpus::MultiModuleConfig {
+                modules: 2,
+                shared_functions: 10,
+                functions_per_module: 6,
+                statements_per_function: 8,
+                globals: 5,
+                max_expr_depth: 4,
+            },
+        );
+        let sources = codecomp_corpus::benchmarks()
+            .into_iter()
+            .map(|b| (b.name, b.source))
+            .chain(modules.iter().map(|src| ("module", src.as_str())));
+        let mut compared = 0;
+        for (name, src) in sources {
+            let vm = compiled(src);
+            for options in crate::compress::tests::golden_variants() {
+                let image = crate::compress::compress(&vm, options).unwrap().image;
+                let (items, errors) =
+                    assert_matches_reference(&format!("{name} {options:?}"), &image);
+                assert_eq!(errors, [], "{name} {options:?}");
+                compared += items;
+            }
+        }
+        assert!(compared > 30_000, "only {compared} items compared");
+    }
+
+    #[test]
+    fn templates_fail_as_the_reference_does_on_mutated_code_and_dictionaries() {
+        use codecomp_core::fault::mutation_schedule;
+        const MUTATIONS: usize = 150;
+        let budget = codecomp_core::Budget::default();
+        let (mut code_cases, mut dict_cases) = (0, 0);
+        // Failures every template fault and operand check must have met.
+        let mut failures = vec![
+            "field shape mismatch",
+            "empty dictionary entry",
+            "bad function index",
+            "bad host index",
+            "bad entry id",
+        ];
+        for (seed, b) in codecomp_corpus::benchmarks().into_iter().enumerate() {
+            let vm = compiled(b.source);
+            let image = crate::compress::compress(&vm, Default::default())
+                .unwrap()
+                .image;
+            let mut check = |what: String, mutated: &BriscImage| {
+                for e in assert_matches_reference(&what, mutated).1 {
+                    let e = e.to_string();
+                    failures.retain(|class| !e.contains(class));
+                }
+            };
+            for m in mutation_schedule(seed as u64, image.code.len(), MUTATIONS) {
+                let mutated = BriscImage {
+                    code: m.apply(&image.code),
+                    ..image.clone()
+                };
+                check(format!("{} code {m:?}", b.name), &mutated);
+                code_cases += 1;
+            }
+            // Entries the code still names but the dictionary lost.
+            let mut halved = image.clone();
+            halved.dictionary.truncate(image.dictionary.len() / 2);
+            check(format!("{} halved dictionary", b.name), &halved);
+            let mut dict_bytes = Vec::new();
+            dict_bytes
+                .seq(&mut image.dictionary.clone(), code_entry)
+                .unwrap();
+            for m in mutation_schedule(seed as u64, dict_bytes.len(), MUTATIONS) {
+                let mut dictionary = Vec::new();
+                let bytes = m.apply(&dict_bytes);
+                if Cursor::new(&bytes, &budget)
+                    .seq(&mut dictionary, code_entry)
+                    .is_err()
+                {
+                    continue;
+                }
+                let mutated = BriscImage {
+                    dictionary,
+                    ..image.clone()
+                };
+                check(format!("{} dictionary {m:?}", b.name), &mutated);
+                dict_cases += 1;
+            }
+        }
+        assert_eq!(code_cases, 10 * MUTATIONS);
+        assert!(dict_cases > 150, "only {dict_cases} dictionaries decoded");
+        assert!(failures.is_empty(), "never failed with {failures:?}");
     }
 }

@@ -19,23 +19,26 @@
 //! 2. look up the opcode byte (or escape) in the context's successor
 //!    list — an index into the flat [`DecodeTables`] built once per
 //!    machine;
-//! 3. unpack the entry's operand bits and instantiate its patterns into
-//!    a reused buffer, with calls already resolved to a function or
-//!    host index;
+//! 3. copy the entry's template — its instructions with every burned
+//!    field already set, built once per machine — into a reused buffer,
+//!    then read each wildcard's operand bits and write the value into
+//!    its field, with calls resolved to a function or host index;
 //! 4. mark the item's bytes in the touch map;
 //! 5. hand each expanded instruction to the VM's shared execution core
 //!    ([`codecomp_vm::interp::Core::step`], the same code the VM
 //!    interpreter runs), map the [`Flow`] it returns into this image's
 //!    byte offsets, and pick the next context.
 //!
-//! The tables hold only what the transmitted dictionary, Markov tables
-//! and function names determine; they are not a decoded copy of code.
+//! The tables, templates included, hold only what the transmitted
+//! dictionary, Markov tables and function names determine; they are not
+//! a decoded copy of code.
 
 use crate::image::{BriscImage, DecodeTables, ItemBuf};
 use crate::markov::BLOCK_START;
 use crate::BriscError;
 use codecomp_core::cov_hit;
 use codecomp_vm::interp::{Core, Flow, Frame};
+use codecomp_vm::isa::Inst;
 
 /// The result of a BRISC run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -273,14 +276,9 @@ impl<'a> BriscMachine<'a> {
             }
             (pc, ctx) = match flow {
                 Flow::Fall => {
-                    // Serialized entries always hold at least one pattern,
-                    // but a decoded dictionary handed in directly may not.
-                    let last = item
-                        .insts
-                        .last()
-                        .ok_or_else(|| BriscError::Corrupt("empty dictionary entry".into()))?;
                     let next_local = (next - func_start) as u32;
-                    let leader = last.ends_block() || image.is_extra_leader(func, next_local);
+                    let leader = item.insts.last().is_some_and(Inst::ends_block)
+                        || image.is_extra_leader(func, next_local);
                     (next, if leader { BLOCK_START } else { item.entry })
                 }
                 Flow::Branch(target) => (func_start + target as usize, BLOCK_START),
@@ -549,6 +547,61 @@ mod tests {
             .run("h", &[3])
             .unwrap();
         assert_eq!(m3.run("h", &[3]).unwrap().value, expect.value);
+    }
+
+    #[test]
+    fn every_tier_rejects_an_empty_dictionary_entry() {
+        // main: li n0,5; <empty entry>; rjr ra. A serialized image with
+        // an empty entry is rejected at load, so this one is hand-built.
+        use crate::entry::{DictEntry, InstPattern};
+        use crate::image::{assemble, FuncItems, Item};
+        use codecomp_vm::asm::parse_inst;
+        use codecomp_vm::encode::Field;
+        use codecomp_vm::reg::Reg;
+        let single = |s| DictEntry::single(InstPattern::base_of(&parse_inst(s, 1).unwrap()));
+        let dictionary = vec![single("li n0,1"), DictEntry::default(), single("rjr ra")];
+        let items = vec![
+            Item {
+                entry: 0,
+                values: vec![Field::Reg(Reg::new(0)), Field::Imm(5)],
+            },
+            Item {
+                entry: 1,
+                values: vec![],
+            },
+            Item {
+                entry: 2,
+                values: vec![Field::Reg(Reg::RA)],
+            },
+        ];
+        let main = FuncItems {
+            name: "main".into(),
+            param_count: 0,
+            frame_size: 0,
+            saved_regs: vec![],
+            leaders: vec![true, false, false],
+            items,
+        };
+        let image = assemble(dictionary, vec![main], vec![]).unwrap();
+        let corrupt = BriscError::Corrupt("empty dictionary entry".into());
+
+        let mut m = BriscMachine::new(&image, 1 << 16, 1 << 12).unwrap();
+        assert_eq!(m.run("main", &[]), Err(corrupt.clone()));
+        assert_eq!(crate::translate::translate(&image).unwrap_err(), corrupt);
+        let limits = codecomp_core::DecodeLimits::default();
+        let mut governed = BriscMachine::new_governed(&image, 1 << 16, 1 << 12, limits).unwrap();
+        let cause = codecomp_core::DecodeError::from(corrupt);
+        assert_eq!(
+            governed.quarantined_functions(),
+            vec![("main".to_string(), cause.clone())]
+        );
+        assert_eq!(
+            governed.run("main", &[]),
+            Err(BriscError::Quarantined {
+                name: "main".into(),
+                cause
+            })
+        );
     }
 
     #[test]

@@ -135,18 +135,28 @@ impl<'a> BitReader<'a> {
             self.pos = total;
             return Err(CodingError::UnexpectedEof);
         }
-        // Whole or partial bytes at a time: at most 9 iterations.
-        let mut value = 0u64;
-        let mut left = u32::from(count);
-        while left > 0 {
-            let byte = u32::from(self.bytes[(self.pos / 8) as usize]);
-            let avail = 8 - (self.pos % 8) as u32;
-            let take = avail.min(left);
-            let chunk = (byte >> (avail - take)) & ((1 << take) - 1);
-            value = (value << take) | u64::from(chunk);
-            self.pos += u64::from(take);
-            left -= take;
+        if count > 56 {
+            // Wider than one window reaches: the high part, then 32 bits.
+            let high = self.read_bits(count - 32)?;
+            return Ok(high << 32 | self.read_bits(32)?);
         }
+        if count == 0 {
+            return Ok(0);
+        }
+        // One big-endian 64-bit window from the byte holding the next
+        // bit (zero-padded past the end): the up to 7 bits of it already
+        // consumed, then at least 57 more.
+        let tail = &self.bytes[(self.pos / 8) as usize..];
+        let word = match tail.first_chunk::<8>() {
+            Some(chunk) => u64::from_be_bytes(*chunk),
+            None => {
+                let mut chunk = [0u8; 8];
+                chunk[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(chunk)
+            }
+        };
+        let value = (word << (self.pos % 8)) >> (64 - u32::from(count));
+        self.pos += u64::from(count);
         Ok(value)
     }
 

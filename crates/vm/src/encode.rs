@@ -153,6 +153,16 @@ pub enum Field {
 }
 
 impl Field {
+    /// The borrowed view of this field.
+    pub fn to_ref(&self) -> FieldRef<'_> {
+        match self {
+            Field::Reg(r) => FieldRef::Reg(*r),
+            Field::Imm(v) => FieldRef::Imm(*v),
+            Field::Target(t) => FieldRef::Target(*t),
+            Field::Func(name) => FieldRef::Func(name),
+        }
+    }
+
     /// Field width in bits in the base encoding.
     pub fn bits(&self) -> u32 {
         match self {
@@ -372,120 +382,122 @@ pub fn field_refs(inst: &Inst) -> FieldRefs<'_> {
 }
 
 /// Rebuilds an instruction from a base pattern and field values; the
-/// inverse of [`base_op`] + [`fields`].
+/// inverse of [`base_op`] + [`fields`]: [`canonical_instance`] with each
+/// field written by [`set_field`]. Values past the base pattern's arity
+/// are ignored.
 ///
 /// # Errors
 ///
 /// [`VmError::Encode`] when the fields do not match the pattern's shape.
 pub fn rebuild(op: BaseOp, fs: &[Field]) -> Result<Inst, VmError> {
-    let bad = || VmError::Encode(format!("field shape mismatch for {op:?}: {fs:?}"));
-    let reg = |i: usize| match fs.get(i) {
-        Some(Field::Reg(r)) => Ok(*r),
-        _ => Err(bad()),
-    };
-    let imm = |i: usize| match fs.get(i) {
-        Some(Field::Imm(v)) => Ok(*v),
-        _ => Err(bad()),
-    };
-    let target = |i: usize| match fs.get(i) {
-        Some(Field::Target(t)) => Ok(*t),
-        _ => Err(bad()),
-    };
-    Ok(match op {
-        BaseOp::Li => Inst::Li {
-            rd: reg(0)?,
-            imm: imm(1)?,
-        },
-        BaseOp::Mov => Inst::Mov {
-            rd: reg(0)?,
-            rs: reg(1)?,
-        },
-        BaseOp::Alu(o) => Inst::Alu {
-            op: o,
-            rd: reg(0)?,
-            rs: reg(1)?,
-            rt: reg(2)?,
-        },
-        BaseOp::AluImm(o) => Inst::AluImm {
-            op: o,
-            rd: reg(0)?,
-            rs: reg(1)?,
-            imm: imm(2)?,
-        },
-        BaseOp::Neg => Inst::Neg {
-            rd: reg(0)?,
-            rs: reg(1)?,
-        },
-        BaseOp::Not => Inst::Not {
-            rd: reg(0)?,
-            rs: reg(1)?,
-        },
-        BaseOp::Sext(w) => Inst::Sext {
-            width: w,
-            rd: reg(0)?,
-            rs: reg(1)?,
-        },
-        BaseOp::Load(w) => Inst::Load {
-            width: w,
-            rd: reg(0)?,
-            off: imm(1)?,
-            base: reg(2)?,
-        },
-        BaseOp::Store(w) => Inst::Store {
-            width: w,
-            rs: reg(0)?,
-            off: imm(1)?,
-            base: reg(2)?,
-        },
-        BaseOp::Spill => Inst::Spill {
-            rs: reg(0)?,
-            off: imm(1)?,
-        },
-        BaseOp::Reload => Inst::Reload {
-            rd: reg(0)?,
-            off: imm(1)?,
-        },
-        BaseOp::Enter => {
-            let _ = (reg(0)?, reg(1)?);
-            Inst::Enter { amount: imm(2)? }
+    let mut inst = canonical_instance(op);
+    for slot in 0..field_refs(&inst).len() {
+        let written = fs
+            .get(slot)
+            .is_some_and(|f| set_field(&mut inst, slot, f.to_ref()).is_ok());
+        if !written {
+            return Err(VmError::Encode(format!(
+                "field shape mismatch for {op:?}: {fs:?}"
+            )));
         }
-        BaseOp::Exit => {
-            let _ = (reg(0)?, reg(1)?);
-            Inst::Exit { amount: imm(2)? }
-        }
-        BaseOp::Branch(c) => Inst::Branch {
-            cond: c,
-            rs: reg(0)?,
-            rt: reg(1)?,
-            target: target(2)?,
-        },
-        BaseOp::BranchImm(c) => Inst::BranchImm {
-            cond: c,
-            rs: reg(0)?,
-            imm: imm(1)?,
-            target: target(2)?,
-        },
-        BaseOp::Jump => Inst::Jump { target: target(0)? },
-        BaseOp::Call => match fs.first() {
-            Some(Field::Func(name)) => Inst::Call {
-                target: FuncRef::Symbol(name.clone()),
+    }
+    Ok(inst)
+}
+
+/// Writes `value` into operand field `slot` of `inst`, numbered as
+/// [`field_refs`] lists them; with [`field_refs`], the one place that
+/// knows where each field lives. The two `sp` fields of `enter`/`exit`
+/// are transmitted but not stored, so writing a register there only
+/// checks its kind. A call's symbol reuses the buffer it replaces.
+///
+/// # Errors
+///
+/// [`VmError::Encode`] when `inst` has no field `slot` of `value`'s kind.
+#[inline]
+pub fn set_field(inst: &mut Inst, slot: usize, value: FieldRef<'_>) -> Result<(), VmError> {
+    use FieldRef as F;
+    match (&mut *inst, slot, value) {
+        (
+            Inst::Li { rd, .. }
+            | Inst::Mov { rd, .. }
+            | Inst::Neg { rd, .. }
+            | Inst::Not { rd, .. }
+            | Inst::Sext { rd, .. }
+            | Inst::Alu { rd, .. }
+            | Inst::AluImm { rd, .. }
+            | Inst::Load { rd, .. }
+            | Inst::Reload { rd, .. }
+            | Inst::Bcopy { rd, .. }
+            | Inst::Bzero { rd, .. },
+            0,
+            F::Reg(r),
+        )
+        | (
+            Inst::Store { rs: rd, .. }
+            | Inst::Spill { rs: rd, .. }
+            | Inst::Branch { rs: rd, .. }
+            | Inst::BranchImm { rs: rd, .. }
+            | Inst::CallR { rs: rd }
+            | Inst::Rjr { rs: rd },
+            0,
+            F::Reg(r),
+        )
+        | (
+            Inst::Mov { rs: rd, .. }
+            | Inst::Neg { rs: rd, .. }
+            | Inst::Not { rs: rd, .. }
+            | Inst::Sext { rs: rd, .. }
+            | Inst::Alu { rs: rd, .. }
+            | Inst::AluImm { rs: rd, .. }
+            | Inst::Branch { rt: rd, .. }
+            | Inst::Bcopy { rs: rd, .. }
+            | Inst::Bzero { rn: rd, .. },
+            1,
+            F::Reg(r),
+        )
+        | (
+            Inst::Alu { rt: rd, .. }
+            | Inst::Load { base: rd, .. }
+            | Inst::Store { base: rd, .. }
+            | Inst::Bcopy { rn: rd, .. },
+            2,
+            F::Reg(r),
+        ) => *rd = r,
+        (Inst::Enter { .. } | Inst::Exit { .. }, 0 | 1, F::Reg(_)) => {}
+        (
+            Inst::Li { imm, .. }
+            | Inst::Load { off: imm, .. }
+            | Inst::Store { off: imm, .. }
+            | Inst::Spill { off: imm, .. }
+            | Inst::Reload { off: imm, .. }
+            | Inst::BranchImm { imm, .. },
+            1,
+            F::Imm(v),
+        )
+        | (
+            Inst::AluImm { imm, .. } | Inst::Enter { amount: imm } | Inst::Exit { amount: imm },
+            2,
+            F::Imm(v),
+        ) => *imm = v,
+        (Inst::Branch { target, .. } | Inst::BranchImm { target, .. }, 2, F::Target(t))
+        | (Inst::Jump { target }, 0, F::Target(t)) => *target = t,
+        (
+            Inst::Call {
+                target: FuncRef::Symbol(symbol),
             },
-            _ => return Err(bad()),
-        },
-        BaseOp::CallR => Inst::CallR { rs: reg(0)? },
-        BaseOp::Rjr => Inst::Rjr { rs: reg(0)? },
-        BaseOp::Epi => Inst::Epi,
-        BaseOp::Bcopy => Inst::Bcopy {
-            rd: reg(0)?,
-            rs: reg(1)?,
-            rn: reg(2)?,
-        },
-        BaseOp::Bzero => Inst::Bzero {
-            rd: reg(0)?,
-            rn: reg(1)?,
-        },
-        BaseOp::Nop => Inst::Nop,
-    })
+            0,
+            F::Func(name),
+        ) => {
+            symbol.clear();
+            symbol.push_str(name);
+        }
+        _ => {
+            return Err(VmError::Encode(format!(
+                "{inst:?} has no field {slot} of kind {value:?}"
+            )))
+        }
+    }
+    Ok(())
 }
 
 // ---- base byte encoding ------------------------------------------------

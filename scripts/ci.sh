@@ -16,12 +16,14 @@ cargo test -q --offline --workspace
 # Format exactness and tier agreement at scale: each golden suite's
 # ignored cases pin a 300-function synthetic module (the BRISC image,
 # pass count and candidate count; the wire and demand images) to
-# recorded values, the BRISC golden also a 1200-function one, and
+# recorded values, the BRISC golden also a 1200-function one,
 # end_to_end's runs a 300-function module through every execution
-# tier; they are too slow for the debug profile above.
-echo "==> brisc and wire golden, tiers agree (release, includes the 300- and 1200-function cases)"
+# tier, and brisc_decode_equivalence's decodes every item of the
+# 1200-function image both ways; they are too slow for the debug
+# profile above.
+echo "==> brisc and wire golden, tiers and decoders agree (release, includes the 300- and 1200-function cases)"
 cargo test --release --offline --test brisc_compress_golden --test wire_golden \
-    --test end_to_end -- --include-ignored
+    --test end_to_end --test brisc_decode_equivalence -- --include-ignored
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -4,6 +4,10 @@
 //! function or host function its name denotes. One buffer is reused
 //! across a whole image, so state left over from a previous item would
 //! show up as a mismatch.
+//!
+//! The synth-gcc-scale (1200-function) case is `#[ignore]`d (too slow
+//! for the debug profile); `scripts/ci.sh` runs it with `--release
+//! --include-ignored`.
 
 use code_compression::brisc::compress::{compress, BriscOptions};
 use code_compression::brisc::entry::{DictEntry, InstPattern};
@@ -13,7 +17,9 @@ use code_compression::brisc::image::{
 use code_compression::brisc::interp::BriscMachine;
 use code_compression::brisc::markov::BLOCK_START;
 use code_compression::core::dict::MemoryRegime;
-use code_compression::corpus::{benchmarks, synthetic_modules, MultiModuleConfig};
+use code_compression::corpus::{
+    benchmarks, synthetic, synthetic_modules, MultiModuleConfig, SynthConfig,
+};
 use code_compression::front::compile;
 use code_compression::ir::eval::HOST_FUNCTIONS;
 use code_compression::ir::Module;
@@ -162,6 +168,23 @@ fn synthetic_module_decodes_agree_under_every_option_set() {
         let ir = compile(src).unwrap();
         check_module(&format!("synthetic-{m}"), &ir);
     }
+}
+
+#[test]
+#[ignore = "synth-gcc scale: run with --release --include-ignored"]
+fn synth_gcc_scale_decodes_agree() {
+    let src = synthetic(
+        0xC0DE,
+        SynthConfig {
+            functions: 1200,
+            statements_per_function: 10,
+            globals: 12,
+        },
+    );
+    let vm = compile_module(&compile(&src).unwrap(), IsaConfig::full()).unwrap();
+    let image = compress(&vm, BriscOptions::default()).unwrap().image;
+    let items = assert_decoders_agree("synth-gcc", &image);
+    assert!(items > 100_000, "only {items} items checked");
 }
 
 /// 302 distinct dictionary entries, each used once at a block leader,
