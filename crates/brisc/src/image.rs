@@ -14,7 +14,6 @@ use crate::markov::{MarkovTables, SuccessorTable, BLOCK_START};
 use crate::BriscError;
 use codecomp_coding::bits::{BitReader, BitWriter};
 use codecomp_core::bytesio::{code_global, Cursor, Io};
-use codecomp_core::cov_hit;
 use codecomp_vm::encode::{canonical_instance, field_refs, rebuild, set_field, BaseOp, Field};
 use codecomp_vm::isa::{FuncRef, Inst};
 use codecomp_vm::program::{callees_by_name, Callee, VmGlobal};
@@ -352,11 +351,9 @@ impl BriscImage {
                 .successors
                 .decode_opcode(self.effective_ctx(ctx), &self.code, &mut cursor)?;
         let Some(template) = tables.templates.get(entry_id as usize) else {
-            cov_hit!("brisc.decode.bad_entry_id");
             return Err(BriscError::Corrupt(format!("bad entry id {entry_id}")));
         };
         if self.code.len() < cursor + template.operand_bytes {
-            cov_hit!("brisc.decode.operand_overrun");
             return Err(BriscError::Corrupt("operands past end of code".into()));
         }
         // The entry's wildcards fill at most its operand bytes, so the
@@ -673,10 +670,7 @@ pub fn code_entry<I: Io>(io: &mut I, entry: &mut DictEntry) -> Result<(), BriscE
                     .0
                     .get(usize::from(byte))
                     .copied()
-                    .ok_or_else(|| {
-                        cov_hit!("brisc.entry.bad_base_op");
-                        BriscError::Corrupt(format!("bad base op {byte}"))
-                    })
+                    .ok_or_else(|| BriscError::Corrupt(format!("bad base op {byte}")))
             },
         )?;
         let arity = field_refs(&canonical_instance(p.base)).len();
@@ -728,7 +722,6 @@ fn code_field<I: Io>(io: &mut I, field: &mut PatternField) -> Result<(), BriscEr
                 t if t & 0xF0 == 0x10 => PatternField::Burned(Field::Reg(Reg::new(t & 0x0F))),
                 0x20 => PatternField::Burned(Field::Imm(0)),
                 other => {
-                    cov_hit!("brisc.entry.bad_field_tag");
                     return Err(BriscError::Corrupt(format!("bad field tag {other}")));
                 }
             })
@@ -768,7 +761,6 @@ pub fn code_function<I: Io>(io: &mut I, f: &mut BriscFunction) -> Result<(), Bri
             |r| Ok(r.number()),
             |n| {
                 if n >= Reg::COUNT {
-                    cov_hit!("brisc.image.bad_saved_reg");
                     return Err(BriscError::Corrupt("bad saved register".into()));
                 }
                 Ok(Reg::new(n))
@@ -868,29 +860,20 @@ impl BriscImage {
         let mut outer = Cursor::new(bytes, budget);
         code_container(&mut outer, &mut image, &mut packed_header)?;
         if outer.remaining() != 0 {
-            cov_hit!("brisc.image.trailing_bytes");
             return Err(BriscError::Corrupt("trailing bytes".into()));
         }
         budget.check_output_bytes(image.code.len() as u64)?;
         let header =
             codecomp_flate::inflate_budgeted(&packed_header, budget).map_err(|e| match e {
-                codecomp_flate::FlateError::LimitExceeded { limit } => {
-                    cov_hit!("brisc.image.header_limit");
-                    BriscError::Limit {
-                        what: "header inflate output/fuel".into(),
-                        limit,
-                    }
-                }
-                other => {
-                    cov_hit!("brisc.image.header_corrupt");
-                    BriscError::Corrupt(format!("header: {other}"))
-                }
+                codecomp_flate::FlateError::LimitExceeded { limit } => BriscError::Limit {
+                    what: "header inflate output/fuel".into(),
+                    limit,
+                },
+                other => BriscError::Corrupt(format!("header: {other}")),
             })?;
-        cov_hit!("brisc.image.header_inflated");
         let mut r = Cursor::new(&header, budget);
         code_header(&mut r, &mut image)?;
         if r.remaining() != 0 {
-            cov_hit!("brisc.image.trailing_header");
             return Err(BriscError::Corrupt("trailing header bytes".into()));
         }
         if let Some(e) = image
@@ -898,7 +881,6 @@ impl BriscImage {
             .iter()
             .find(|e| e.patterns.is_empty() || e.patterns.len() > MAX_ENTRY_PATTERNS)
         {
-            cov_hit!("brisc.entry.bad_pattern_count");
             return Err(BriscError::Corrupt(format!(
                 "bad pattern count {}",
                 e.patterns.len()
@@ -906,18 +888,15 @@ impl BriscImage {
         }
         for f in &image.functions {
             if f.saved_regs.len() > usize::from(Reg::COUNT) {
-                cov_hit!("brisc.image.saved_regs_overflow");
                 return Err(BriscError::Corrupt("too many saved registers".into()));
             }
             if u64::from(f.start) + u64::from(f.len) > image.code.len() as u64 {
-                cov_hit!("brisc.image.function_overruns_code");
                 return Err(BriscError::Corrupt(format!(
                     "function {} extends past the code blob",
                     f.name
                 )));
             }
         }
-        cov_hit!("brisc.image.load_ok");
         codecomp_core::telemetry::gauge_set(
             "brisc.dictionary_entries",
             image.dictionary.len() as u64,

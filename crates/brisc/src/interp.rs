@@ -36,7 +36,6 @@
 use crate::image::{BriscImage, DecodeTables, ItemBuf};
 use crate::markov::BLOCK_START;
 use crate::BriscError;
-use codecomp_core::cov_hit;
 use codecomp_vm::interp::{Core, Flow, Frame};
 use codecomp_vm::isa::Inst;
 
@@ -83,7 +82,6 @@ impl<'a> BriscMachine<'a> {
         let mut prev_end = 0u64;
         for f in &image.functions {
             if u64::from(f.start) < prev_end {
-                cov_hit!("brisc.interp.function_layout");
                 return Err(BriscError::Corrupt(format!(
                     "function {} overlaps its predecessor or is out of code order",
                     f.name
@@ -122,7 +120,6 @@ impl<'a> BriscMachine<'a> {
         for i in 0..image.functions.len() {
             let budget = codecomp_core::Budget::new(limits);
             if let Err(e) = image.validate_function(i, &m.tables, &budget) {
-                cov_hit!("brisc.interp.quarantine_on_load");
                 let cause = codecomp_core::DecodeError::from(e);
                 if codecomp_core::telemetry::enabled() {
                     codecomp_core::telemetry::counter_add("brisc.interp.quarantines", 1);
@@ -237,13 +234,11 @@ impl<'a> BriscMachine<'a> {
         let mut item = ItemBuf::default();
         loop {
             if self.fuel == 0 {
-                cov_hit!("brisc.interp.fuel_exhausted");
                 return Err(BriscError::Exec("fuel exhausted".into()));
             }
             self.fuel -= 1;
             if !(func_start..func_end).contains(&pc) {
                 let Some(f) = image.function_at(pc) else {
-                    cov_hit!("brisc.interp.pc_outside_functions");
                     return Err(BriscError::Exec(format!("pc {pc} outside all functions")));
                 };
                 let fm = &image.functions[f];
@@ -256,7 +251,6 @@ impl<'a> BriscMachine<'a> {
                 };
             }
             if let Some(cause) = &self.quarantine[func] {
-                cov_hit!("brisc.interp.quarantine_trap");
                 return Err(BriscError::Quarantined {
                     name: image.functions[func].name.clone(),
                     cause: cause.clone(),

@@ -11,7 +11,6 @@
 
 use crate::bits::{BitReader, BitWriter};
 use crate::CodingError;
-use codecomp_core::cov_hit;
 use std::collections::BinaryHeap;
 
 /// Computes optimal code lengths for `freqs`, limited to `max_len` bits.
@@ -517,7 +516,6 @@ impl HuffmanDecoder {
     pub fn from_lengths(lengths: &[u8]) -> Result<Self, CodingError> {
         let max_len = lengths.iter().copied().max().unwrap_or(0);
         if max_len > 32 {
-            cov_hit!("huffman.tables.len_over_32");
             return Err(CodingError::InvalidCodeTable(
                 "code length exceeds 32".into(),
             ));
@@ -533,7 +531,6 @@ impl HuffmanDecoder {
             kraft += u64::from(count[len]) << (max_len as usize - len);
         }
         if max_len > 0 && kraft > 1u64 << max_len {
-            cov_hit!("huffman.tables.oversubscribed");
             return Err(CodingError::InvalidCodeTable(
                 "oversubscribed lengths".into(),
             ));
@@ -545,7 +542,6 @@ impl HuffmanDecoder {
         // single-symbol stream produces.
         let used: u32 = count.iter().skip(1).sum();
         if max_len > 0 && kraft < 1u64 << max_len && used > 1 {
-            cov_hit!("huffman.tables.undersubscribed");
             return Err(CodingError::InvalidCodeTable(
                 "undersubscribed (incomplete) lengths".into(),
             ));
@@ -611,7 +607,6 @@ impl HuffmanDecoder {
     /// Propagates [`Self::decode_one`] errors.
     pub fn decode_exact(&self, bytes: &[u8], n: usize) -> Result<Vec<usize>, CodingError> {
         let Some(table) = &self.table else {
-            cov_hit!("huffman.decode.bit_walk");
             let mut r = BitReader::new(bytes);
             let mut out = Vec::with_capacity(n);
             for _ in 0..n {
@@ -637,17 +632,14 @@ impl HuffmanDecoder {
                 // bit-walk would keep reading: it hits end-of-stream
                 // first unless a full max_len bits remain.
                 return Err(if src.remaining_bits() >= max_len {
-                    cov_hit!("huffman.decode.invalid_code");
                     CodingError::InvalidCode
                 } else {
-                    cov_hit!("huffman.decode.eof_in_code");
                     CodingError::UnexpectedEof
                 });
             }
             let len = entry & 0x1F;
             if len > src.count {
                 // Matched only thanks to zero padding past the end.
-                cov_hit!("huffman.decode.padded_match");
                 return Err(CodingError::UnexpectedEof);
             }
             src.consume(len);

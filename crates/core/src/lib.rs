@@ -26,9 +26,6 @@
 //!   decode entry point in the workspace.
 //! - [`fault`]: seeded fault injection (xorshift PRNG + byte mutators)
 //!   backing the workspace fault-injection harness.
-//! - [`coverage`]: feature-gated edge-coverage instrumentation
-//!   ([`cov_hit!`]) and [`fuzz`]: the coverage-guided campaign driver
-//!   built on it.
 //! - [`telemetry`]: zero-dependency observability — the metrics
 //!   [`telemetry::Registry`], structured [`telemetry::TraceSink`], and
 //!   the [`stage!`] marker whose guard times a stage for all of them
@@ -36,11 +33,9 @@
 //!   collector is installed.
 
 pub mod bytesio;
-pub mod coverage;
 pub mod dict;
 pub mod error;
 pub mod fault;
-pub mod fuzz;
 pub mod fxhash;
 pub mod limits;
 pub mod streams;

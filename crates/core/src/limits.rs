@@ -20,12 +20,6 @@
 //!   symbol/item, resident bytes by the demand loader as function
 //!   bodies materialize (and are released when they are evicted).
 //!
-//! A budget may additionally carry a **wall-clock deadline**
-//! ([`Budget::with_deadline`]): every charge and check verifies the
-//! deadline first, so any metered decoder becomes deadline-governed
-//! without new instrumentation — the knob a serving layer uses to stop
-//! decoding for a request whose client has already given up.
-//!
 //! Every check also records a high-water mark, so a caller can decode
 //! once with generous limits, read [`Budget::usage`], and learn the
 //! exact budget a payload needs — the basis of the exact-limit
@@ -33,7 +27,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crate::error::DecodeError;
 use crate::telemetry;
@@ -159,16 +152,6 @@ pub struct DecodeUsage {
 pub struct Budget {
     limits: DecodeLimits,
     counters: Arc<Counters>,
-    deadline: Option<Deadline>,
-}
-
-/// A wall-clock expiry attached to a [`Budget`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Deadline {
-    /// The instant past which every check trips.
-    at: Instant,
-    /// The granted span in nanoseconds, reported in the limit error.
-    granted_nanos: u64,
 }
 
 impl Default for Budget {
@@ -183,7 +166,6 @@ impl Budget {
         Budget {
             limits,
             counters: Arc::new(Counters::default()),
-            deadline: None,
         }
     }
 
@@ -197,69 +179,11 @@ impl Budget {
         &self.limits
     }
 
-    /// A handle with different ceilings over the same counters. The
-    /// deadline, if any, carries over — rebind it with
-    /// [`Budget::with_deadline`] / [`Budget::without_deadline`].
+    /// A handle with different ceilings over the same counters.
     pub fn with_limits(&self, limits: DecodeLimits) -> Budget {
         Budget {
             limits,
             counters: Arc::clone(&self.counters),
-            deadline: self.deadline,
-        }
-    }
-
-    /// A handle over the same counters that additionally expires
-    /// `timeout` from now: once the wall clock passes the deadline,
-    /// every charge and check trips with
-    /// [`DecodeError::LimitExceeded`] (`what` = `"wall-clock
-    /// deadline"`, `limit` = the granted nanoseconds).
-    pub fn with_deadline(&self, timeout: Duration) -> Budget {
-        self.with_deadline_at(Instant::now() + timeout, timeout)
-    }
-
-    /// As [`Budget::with_deadline`], but against an explicit expiry
-    /// instant — the deterministic form the boundary tests use.
-    pub fn with_deadline_at(&self, at: Instant, granted: Duration) -> Budget {
-        Budget {
-            limits: self.limits,
-            counters: Arc::clone(&self.counters),
-            deadline: Some(Deadline {
-                at,
-                granted_nanos: u64::try_from(granted.as_nanos()).unwrap_or(u64::MAX),
-            }),
-        }
-    }
-
-    /// A handle over the same counters with no wall-clock expiry.
-    pub fn without_deadline(&self) -> Budget {
-        Budget {
-            limits: self.limits,
-            counters: Arc::clone(&self.counters),
-            deadline: None,
-        }
-    }
-
-    /// The expiry instant, if a deadline is set.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline.map(|d| d.at)
-    }
-
-    /// Errs once the wall clock has passed the deadline (no-op without
-    /// one). Checked automatically by every charge and check, so a
-    /// decoder that meters fuel is deadline-governed for free.
-    pub fn check_deadline(&self) -> Result<(), DecodeError> {
-        match self.deadline {
-            None => Ok(()),
-            Some(_) => self.check_deadline_at(Instant::now()),
-        }
-    }
-
-    /// Deadline check against an explicit `now` — the exact-boundary
-    /// form: `now == deadline` still passes, one tick later trips.
-    pub fn check_deadline_at(&self, now: Instant) -> Result<(), DecodeError> {
-        match self.deadline {
-            Some(d) if now > d.at => Err(trip("wall-clock deadline", d.granted_nanos)),
-            _ => Ok(()),
         }
     }
 
@@ -285,7 +209,6 @@ impl Budget {
     /// given payload is exact and reproducible even though the trip
     /// *point* is batched.
     pub fn charge_fuel(&self, steps: u64) -> Result<(), DecodeError> {
-        self.check_deadline()?;
         let prev = self.counters.fuel_spent.fetch_add(steps, Ordering::Relaxed);
         if prev.saturating_add(steps) > self.limits.decode_fuel {
             return Err(trip("decode fuel", self.limits.decode_fuel));
@@ -297,7 +220,6 @@ impl Budget {
     /// [`DecodeLimits::max_output_bytes`], recording the high-water
     /// mark.
     pub fn check_output_bytes(&self, bytes: u64) -> Result<(), DecodeError> {
-        self.check_deadline()?;
         self.counters
             .peak_output_bytes
             .fetch_max(bytes, Ordering::Relaxed);
@@ -310,7 +232,6 @@ impl Budget {
     /// Checks one stream's symbol count against
     /// [`DecodeLimits::max_stream_symbols`].
     pub fn check_stream_symbols(&self, symbols: u64) -> Result<(), DecodeError> {
-        self.check_deadline()?;
         self.counters
             .peak_stream_symbols
             .fetch_max(symbols, Ordering::Relaxed);
@@ -323,7 +244,6 @@ impl Budget {
     /// Checks a pattern nesting depth against
     /// [`DecodeLimits::max_pattern_depth`].
     pub fn check_pattern_depth(&self, depth: u32) -> Result<(), DecodeError> {
-        self.check_deadline()?;
         self.counters
             .peak_pattern_depth
             .fetch_max(u64::from(depth), Ordering::Relaxed);
@@ -339,7 +259,6 @@ impl Budget {
     /// Checks one table's entry count against
     /// [`DecodeLimits::max_table_entries`].
     pub fn check_table_entries(&self, entries: u64) -> Result<(), DecodeError> {
-        self.check_deadline()?;
         self.counters
             .peak_table_entries
             .fetch_max(entries, Ordering::Relaxed);
@@ -353,7 +272,6 @@ impl Budget {
     /// charge back) once residency would exceed
     /// [`DecodeLimits::max_resident_bytes`].
     pub fn charge_resident(&self, bytes: u64) -> Result<(), DecodeError> {
-        self.check_deadline()?;
         let prev = self
             .counters
             .resident_bytes
@@ -484,53 +402,6 @@ mod tests {
         assert_eq!(u.peak_stream_symbols, 33);
         assert_eq!(u.peak_pattern_depth, 5);
         assert_eq!(u.peak_table_entries, 12);
-    }
-
-    #[test]
-    fn deadline_boundary_is_exact() {
-        let b = Budget::unlimited();
-        assert!(b.check_deadline().is_ok(), "no deadline: never trips");
-
-        let now = Instant::now();
-        let granted = Duration::from_millis(5);
-        let d = b.with_deadline_at(now + granted, granted);
-        // At the deadline instant itself the budget still admits work;
-        // one nanosecond later it trips as a limit, never Malformed.
-        d.check_deadline_at(now + granted).unwrap();
-        let err = d
-            .check_deadline_at(now + granted + Duration::from_nanos(1))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            DecodeError::limit("wall-clock deadline", granted.as_nanos() as u64)
-        );
-    }
-
-    #[test]
-    fn expired_deadline_trips_charges_and_checks() {
-        let start = Instant::now();
-        let b = Budget::unlimited().with_deadline_at(start - Duration::from_secs(1), Duration::ZERO);
-        let expect = DecodeError::limit("wall-clock deadline", 0);
-        assert_eq!(b.charge_fuel(1).unwrap_err(), expect);
-        assert_eq!(b.check_output_bytes(1).unwrap_err(), expect);
-        assert_eq!(b.check_stream_symbols(1).unwrap_err(), expect);
-        assert_eq!(b.check_pattern_depth(1).unwrap_err(), expect);
-        assert_eq!(b.check_table_entries(1).unwrap_err(), expect);
-        assert_eq!(b.charge_resident(1).unwrap_err(), expect);
-        assert_eq!(b.usage().resident_bytes, 0, "refused charge leaves no residue");
-        // Clearing the deadline re-admits work on the same meters.
-        let cleared = b.without_deadline();
-        cleared.charge_fuel(1).unwrap();
-        assert!(cleared.deadline().is_none());
-    }
-
-    #[test]
-    fn with_limits_carries_the_deadline() {
-        let past = Instant::now() - Duration::from_secs(1);
-        let b = Budget::unlimited().with_deadline_at(past, Duration::ZERO);
-        let rebound = b.with_limits(DecodeLimits::default());
-        assert!(rebound.charge_fuel(1).is_err(), "deadline must carry over");
-        assert_eq!(rebound.deadline(), Some(past));
     }
 
     #[test]

@@ -41,9 +41,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
-pub mod reconcile;
-pub mod stream;
-
 // ---- metrics ---------------------------------------------------------------
 
 /// A monotonically increasing, saturating counter.
@@ -173,11 +170,6 @@ impl Histogram {
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
-
-    /// Point-in-time copy of the bucket counts.
-    pub fn buckets(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
-    }
 }
 
 /// A plain (non-atomic) histogram for hot loops; merge it into a
@@ -297,7 +289,7 @@ impl Registry {
                         HistogramSnapshot {
                             count: v.count(),
                             sum: v.sum(),
-                            buckets: v.buckets(),
+                            buckets: std::array::from_fn(|i| v.buckets[i].load(Ordering::Relaxed)),
                         },
                     )
                 })
@@ -315,17 +307,6 @@ pub struct HistogramSnapshot {
     pub sum: u64,
     /// Bucket counts (see [`bucket_of`] for the layout).
     pub buckets: [u64; HISTOGRAM_BUCKETS],
-}
-
-impl HistogramSnapshot {
-    /// Mean observation, or 0 for an empty histogram.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 /// A point-in-time registry copy, sorted by name.
@@ -553,8 +534,8 @@ pub trait TraceSink: Send + Sync {
 
 /// A [`TraceSink`] writing one JSON line per record to any writer.
 ///
-/// Records are buffered (high-volume traces — a soak emits tens of
-/// thousands of lines — must not pay a syscall per record); call
+/// Records are buffered (a traced run writes two lines per stage it
+/// enters, and must not pay a syscall per record); call
 /// [`TraceSink::flush`] (or the global [`flush_trace`]) before the
 /// output is read. Because the global collector lives in a `static`
 /// that is never dropped, an explicit flush on process exit is the
@@ -638,41 +619,6 @@ impl TraceSink for RingSink {
     }
 }
 
-/// Fans one record out to several sinks (e.g. a file plus a ring).
-#[derive(Default)]
-pub struct TeeSink {
-    sinks: Vec<Arc<dyn TraceSink>>,
-}
-
-impl std::fmt::Debug for TeeSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TeeSink")
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
-
-impl TeeSink {
-    /// A tee over the given sinks.
-    pub fn new(sinks: Vec<Arc<dyn TraceSink>>) -> TeeSink {
-        TeeSink { sinks }
-    }
-}
-
-impl TraceSink for TeeSink {
-    fn record(&self, event: &TraceEvent) {
-        for s in &self.sinks {
-            s.record(event);
-        }
-    }
-
-    fn flush(&self) {
-        for s in &self.sinks {
-            s.flush();
-        }
-    }
-}
-
 // ---- global collector -------------------------------------------------------
 
 /// The installed observability surface: a metrics registry and an
@@ -714,11 +660,8 @@ impl Collector {
 static COLLECTOR: OnceLock<Collector> = OnceLock::new();
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-/// Monotonic nanoseconds since the first telemetry use in this process.
-pub fn now_nanos() -> u64 {
-    nanos_since_epoch(Instant::now())
-}
-
+/// Monotonic nanoseconds from the first telemetry use in this process
+/// to `at`.
 fn nanos_since_epoch(at: Instant) -> u64 {
     let epoch = EPOCH.get_or_init(|| at);
     u64::try_from(at.saturating_duration_since(*epoch).as_nanos()).unwrap_or(u64::MAX)
@@ -766,14 +709,6 @@ pub fn gauge_max(name: &str, v: u64) {
     }
 }
 
-/// Records one observation in a named histogram (no-op when disabled).
-#[inline]
-pub fn histogram_record(name: &str, v: u64) {
-    if let Some(c) = collector() {
-        c.metrics.histogram(name).record(v);
-    }
-}
-
 /// Merges a hot-loop-local histogram into a named histogram (no-op
 /// when disabled).
 #[inline]
@@ -799,7 +734,7 @@ pub fn flush_trace() {
 pub fn event(name: &str, fields: Vec<(&'static str, FieldValue)>) {
     if let Some(sink) = collector().and_then(|c| c.trace.as_ref()) {
         sink.record(&TraceEvent {
-            t_nanos: now_nanos(),
+            t_nanos: nanos_since_epoch(Instant::now()),
             kind: TraceKind::Event,
             name: name.to_string(),
             dur_nanos: None,
@@ -1033,7 +968,7 @@ pub fn render_collapsed() -> String {
 // ---- JSON helpers and the trace-schema checker ------------------------------
 
 /// Escapes `s` as a JSON string literal (with quotes).
-pub fn json_string(s: &str) -> String {
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -1406,11 +1341,12 @@ mod tests {
         assert_eq!(bucket_of(7), 3);
         assert_eq!(bucket_of(8), 4);
         assert_eq!(bucket_of(u64::MAX), 64);
-        let h = Histogram::default();
+        let r = Registry::new();
+        let h = r.histogram("h");
         for v in [0, 1, 2, 3, 4, 7, 8] {
             h.record(v);
         }
-        let b = h.buckets();
+        let b = r.snapshot().histogram("h").unwrap().buckets;
         assert_eq!(b[0], 1);
         assert_eq!(b[1], 1);
         assert_eq!(b[2], 2);
@@ -1434,13 +1370,15 @@ mod tests {
         let mut local = LocalHistogram::default();
         local.record(3);
         local.record(100);
-        let h = Histogram::default();
+        let r = Registry::new();
+        let h = r.histogram("h");
         h.record(3);
         h.merge(&local);
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum(), 106);
-        assert_eq!(h.buckets()[2], 2);
-        assert_eq!(h.buckets()[7], 1);
+        let b = r.snapshot().histogram("h").unwrap().buckets;
+        assert_eq!(b[2], 2);
+        assert_eq!(b[7], 1);
     }
 
     #[test]
@@ -1686,7 +1624,6 @@ mod tests {
         assert!(!enabled());
         counter_add("never.recorded", 1);
         gauge_set("never.recorded", 1);
-        histogram_record("never.recorded", 1);
         drop(stage!("never.recorded"));
         event("never.recorded", vec![("k", FieldValue::U64(1))]);
         assert!(collector().is_none(), "helpers must not install state");

@@ -4,7 +4,7 @@ use crate::crc32::crc32;
 use crate::deflate::{deflate_compress, CompressionLevel};
 use crate::inflate::{inflate, inflate_budgeted};
 use crate::FlateError;
-use codecomp_core::{cov_hit, Budget};
+use codecomp_core::Budget;
 
 const MAGIC: [u8; 2] = [0x1F, 0x8B];
 const CM_DEFLATE: u8 = 8;
@@ -69,17 +69,14 @@ pub fn gzip_decompress_budgeted(data: &[u8], budget: &Budget) -> Result<Vec<u8>,
 
 fn gzip_decompress_governed(data: &[u8], budget: Option<&Budget>) -> Result<Vec<u8>, FlateError> {
     if data.len() < 18 {
-        cov_hit!("gzip.header.short");
         return Err(FlateError::BadHeader(
             "shorter than minimal gzip member".into(),
         ));
     }
     if data[0..2] != MAGIC {
-        cov_hit!("gzip.header.bad_magic");
         return Err(FlateError::BadHeader("bad magic".into()));
     }
     if data[2] != CM_DEFLATE {
-        cov_hit!("gzip.header.bad_method");
         return Err(FlateError::BadHeader(format!(
             "unsupported method {}",
             data[2]
@@ -87,12 +84,10 @@ fn gzip_decompress_governed(data: &[u8], budget: Option<&Budget>) -> Result<Vec<
     }
     let flg = data[3];
     if flg & !(FTEXT | FHCRC | FEXTRA | FNAME | FCOMMENT) != 0 {
-        cov_hit!("gzip.header.reserved_flags");
         return Err(FlateError::BadHeader("reserved flag bits set".into()));
     }
     let mut pos = 10usize;
     if flg & FEXTRA != 0 {
-        cov_hit!("gzip.header.extra_field");
         if pos + 2 > data.len() {
             return Err(FlateError::Truncated);
         }
@@ -105,7 +100,6 @@ fn gzip_decompress_governed(data: &[u8], budget: Option<&Budget>) -> Result<Vec<
     }
     for flag in [FNAME, FCOMMENT] {
         if flg & flag != 0 {
-            cov_hit!("gzip.header.zstring_field");
             let end = data
                 .get(pos..)
                 .and_then(|rest| rest.iter().position(|&b| b == 0))
@@ -129,17 +123,14 @@ fn gzip_decompress_governed(data: &[u8], budget: Option<&Budget>) -> Result<Vec<
     let stored_len = u32::from_le_bytes([trailer[4], trailer[5], trailer[6], trailer[7]]);
     let actual_crc = crc32(&decoded);
     if stored_crc != actual_crc {
-        cov_hit!("gzip.trailer.crc_mismatch");
         return Err(FlateError::ChecksumMismatch {
             expected: stored_crc,
             actual: actual_crc,
         });
     }
     if stored_len != decoded.len() as u32 {
-        cov_hit!("gzip.trailer.isize_mismatch");
         return Err(FlateError::Corrupt("ISIZE mismatch".into()));
     }
-    cov_hit!("gzip.decode.ok");
     Ok(decoded)
 }
 

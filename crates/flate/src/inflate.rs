@@ -26,7 +26,6 @@ use crate::deflate::{
     fixed_dist_lengths, fixed_litlen_lengths, CLC_ORDER, DIST_TABLE, LENGTH_TABLE,
 };
 use crate::FlateError;
-use codecomp_core::cov_hit;
 
 /// Root table index width. 10 bits resolves every fixed-tree code (≤ 9
 /// bits) and the vast majority of dynamic codes in one probe while
@@ -189,7 +188,6 @@ impl Decoder {
         let mut max_len = 0u32;
         for &l in lengths {
             if l > 15 {
-                cov_hit!("flate.tables.len_over_15");
                 return Err(FlateError::Corrupt("code length > 15".into()));
             }
             if l > 0 {
@@ -203,18 +201,13 @@ impl Decoder {
             kraft += u64::from(count[len]) << (15 - len);
         }
         if kraft > 1 << 15 {
-            cov_hit!("flate.tables.oversubscribed");
             return Err(FlateError::Corrupt("oversubscribed code lengths".into()));
         }
         let degenerate_ok = completeness == Completeness::ExactOrDegenerate && used <= 1;
         if kraft < 1 << 15 && !degenerate_ok {
-            cov_hit!("flate.tables.undersubscribed");
             return Err(FlateError::Corrupt(
                 "incomplete (undersubscribed) code lengths".into(),
             ));
-        }
-        if degenerate_ok && kraft < 1 << 15 {
-            cov_hit!("flate.tables.degenerate");
         }
 
         // Canonical first-code per length (MSB-first code values).
@@ -311,12 +304,10 @@ impl Decoder {
             e = self.table[(base + sub_idx as u32) as usize];
         }
         if e == 0 {
-            cov_hit!("flate.decode.invalid_code");
             return Err(FlateError::Corrupt("invalid Huffman code".into()));
         }
         let len = e & 0x1F;
         if len > src.count {
-            cov_hit!("flate.decode.truncated_code");
             return Err(FlateError::Truncated);
         }
         src.consume(len);
@@ -429,22 +420,18 @@ fn inflate_governed(
         let btype = r.read_bits(2)?;
         match btype {
             0b00 => {
-                cov_hit!("flate.block.stored");
                 inflate_stored(&mut r, &mut out, max_output)?;
                 stats.stored_bytes += (out.len() - block_start) as u64;
             }
             0b01 => {
-                cov_hit!("flate.block.fixed");
                 let (lit, dist) = fixed_tables()?;
                 inflate_block(&mut r, lit, dist, &mut out, max_output, &mut stats)?;
             }
             0b10 => {
-                cov_hit!("flate.block.dynamic");
                 let (lit, dist) = read_dynamic_tables(&mut r)?;
                 inflate_block(&mut r, &lit, &dist, &mut out, max_output, &mut stats)?;
             }
             _ => {
-                cov_hit!("flate.block.reserved");
                 return Err(FlateError::Corrupt("reserved block type 11".into()));
             }
         }
@@ -454,7 +441,6 @@ fn inflate_governed(
             b.charge_fuel(1 + (out.len() - block_start) as u64)?;
         }
         if bfinal {
-            cov_hit!("flate.stream.final_block");
             stats.flush(out.len() as u64);
             return Ok(out);
         }
@@ -470,11 +456,9 @@ fn inflate_stored(
     let len = r.read_bits(16)? as u16;
     let nlen = r.read_bits(16)? as u16;
     if len != !nlen {
-        cov_hit!("flate.stored.len_mismatch");
         return Err(FlateError::Corrupt("stored block LEN/NLEN mismatch".into()));
     }
     if usize::from(len) > max_output.saturating_sub(out.len()) {
-        cov_hit!("flate.stored.limit");
         return Err(FlateError::LimitExceeded {
             limit: max_output as u64,
         });
@@ -522,37 +506,31 @@ fn read_dynamic_tables(r: &mut BitSource<'_>) -> Result<(Decoder, Decoder), Flat
             0..=15 => lengths.push(sym as u8),
             16 => {
                 let Some(&last) = lengths.last() else {
-                    cov_hit!("flate.clc.repeat_without_prior");
                     return Err(FlateError::Corrupt("repeat with no previous length".into()));
                 };
-                cov_hit!("flate.clc.repeat_prev");
                 let n = r.read_bits(2)? + 3;
                 for _ in 0..n {
                     lengths.push(last);
                 }
             }
             17 => {
-                cov_hit!("flate.clc.zero_run_short");
                 let n = r.read_bits(3)? + 3;
                 for _ in 0..n {
                     lengths.push(0);
                 }
             }
             18 => {
-                cov_hit!("flate.clc.zero_run_long");
                 let n = r.read_bits(7)? + 11;
                 for _ in 0..n {
                     lengths.push(0);
                 }
             }
             _ => {
-                cov_hit!("flate.clc.invalid_symbol");
                 return Err(FlateError::Corrupt("invalid code-length symbol".into()));
             }
         }
     }
     if lengths.len() != hlit + hdist {
-        cov_hit!("flate.clc.overrun");
         return Err(FlateError::Corrupt("code length overrun".into()));
     }
     let lit = Decoder::from_lengths(&lengths[..hlit], Completeness::Exact)?;
@@ -578,7 +556,6 @@ fn inflate_block(
         match sym {
             0..=255 => {
                 if out.len() >= max_output {
-                    cov_hit!("flate.body.literal_limit");
                     return Err(FlateError::LimitExceeded {
                         limit: max_output as u64,
                     });
@@ -587,7 +564,6 @@ fn inflate_block(
                 stats.literals += 1;
             }
             256 => {
-                cov_hit!("flate.body.end_of_block");
                 return Ok(());
             }
             257..=285 => {
@@ -599,17 +575,14 @@ fn inflate_block(
                 }
                 let dsym = dist.decode_prefilled(r)?;
                 if dsym >= 30 {
-                    cov_hit!("flate.body.invalid_distance_code");
                     return Err(FlateError::Corrupt("invalid distance code".into()));
                 }
                 let (dbase, dextra) = DIST_TABLE[dsym];
                 let d = usize::from(dbase) + r.take_bits(u32::from(dextra))? as usize;
                 if d == 0 || d > out.len() {
-                    cov_hit!("flate.body.distance_overreach");
                     return Err(FlateError::Corrupt("distance beyond output start".into()));
                 }
                 if len > max_output.saturating_sub(out.len()) {
-                    cov_hit!("flate.body.match_limit");
                     return Err(FlateError::LimitExceeded {
                         limit: max_output as u64,
                     });
@@ -621,7 +594,6 @@ fn inflate_block(
                 } else {
                     // Overlapping (d < len): bytes must appear one at a
                     // time, each copy reading what the previous wrote.
-                    cov_hit!("flate.body.overlapping_copy");
                     for i in 0..len {
                         let b = out[start + i];
                         out.push(b);
@@ -629,7 +601,6 @@ fn inflate_block(
                 }
             }
             _ => {
-                cov_hit!("flate.body.invalid_litlen");
                 return Err(FlateError::Corrupt("invalid literal/length symbol".into()));
             }
         }

@@ -16,7 +16,6 @@ use crate::isa::{AluOp, FuncRef, Inst, MemWidth};
 use crate::program::{Callee, FlatProgram, VmGlobal, VmProgram};
 use crate::reg::Reg;
 use crate::VmError;
-use codecomp_core::cov_hit;
 use codecomp_ir::eval::HOST_FUNCTIONS;
 
 pub use codecomp_ir::eval::{FUNC_BASE, GLOBAL_BASE, HOST_BASE};
@@ -248,7 +247,6 @@ impl Core {
                 } else if (HOST_BASE..RA_BASE).contains(&addr) {
                     self.host_call((addr - HOST_BASE) as usize)
                 } else {
-                    cov_hit!("vm.exec.call_bad_address");
                     Err(VmError::Exec(format!(
                         "call to non-function address {addr:#x}"
                     )))
@@ -297,7 +295,6 @@ impl Core {
     #[inline]
     fn enter(&mut self, func: usize, return_to: usize) -> Result<Flow, VmError> {
         if func >= self.functions {
-            cov_hit!("vm.exec.bad_function");
             return Err(VmError::Exec(format!("bad function index {func}")));
         }
         self.set_reg(Reg::RA, i64::from(RA_BASE) + return_to as i64);
@@ -313,7 +310,6 @@ impl Core {
             }
             Some(&"print_char") => self.output.push(self.regs[0] as u8),
             _ => {
-                cov_hit!("vm.exec.bad_host_function");
                 return Err(VmError::Exec(format!("bad host function index {idx}")));
             }
         }
@@ -326,7 +322,6 @@ impl Core {
         let a = addr as usize;
         let size = width.bytes() as usize;
         if a == 0 || a + size > self.mem.len() {
-            cov_hit!("vm.exec.bad_load");
             return Err(VmError::Exec(format!(
                 "bad load of {size} bytes at {addr:#x}"
             )));
@@ -348,7 +343,6 @@ impl Core {
         let a = addr as usize;
         let size = width.bytes() as usize;
         if a == 0 || a + size > self.mem.len() {
-            cov_hit!("vm.exec.bad_store");
             return Err(VmError::Exec(format!(
                 "bad store of {size} bytes at {addr:#x}"
             )));
@@ -370,7 +364,6 @@ fn jump(addr: u32) -> Result<Flow, VmError> {
     } else if addr >= RA_BASE {
         Ok(Flow::Return((addr - RA_BASE) as usize))
     } else {
-        cov_hit!("vm.exec.jump_bad_address");
         Err(VmError::Exec(format!("jump to non-code address {addr:#x}")))
     }
 }

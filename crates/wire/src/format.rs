@@ -6,7 +6,6 @@ use codecomp_coding::huffman::{HuffmanDecoder, HuffmanEncoder};
 use codecomp_coding::model::AdaptiveModel;
 use codecomp_coding::mtf::{mtf_decode_identity, mtf_encode};
 use codecomp_core::bytesio::{code_global, put_uvarint, Cursor, Io};
-use codecomp_core::cov_hit;
 use codecomp_core::streams::SplitStreams;
 use codecomp_core::telemetry;
 use codecomp_core::treepat::TreePattern;
@@ -72,12 +71,10 @@ impl WireOptions {
         // format revision; decoding it as current-version would silently
         // misinterpret the payload, so it is malformed input here.
         if b & RESERVED_OPTION_BITS != 0 {
-            cov_hit!("wire.options.reserved_bits");
             return Err(WireError::Corrupt(format!(
                 "reserved wire option bits set: {b:#04x}"
             )));
         }
-        cov_hit!("wire.options.ok");
         Ok(Self {
             split_streams: b & 1 != 0,
             mtf: b & 2 != 0,
@@ -292,10 +289,8 @@ fn inflate_section(
 ) -> Result<Vec<u8>, WireError> {
     let _inflate = telemetry::stage!("wire.decode.inflate");
     if options.deflate {
-        cov_hit!("wire.section.deflated");
         Ok(inflate_budgeted(&payload, budget)?)
     } else {
-        cov_hit!("wire.section.raw");
         budget.check_output_bytes(payload.len() as u64)?;
         Ok(payload)
     }
@@ -319,7 +314,6 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
     let (mut options, mut sections) = (WireOptions::default(), Vec::new());
     code_container(&mut c, &mut options, &mut sections)?;
     if c.remaining() != 0 {
-        cov_hit!("wire.trailing_bytes");
         return Err(WireError::Corrupt(
             "trailing bytes after last section".into(),
         ));
@@ -327,7 +321,6 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
     // `$meta` and `$patterns` lead, in that order; literal streams follow.
     for (i, want) in ["$meta", "$patterns"].into_iter().enumerate() {
         if sections.get(i).is_none_or(|(key, _)| key != want) {
-            cov_hit!("wire.sections.bad_lead");
             return Err(WireError::Corrupt(format!("section {i} is not {want}")));
         }
     }
@@ -363,7 +356,6 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
     // Rebuild trees against the pattern table.
     let join = telemetry::stage!("wire.decode.join");
     let trees: Vec<Tree> = if options.split_streams {
-        cov_hit!("wire.join.split");
         SplitStreams {
             patterns,
             pattern_stream: stream,
@@ -371,7 +363,6 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
         }
         .join()?
     } else {
-        cov_hit!("wire.join.mixed");
         let (_, all) = literal_sections
             .into_iter()
             .next()
@@ -404,7 +395,6 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
         // `stmts` is attacker-controlled; compare against what is left,
         // never `cursor + stmts`, which could overflow.
         if stmts > remaining {
-            cov_hit!("wire.functions.stmt_overrun");
             return Err(WireError::Corrupt(
                 "statement count overruns tree stream".into(),
             ));
@@ -415,12 +405,10 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
         module.functions.push(f);
     }
     if remaining != 0 {
-        cov_hit!("wire.functions.trailing_trees");
         return Err(WireError::Corrupt(
             "trailing trees after last function".into(),
         ));
     }
-    cov_hit!("wire.decode.ok");
     stats.flush(bytes.len() as u64);
     Ok(module)
 }
@@ -473,7 +461,6 @@ pub fn code_pattern<I: Io>(io: &mut I, pat: &mut TreePattern) -> Result<(), Wire
     io.usize(&mut count)?;
     let used = code_pattern_node(io, pat, 0)?;
     if used != count {
-        cov_hit!("wire.pattern.count_mismatch");
         return Err(WireError::Corrupt(format!(
             "pattern node count mismatch: header {count}, actual {used}"
         )));
@@ -503,10 +490,8 @@ fn code_pattern_node<I: Io>(
         },
         |byte| {
             let Some(desc) = desc_for_byte(byte) else {
-                cov_hit!("wire.pattern.unknown_op");
                 return Err(WireError::Corrupt(format!("unknown operator byte {byte}")));
             };
-            cov_hit!("wire.pattern.node");
             let (op, width) = desc_to_op(desc);
             Ok((op, width, op.arity()))
         },
@@ -540,7 +525,6 @@ pub fn code_literal<I: Io>(io: &mut I, lit: &mut Literal) -> Result<(), WireErro
                 2 => Literal::Label(0),
                 3 => Literal::Symbol(String::new()),
                 other => {
-                    cov_hit!("wire.literal.bad_tag");
                     return Err(WireError::Corrupt(format!("bad literal tag {other}")));
                 }
             })
@@ -615,22 +599,18 @@ fn decode_symbol_stream<'a, T: Default>(
     };
     let mtf = telemetry::stage!("wire.decode.mtf");
     let occurrences = if options.mtf {
-        cov_hit!("wire.stream.mtf");
         // Occurrence values are first-occurrence table indices, so the
         // MTF side table is the identity and the batched array decoder
         // applies.
         let Some(occ) = mtf_decode_identity(&indices, table_len) else {
-            cov_hit!("wire.stream.bad_mtf_index");
             return Err(WireError::Corrupt("bad MTF index".into()));
         };
         occ
     } else {
-        cov_hit!("wire.stream.direct");
         indices
     };
     drop(mtf);
     if occurrences.iter().any(|&o| o as usize >= table_len) && !occurrences.is_empty() {
-        cov_hit!("wire.stream.occurrence_overflow");
         return Err(WireError::Corrupt("occurrence beyond table".into()));
     }
     stats.symbols += occurrences.len() as u64;
@@ -731,7 +711,6 @@ fn decode_indices(
 ) -> Result<Vec<u32>, WireError> {
     let count = c.read_usize()?;
     if count == 0 {
-        cov_hit!("wire.indices.empty");
         return Ok(Vec::new());
     }
     // An attacker-supplied count above the stream-symbol ceiling is
@@ -742,7 +721,6 @@ fn decode_indices(
     budget.charge_fuel(count as u64)?;
     match coder {
         Coder::Raw => {
-            cov_hit!("wire.indices.raw");
             let mut out = Vec::with_capacity(count.min(c.remaining()));
             for _ in 0..count {
                 let mut index = 0;
@@ -752,7 +730,6 @@ fn decode_indices(
             Ok(out)
         }
         Coder::Huffman => {
-            cov_hit!("wire.indices.huffman");
             let lengths = c.take(alphabet)?;
             let nbytes = c.read_usize()?;
             let bits = c.take(nbytes)?;
@@ -766,7 +743,6 @@ fn decode_indices(
             Ok(out.into_iter().map(|s| s as u32).collect())
         }
         Coder::Arithmetic => {
-            cov_hit!("wire.indices.arith");
             let nbytes = c.read_usize()?;
             let bytes = c.take(nbytes)?;
             let mut model = AdaptiveModel::with_budget(alphabet, budget)?;

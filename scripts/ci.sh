@@ -8,8 +8,9 @@ echo "==> cargo build --release --offline"
 cargo build --release --offline
 
 # --workspace: the member crates' own suites (brisc interpreter unit
-# tests and props, coding/flate/ir/vm props, serve soak, ...) are part
-# of the gate, not only the root package's tests.
+# tests and props, coding/flate/ir/vm props, ...) are part of the gate,
+# not only the root package's tests. This step also replays the
+# reproducers in tests/regressions/ (tests/regressions.rs).
 echo "==> cargo test -q --workspace"
 cargo test -q --offline --workspace
 
@@ -93,33 +94,6 @@ for trace in "$tdir"/pack.jsonl "$tdir"/run.jsonl "$tdir"/brisc.jsonl; do
     "$bin" telemetry check "$trace"
 done
 
-# Demand-paging soak smoke: a reduced serve-sim run (deterministic,
-# virtual-time) across all three channel models at a 2% fault rate
-# with two units corrupted at the source. `serve-sim` exits nonzero on
-# any stuck client or silently undelivered function, and the summary
-# event lands in the trace, which the schema checker then validates.
-echo "==> demand-paging soak smoke (serve-sim)"
-soak_start=$SECONDS
-"$bin" serve-sim --clients 9 --requests 300 --seed 7 --fault-rate 2 \
-    --corrupt 2 --trace="$tdir/soak.jsonl" > "$tdir/soak.out"
-grep -q "survived" "$tdir/soak.out"
-"$bin" telemetry check "$tdir/soak.jsonl"
-echo "==> soak smoke took $((SECONDS - soak_start))s"
-
-# Metrics-stream smoke: the same soak with live sampling on. serve-sim
-# exits nonzero if the span/counter reconcile fails; the stream must
-# pass the schema checker and be byte-identical across same-seed runs.
-echo "==> metrics-stream smoke (delta encoding, determinism, reconcile)"
-"$bin" serve-sim --clients 9 --requests 120 --seed 7 --fault-rate 2 \
-    --corrupt 2 --metrics-interval 25 --metrics-stream "$tdir/m1.jsonl" \
-    > "$tdir/m1.out"
-grep -q "reconcile: ok" "$tdir/m1.out"
-"$bin" telemetry check --stream "$tdir/m1.jsonl"
-"$bin" serve-sim --clients 9 --requests 120 --seed 7 --fault-rate 2 \
-    --corrupt 2 --metrics-interval 25 --metrics-stream "$tdir/m2.jsonl" \
-    > /dev/null
-cmp "$tdir/m1.jsonl" "$tdir/m2.jsonl"
-
 # Self-profiler smoke: profile a wire unpack with the default build and
 # validate the collapsed-stack output. The profiled decode must
 # attribute self time to the decode stages (inflate/indices/mtf/join).
@@ -131,19 +105,5 @@ prof_start=$SECONDS
 grep -q "wire.decode" "$tdir/wire.folded"
 grep -q "join" "$tdir/wire.folded"
 echo "==> profiler smoke took $((SECONDS - prof_start))s"
-
-# Coverage-guided fuzz smoke: a budgeted campaign over every decoder
-# with the `coverage` feature on. `codecomp fuzz` exits nonzero on any
-# panic or limit violation and writes reproducers for the regression
-# harness to replay, so a finding fails CI with the input preserved.
-# CODECOMP_FUZZ_CASES scales the budget (default ~30s on a dev box).
-echo "==> coverage-guided fuzz smoke (all decoders)"
-fuzz_start=$SECONDS
-cargo build --release --offline -q --features coverage
-cbin=target/release/code-compression
-"$cbin" fuzz --target all --cases "${CODECOMP_FUZZ_CASES:-3000}" --seed 1 \
-    --save-repros
-cargo test -q --offline --test regressions
-echo "==> fuzz smoke took $((SECONDS - fuzz_start))s"
 
 echo "==> ci.sh: all checks passed"

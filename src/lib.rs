@@ -28,7 +28,6 @@
 //! | [`wire`] | `codecomp-wire` | the wire-format compressor/decompressor |
 //! | [`brisc`] | `codecomp-brisc` | the BRISC compressor, in-place interpreter, fast translator |
 //! | [`memsim`] | `codecomp-memsim` | delivery-time and paging cost models |
-//! | [`serve`] | `codecomp-serve` | fault-tolerant demand-paging module server + soak harness |
 //! | [`corpus`] | `codecomp-corpus` | benchmark programs and a synthetic program generator |
 //!
 //! ## Quickstart
@@ -58,6 +57,5 @@ pub use codecomp_flate as flate;
 pub use codecomp_front as front;
 pub use codecomp_ir as ir;
 pub use codecomp_memsim as memsim;
-pub use codecomp_serve as serve;
 pub use codecomp_vm as vm;
 pub use codecomp_wire as wire;

@@ -10,36 +10,23 @@
 //! codecomp brisc pack <src.c|.ccir> [-o F]   produce a BRISC image (.ccbr)
 //! codecomp brisc run <in.ccbr> [-- args]     interpret the image in place
 //! codecomp brisc info <in.ccbr>              dictionary / model statistics
-//! codecomp fuzz [--target T] [--cases N]     coverage-guided fuzzing campaign
 //! codecomp profile <subcommand...>           collapsed-stack self-profile of a command
-//! codecomp serve-sim [--clients N] [...]     demand-paging server soak simulation
 //! ```
 
 use code_compression::brisc::interp::BriscMachine;
 use code_compression::brisc::translate::translate;
 use code_compression::brisc::{compress as brisc_compress, BriscImage, BriscOptions};
-use code_compression::core::fuzz::{
-    default_dictionary, run_blind_schedule, run_campaign, union_edges, CampaignReport, FindingKind,
-    FuzzConfig, Verdict,
-};
-use code_compression::core::{coverage, Budget, DecodeLimits};
-use code_compression::corpus::{benchmarks, synthetic_modules, Benchmark, MultiModuleConfig};
-use code_compression::flate::{gzip_compress, gzip_decompress_budgeted, CompressionLevel};
+use code_compression::core::telemetry;
+use code_compression::core::{Budget, DecodeLimits};
 use code_compression::front::compile;
 use code_compression::ir::binary::{decode_module, encode_module};
 use code_compression::ir::eval::Evaluator;
 use code_compression::ir::Module;
-use code_compression::core::telemetry::reconcile::reconcile;
-use code_compression::serve::soak::{
-    channel_mix, corrupt_units, run_soak_observed, ChannelKind, SoakConfig, SoakObserver,
-};
-use code_compression::serve::MILLI;
 use code_compression::vm::codegen::compile_module;
 use code_compression::vm::interp::Machine;
 use code_compression::vm::isa::IsaConfig;
-use code_compression::core::telemetry;
 use code_compression::wire::{
-    compress as wire_compress, decompress, decompress_budgeted, DemandImage, WireOptions,
+    compress as wire_compress, decompress, decompress_budgeted, WireOptions,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -277,21 +264,6 @@ fn print_stage_counters(snap: &telemetry::Snapshot) {
         "wire.decode.symbols",
         "brisc.interp.dispatches",
         "brisc.interp.fuel_consumed",
-        "serve.requests",
-        "serve.delivered",
-        "serve.failed",
-        "serve.retries",
-        "serve.shed",
-        "serve.timeouts",
-        "serve.corrupt_deliveries",
-        "serve.source_corrupt",
-        "serve.breaker.opens",
-        "serve.breaker.rejects",
-        "serve.cache.hits",
-        "serve.cache.misses",
-        "serve.cache.evictions",
-        "serve.raw_fallbacks",
-        "serve.channel.faults",
     ];
     let mut any = false;
     for name in interesting {
@@ -361,9 +333,7 @@ fn dispatch(args: &[String]) -> Result<ExitCode, AnyError> {
             Some("check") => cmd_telemetry_check(&args[2..]),
             _ => usage(),
         },
-        Some("fuzz") => cmd_fuzz(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
-        Some("serve-sim") => cmd_serve_sim(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => usage(),
         Some(other) => Err(format!("unknown command {other:?} (try `codecomp help`)").into()),
     }
@@ -382,14 +352,8 @@ fn usage() -> Result<ExitCode, AnyError> {
   codecomp brisc pack <src.c|.ccir> [-o out.ccbr]
   codecomp brisc run <in.ccbr> [--fuel N] [--max-output N] [-- args...]
   codecomp brisc info <in.ccbr>
-  codecomp telemetry check [--trace|--stream|--collapsed] <file.jsonl>...
-  codecomp fuzz [--target wire|gzip|demand|brisc|all] [--cases N] [--seed N]
-                [--rounds N] [--blind] [--max-input N] [--save-repros]
+  codecomp telemetry check [--trace|--collapsed] <file.jsonl>...
   codecomp profile [--out PATH] [--passes N] <subcommand...>
-  codecomp serve-sim [<src.c|.ccir>] [--clients N] [--requests N] [--seed N]
-                     [--fault-rate N|N/D] [--corrupt N] [--workers N]
-                     [--cache SIZE] [--channels modem,lan,disk]
-                     [--metrics-interval MS] [--metrics-stream PATH]
 
 global telemetry flags (any command, before `--`):
   --stats              stream breakdown and stage-time tables (stderr)
@@ -711,14 +675,13 @@ fn cmd_brisc_run(args: &[String]) -> Result<ExitCode, AnyError> {
 }
 
 fn cmd_telemetry_check(args: &[String]) -> Result<ExitCode, AnyError> {
-    // Three line schemas share this checker: trace events (default),
-    // delta-encoded metric streams, and collapsed profiler stacks.
+    // Two line schemas share this checker: trace events (default) and
+    // collapsed profiler stacks.
     let mut kind = "trace";
     let mut inputs = Vec::new();
     for a in args {
         match a.as_str() {
             "--trace" => kind = "trace",
-            "--stream" => kind = "stream",
             "--collapsed" => kind = "collapsed",
             other if other.starts_with('-') => {
                 return Err(format!("telemetry check: unknown flag {other:?}").into());
@@ -730,7 +693,6 @@ fn cmd_telemetry_check(args: &[String]) -> Result<ExitCode, AnyError> {
         return usage();
     }
     let validate: fn(&str) -> Result<(), String> = match kind {
-        "stream" => telemetry::stream::validate_stream_line,
         "collapsed" => telemetry::validate_collapsed_line,
         _ => telemetry::validate_trace_line,
     };
@@ -831,479 +793,3 @@ fn cmd_brisc_info(args: &[String]) -> Result<ExitCode, AnyError> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// A fuzz target: feeds one input to a decoder and classifies the result.
-type FuzzTarget = Box<dyn FnMut(&[u8]) -> Verdict>;
-
-/// Seed modules for the fuzz corpus: the two smallest benchmarks plus
-/// one multi-module synthetic unit, so cross-module idioms (shared
-/// preludes, deep expression spines) are represented in every seed set.
-fn fuzz_seed_modules() -> Result<Vec<Module>, AnyError> {
-    let mut suite = benchmarks();
-    suite.sort_by_key(|b| b.source.len());
-    let mut modules: Vec<Module> = suite
-        .iter()
-        .take(2)
-        .map(Benchmark::compile)
-        .collect::<Result<_, _>>()?;
-    let synth = synthetic_modules(
-        7,
-        MultiModuleConfig {
-            modules: 1,
-            shared_functions: 3,
-            functions_per_module: 4,
-            statements_per_function: 3,
-            globals: 2,
-            max_expr_depth: 3,
-        },
-    );
-    modules.push(compile(&synth[0])?);
-    Ok(modules)
-}
-
-/// Builds the seed corpus and run closure for one fuzz target.
-fn fuzz_target(name: &str, limits: DecodeLimits) -> Result<(Vec<Vec<u8>>, FuzzTarget), AnyError> {
-    let modules = fuzz_seed_modules()?;
-    match name {
-        "wire" => {
-            let seeds = modules
-                .iter()
-                .map(|m| wire_compress(m, WireOptions::default()).map(|p| p.bytes))
-                .collect::<Result<Vec<_>, _>>()?;
-            let run: FuzzTarget = Box::new(move |bytes| {
-                match decompress_budgeted(bytes, &Budget::new(limits)) {
-                    Ok(_) => Verdict::Accept,
-                    Err(_) => Verdict::Reject,
-                }
-            });
-            Ok((seeds, run))
-        }
-        "gzip" => {
-            let seeds = modules
-                .iter()
-                .map(|m| Ok(gzip_compress(&encode_module(m)?, CompressionLevel::Best)))
-                .collect::<Result<Vec<_>, AnyError>>()?;
-            let run: FuzzTarget = Box::new(move |bytes| {
-                match gzip_decompress_budgeted(bytes, &Budget::new(limits)) {
-                    Ok(out) if out.len() as u64 > limits.max_output_bytes => Verdict::Violation(
-                        format!(
-                            "gzip output {} bytes exceeds {}-byte ceiling",
-                            out.len(),
-                            limits.max_output_bytes
-                        ),
-                    ),
-                    Ok(_) => Verdict::Accept,
-                    Err(_) => Verdict::Reject,
-                }
-            });
-            Ok((seeds, run))
-        }
-        "demand" => {
-            let seeds = modules
-                .iter()
-                .map(|m| DemandImage::build(m, WireOptions::default()).map(|i| i.to_bytes()))
-                .collect::<Result<Vec<_>, _>>()?;
-            let run: FuzzTarget = Box::new(move |bytes| {
-                let Ok(image) = DemandImage::from_bytes(bytes) else {
-                    return Verdict::Reject;
-                };
-                match image.load_all_budgeted(&Budget::new(limits)) {
-                    Ok(_) => Verdict::Accept,
-                    Err(_) => Verdict::Reject,
-                }
-            });
-            Ok((seeds, run))
-        }
-        "brisc" => {
-            let seeds = modules
-                .iter()
-                .map(|m| -> Result<Vec<u8>, AnyError> {
-                    let vm = compile_module(m, IsaConfig::full())?;
-                    Ok(brisc_compress(&vm, BriscOptions::default())?.image.to_bytes())
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let run: FuzzTarget = Box::new(move |bytes| {
-                let budget = Budget::new(limits);
-                let Ok(image) = BriscImage::from_bytes_budgeted(bytes, &budget) else {
-                    return Verdict::Reject;
-                };
-                // Execution under a small fuel budget: any run error on a
-                // mutated image is acceptable, but it must not panic.
-                match BriscMachine::new_governed(&image, 1 << 16, 1 << 14, limits) {
-                    Ok(mut machine) => {
-                        let _ = machine.run("main", &[]);
-                        Verdict::Accept
-                    }
-                    Err(_) => Verdict::Reject,
-                }
-            });
-            Ok((seeds, run))
-        }
-        other => Err(format!("fuzz: unknown target {other:?} (wire|gzip|demand|brisc|all)").into()),
-    }
-}
-
-fn print_fuzz_report(name: &str, blind: bool, r: &CampaignReport) -> Result<(), AnyError> {
-    outln!(
-        "fuzz {name} ({}): {} cases, {} executions, {} unique edges, \
-         corpus {} ({} kept for coverage), {} accept / {} reject, {} findings",
-        if blind { "blind" } else { "guided" },
-        r.cases,
-        r.executions,
-        r.unique_edges,
-        r.corpus_size,
-        r.coverage_inputs,
-        r.accepts,
-        r.rejects,
-        r.findings.len()
-    )?;
-    for f in &r.findings {
-        let what = match &f.kind {
-            FindingKind::Panic(msg) => format!("panic: {msg}"),
-            FindingKind::Violation(msg) => format!("limit violation: {msg}"),
-        };
-        outln!("  case {}: {what} ({} byte input)", f.case, f.input.len())?;
-    }
-    Ok(())
-}
-
-/// Persists finding inputs under `tests/regressions/` using the
-/// `<target>__<verdict>__<name>.bin` convention the regression harness
-/// replays. Findings are recorded as `total` — once the underlying bug
-/// is fixed, the decoder must survive the input without panicking,
-/// whatever Result it returns.
-fn save_reproducers(target: &str, seed: u64, r: &CampaignReport) -> Result<(), AnyError> {
-    if r.findings.is_empty() {
-        return Ok(());
-    }
-    let dir = std::path::Path::new("tests/regressions");
-    std::fs::create_dir_all(dir)?;
-    for f in &r.findings {
-        let path = dir.join(format!("{target}__total__seed{seed:x}-case{}.bin", f.case));
-        std::fs::write(&path, &f.input)?;
-        outln!("  wrote reproducer: {}", path.display())?;
-    }
-    Ok(())
-}
-
-fn cmd_fuzz(args: &[String]) -> Result<ExitCode, AnyError> {
-    let mut target = "all";
-    let mut cases: u64 = 2000;
-    let mut seed: u64 = 1;
-    let mut blind = false;
-    let mut save_repros = false;
-    let mut max_input: usize = 1 << 16;
-    let mut rounds: u64 = 1;
-    let mut it = args.iter().map(String::as_str);
-    while let Some(a) = it.next() {
-        match a {
-            "--target" => target = it.next().ok_or("--target needs a value")?,
-            "--cases" => {
-                cases = parse_size("--cases", it.next().ok_or("--cases needs a value")?)?;
-            }
-            "--rounds" => {
-                let v = it.next().ok_or("--rounds needs a value")?;
-                rounds = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--rounds expects an integer, got {v:?}"))?
-                    .max(1);
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed expects an integer, got {v:?}"))?;
-            }
-            "--blind" => blind = true,
-            "--save-repros" => save_repros = true,
-            "--max-input" => {
-                max_input =
-                    parse_size("--max-input", it.next().ok_or("--max-input needs a value")?)?
-                        as usize;
-            }
-            other => return Err(format!("fuzz: unknown argument {other:?}").into()),
-        }
-    }
-    if !coverage::enabled() {
-        eprintln!(
-            "note: built without the `coverage` feature; edge counts read 0 and guided \
-             mode degenerates to blind mutation (rebuild with --features coverage)"
-        );
-    }
-    // Per-case budgets small enough that decode bombs are cut off fast.
-    let limits = DecodeLimits {
-        max_output_bytes: 1 << 22,
-        decode_fuel: 1 << 24,
-        max_resident_bytes: 1 << 22,
-        ..DecodeLimits::default()
-    };
-    let names: Vec<&str> = if target == "all" {
-        vec!["wire", "gzip", "demand", "brisc"]
-    } else {
-        vec![target]
-    };
-    let mut findings_total = 0usize;
-    for name in names {
-        let (seeds, mut run) = fuzz_target(name, limits)?;
-        let mut reports = Vec::new();
-        for round in 0..rounds {
-            let config = FuzzConfig {
-                seed: seed + round,
-                cases,
-                max_input_len: max_input,
-                guided: !blind,
-                ..FuzzConfig::default()
-            };
-            let report = if blind {
-                run_blind_schedule(&config, &seeds, &mut run)
-            } else {
-                run_campaign(&config, &seeds, &default_dictionary(), &mut run)
-            };
-            print_fuzz_report(name, blind, &report)?;
-            if save_repros {
-                save_reproducers(name, seed + round, &report)?;
-            }
-            findings_total += report.findings.len();
-            reports.push(report);
-        }
-        if rounds > 1 {
-            let maps: Vec<&[u64]> = reports.iter().map(|r| r.edge_map.as_slice()).collect();
-            outln!(
-                "fuzz {name}: union over {rounds} rounds: {} unique edges",
-                union_edges(&maps)
-            )?;
-        }
-    }
-    Ok(if findings_total == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
-/// Parses a fault rate: `N` means N percent, `N/D` an explicit ratio.
-fn parse_ratio(flag: &str, s: &str) -> Result<(u64, u64), AnyError> {
-    let (num, den) = match s.split_once('/') {
-        Some((n, d)) => (n.parse::<u64>(), d.parse::<u64>()),
-        None => (s.parse::<u64>(), Ok(100)),
-    };
-    match (num, den) {
-        (Ok(n), Ok(d)) if d > 0 && n <= d => Ok((n, d)),
-        _ => Err(format!("{flag} expects N (percent) or N/D with N <= D, got {s:?}").into()),
-    }
-}
-
-/// Every corpus benchmark merged into one module (names prefixed per
-/// benchmark to stay unique) — the default serve-sim workload, a few
-/// dozen independently fetchable functions.
-fn merged_corpus() -> Result<Module, AnyError> {
-    let mut merged = Module::default();
-    for b in benchmarks() {
-        let module = b.compile()?;
-        for mut f in module.functions {
-            f.name = format!("{}__{}", b.name, f.name);
-            merged.functions.push(f);
-        }
-        for mut g in module.globals {
-            g.name = format!("{}__{}", b.name, g.name);
-            merged.globals.push(g);
-        }
-    }
-    Ok(merged)
-}
-
-fn cmd_serve_sim(args: &[String]) -> Result<ExitCode, AnyError> {
-    let mut cfg = SoakConfig::default();
-    let mut corrupt: usize = 0;
-    let mut input: Option<&str> = None;
-    let mut metrics_interval: Option<u64> = None;
-    let mut metrics_stream: Option<&str> = None;
-    let mut it = args.iter().map(String::as_str);
-    while let Some(a) = it.next() {
-        match a {
-            "--metrics-interval" => {
-                let v = it.next().ok_or("--metrics-interval needs a value (virtual ms)")?;
-                metrics_interval = Some(parse_size("--metrics-interval", v)?.max(1));
-            }
-            "--metrics-stream" => {
-                metrics_stream = Some(it.next().ok_or("--metrics-stream needs a path")?);
-            }
-            "--clients" => {
-                let v = it.next().ok_or("--clients needs a value")?;
-                cfg.clients = parse_size("--clients", v)? as usize;
-            }
-            "--requests" => {
-                let v = it.next().ok_or("--requests needs a value")?;
-                cfg.requests_per_client = parse_size("--requests", v)?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                cfg.seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed expects an integer, got {v:?}"))?;
-            }
-            "--fault-rate" => {
-                let v = it.next().ok_or("--fault-rate needs a value")?;
-                (cfg.fault_num, cfg.fault_den) = parse_ratio("--fault-rate", v)?;
-            }
-            "--corrupt" => {
-                let v = it.next().ok_or("--corrupt needs a value")?;
-                corrupt = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--corrupt expects an integer, got {v:?}"))?;
-            }
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a value")?;
-                cfg.workers = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--workers expects an integer, got {v:?}"))?
-                    .max(1);
-            }
-            "--cache" => {
-                let v = it.next().ok_or("--cache needs a value")?;
-                cfg.server.max_cache_bytes = parse_size("--cache", v)?;
-            }
-            "--channels" => {
-                let v = it.next().ok_or("--channels needs a value")?;
-                cfg.channels = v
-                    .split(',')
-                    .map(|s| match s.trim() {
-                        "modem" => Ok(ChannelKind::Modem),
-                        "lan" => Ok(ChannelKind::Lan),
-                        "disk" => Ok(ChannelKind::Disk),
-                        other => {
-                            Err(format!("--channels: unknown channel {other:?} (modem|lan|disk)"))
-                        }
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            other if !other.starts_with('-') && input.is_none() => input = Some(other),
-            other => return Err(format!("serve-sim: unknown argument {other:?}").into()),
-        }
-    }
-
-    let module = match input {
-        Some(path) => load_module(path)?,
-        None => merged_corpus()?,
-    };
-    let image = DemandImage::build(&module, WireOptions::default())?;
-    let (image, injected) = if corrupt > 0 {
-        corrupt_units(&image, corrupt, cfg.seed ^ 0x0bad_5eed)
-    } else {
-        (image, Vec::new())
-    };
-
-    outln!(
-        "serve-sim: {} functions, {} unit bytes, {} clients x {} requests, fault rate {}/{}",
-        image.names().count(),
-        image.total_units(),
-        cfg.clients,
-        cfg.requests_per_client,
-        cfg.fault_num,
-        cfg.fault_den,
-    )?;
-    for (name, n) in channel_mix(&cfg) {
-        outln!("  {n:>3} clients on {name}")?;
-    }
-    if !injected.is_empty() {
-        outln!("  source-corrupt injected: {}", injected.join(", "))?;
-    }
-
-    // With live metrics enabled, the run also collects request-scoped
-    // spans and must pass the span ↔ counter reconcile check: the
-    // stream is only trustworthy if the two accounting paths agree.
-    let mut obs = match metrics_interval {
-        Some(ms) => SoakObserver::new().with_metrics_interval(ms * MILLI).with_spans(),
-        None => SoakObserver::new(),
-    };
-    let report = run_soak_observed(&image, &cfg, &mut obs);
-    report.publish_telemetry();
-
-    if metrics_interval.is_some() {
-        let stream = obs.stream_lines.join("\n") + "\n";
-        match metrics_stream {
-            Some(path) => {
-                std::fs::write(path, &stream)?;
-                outln!("wrote metric stream: {path} ({} samples)", obs.stream_lines.len())?;
-            }
-            None => out!("{stream}")?,
-        }
-        match reconcile(&obs.spans, &obs.final_snapshot(&report)) {
-            Ok(rec) => outln!(
-                "reconcile: ok ({} spans, {} requests, {} attempts, {} checks)",
-                rec.spans, rec.requests, rec.attempts, rec.checks,
-            )?,
-            Err(errors) => {
-                for e in &errors {
-                    eprintln!("reconcile: {e}");
-                }
-                return Err(format!(
-                    "serve-sim: span/counter reconcile failed ({} mismatches)",
-                    errors.len()
-                )
-                .into());
-            }
-        }
-    }
-
-    outln!(
-        "soak: {} requests over {:.3} virtual s",
-        report.requests,
-        report.virtual_duration as f64 / 1e9,
-    )?;
-    outln!(
-        "  delivered {}  failed {}  attempts {}  retries {}  max attempts/request {}",
-        report.delivered,
-        report.failed,
-        report.attempts,
-        report.retries,
-        report.max_attempts_seen,
-    )?;
-    outln!(
-        "  sheds {}  timeouts {}  corrupt deliveries {}  source-corrupt verdicts {}",
-        report.sheds,
-        report.timeouts,
-        report.corrupt_deliveries,
-        report.source_corrupt,
-    )?;
-    outln!(
-        "  breaker: opens {}  half-opens {}  recoveries {}  rejects {}",
-        report.breaker_opens,
-        report.breaker_half_opens,
-        report.breaker_recoveries,
-        report.breaker_rejects,
-    )?;
-    outln!(
-        "  quarantine: entered {}  recovered {}  still held {}",
-        report.quarantines,
-        report.quarantine_recoveries,
-        report.quarantined_end,
-    )?;
-    outln!(
-        "  cache: hits {}  misses {}  evictions {}  raw fallbacks {}  peak {} bytes",
-        report.cache_hits,
-        report.cache_misses,
-        report.cache_evictions,
-        report.raw_fallbacks,
-        report.peak_cache_bytes,
-    )?;
-    outln!(
-        "  coverage: {}/{} functions delivered",
-        report.names_delivered,
-        report.names_requested,
-    )?;
-    if !report.permanently_corrupt.is_empty() {
-        outln!("  flagged source-corrupt: {}", report.permanently_corrupt.join(", "))?;
-    }
-
-    if report.survived() {
-        outln!("serve-sim: survived (no stuck clients, nothing silently undelivered)")?;
-        Ok(ExitCode::SUCCESS)
-    } else {
-        outln!(
-            "serve-sim: FAILED (stuck clients {}, undelivered: {})",
-            report.stuck_clients,
-            report.undelivered.join(", "),
-        )?;
-        Ok(ExitCode::FAILURE)
-    }
-}

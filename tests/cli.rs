@@ -176,57 +176,6 @@ fn cli_program_arguments() {
 }
 
 #[test]
-fn cli_serve_sim_soak_and_telemetry() {
-    let dir = workdir("cli_serve_sim_soak_and_telemetry");
-    std::fs::write(dir.join("mod.c"), SOURCE).unwrap();
-
-    // A small soak over an explicit module, with stats and a trace.
-    let soak = [
-        "serve-sim", "mod.c", "--clients", "4", "--requests", "25", "--seed", "7",
-        "--fault-rate", "10", "--channels", "lan,disk",
-    ];
-    let mut with_flags = soak.to_vec();
-    with_flags.extend(["--stats", "--trace=soak.jsonl"]);
-    let (stdout, stderr, ok) = run(&with_flags, &dir);
-    assert!(ok, "serve-sim failed: {stderr}");
-    assert!(stdout.contains("survived"), "{stdout}");
-    assert!(
-        stderr.contains("serve.requests") && stderr.contains("serve.delivered"),
-        "--stats missing serve counters: {stderr}"
-    );
-
-    // The trace it wrote validates with our own checker.
-    let (check, stderr, ok) = run(&["telemetry", "check", "soak.jsonl"], &dir);
-    assert!(ok, "telemetry check failed: {stderr}");
-    assert!(check.contains("trace lines ok"), "{check}");
-    let trace = std::fs::read_to_string(dir.join("soak.jsonl")).unwrap();
-    assert!(trace.contains("serve.soak.summary"), "{trace}");
-
-    // Same seed, same report, bit for bit (telemetry flags only touch
-    // stderr and the trace file).
-    let (again, _, ok) = run(&soak, &dir);
-    assert!(ok);
-    assert_eq!(stdout, again, "same seed must reproduce the identical report");
-
-    // Source corruption is flagged without sinking the run.
-    let mut corrupting = soak.to_vec();
-    corrupting.extend(["--corrupt", "1"]);
-    let (stdout, stderr, ok) = run(&corrupting, &dir);
-    assert!(ok, "corrupting serve-sim failed: {stderr}");
-    assert!(stdout.contains("source-corrupt injected"), "{stdout}");
-
-    // Unknown flags are rejected with a clear message.
-    let (_, stderr, ok) = run(&["serve-sim", "--bogus"], &dir);
-    assert!(!ok);
-    assert!(stderr.contains("unknown argument"), "{stderr}");
-    let (_, stderr, ok) = run(&["serve-sim", "--fault-rate", "3/2"], &dir);
-    assert!(!ok);
-    assert!(stderr.contains("fault-rate"), "{stderr}");
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn piped_stdout_closed_early_is_not_an_error() {
     use std::io::Read;
     use std::process::Stdio;

@@ -12,7 +12,10 @@
 //!
 //! A decoder may reject a mutated input (any error is fine) or accept
 //! it (a mutation can be semantically neutral), but it must never
-//! panic. Unmutated payloads must round-trip bit-exactly.
+//! panic. Unmutated payloads must round-trip bit-exactly. Each input
+//! goes through the decoder's default entry point and through its
+//! budgeted one under [`tight_limits`], so both the unmetered and the
+//! metered paths, and their limit trips, are swept.
 //!
 //! Everything is deterministic: the mutation streams come from the
 //! in-tree xorshift PRNG, so a failing seed reproduces exactly.
@@ -31,17 +34,31 @@ use code_compression::coding::mtf::{
 use code_compression::core::fault::{assert_decoder_total, XorShift64};
 use code_compression::core::{Budget, DecodeLimits};
 use code_compression::corpus::benchmarks;
-use code_compression::flate::{gzip_compress, gzip_decompress, CompressionLevel};
+use code_compression::flate::{
+    gzip_compress, gzip_decompress, gzip_decompress_budgeted, CompressionLevel,
+};
 use code_compression::ir::Module;
 use code_compression::vm::codegen::compile_module;
 use code_compression::vm::isa::IsaConfig;
 use code_compression::wire::{
-    compress as wire_compress, decompress as wire_decompress, DemandImage, WireError, WireOptions,
+    compress as wire_compress, decompress as wire_decompress, decompress_budgeted, DemandImage,
+    WireError, WireOptions,
 };
 
 /// Seeded mutations per payload. Three corpus programs per decoder
 /// puts every decoder comfortably past the 1,000-mutation floor.
 const MUTATIONS_PER_PAYLOAD: usize = 350;
+
+/// Per-input budgets small enough that decode bombs are cut off fast;
+/// `tests/regressions.rs` replays its reproducers under the same ones.
+fn tight_limits() -> DecodeLimits {
+    DecodeLimits {
+        max_output_bytes: 1 << 22,
+        decode_fuel: 1 << 24,
+        max_resident_bytes: 1 << 22,
+        ..DecodeLimits::default()
+    }
+}
 
 /// Three small corpus programs (smallest sources compile and mutate
 /// fastest; the decoders under attack are the same regardless).
@@ -74,6 +91,7 @@ fn wire_decoder_is_total_under_mutation() {
             0x57AB_0000 + i as u64,
             |bytes| {
                 let _ = wire_decompress(bytes);
+                let _ = decompress_budgeted(bytes, &Budget::new(tight_limits()));
             },
         );
     }
@@ -98,6 +116,15 @@ fn gzip_decoder_is_total_under_mutation() {
             0x6210_0000 + i as u64,
             |bytes| {
                 let _ = gzip_decompress(bytes);
+                let limits = tight_limits();
+                if let Ok(out) = gzip_decompress_budgeted(bytes, &Budget::new(limits)) {
+                    assert!(
+                        out.len() as u64 <= limits.max_output_bytes,
+                        "gzip output {} bytes exceeds the {}-byte ceiling",
+                        out.len(),
+                        limits.max_output_bytes
+                    );
+                }
             },
         );
     }
@@ -135,6 +162,7 @@ fn demand_image_decoder_is_total_under_mutation() {
                 // full unit decompression.
                 if let Ok(img) = DemandImage::from_bytes(bytes) {
                     let _ = img.load_all();
+                    let _ = img.load_all_budgeted(&Budget::new(tight_limits()));
                 }
             },
         );
@@ -379,6 +407,14 @@ fn brisc_loader_and_interpreter_are_total_under_mutation() {
                 // loader alone does not exercise the code stream.
                 if let Ok(img) = BriscImage::from_bytes(bytes) {
                     if let Ok(mut m) = BriscMachine::new(&img, 1 << 16, 2_048) {
+                        let _ = m.run("main", &[]);
+                    }
+                }
+                // The budgeted loader, and the governed machine's
+                // validation scan and quarantine, under tight limits.
+                let limits = tight_limits();
+                if let Ok(img) = BriscImage::from_bytes_budgeted(bytes, &Budget::new(limits)) {
+                    if let Ok(mut m) = BriscMachine::new_governed(&img, 1 << 16, 1 << 14, limits) {
                         let _ = m.run("main", &[]);
                     }
                 }

@@ -25,7 +25,9 @@ fn pipeline_without_collector_leaves_no_telemetry_state() {
     telemetry::counter_add("x", 1);
     telemetry::gauge_set("x", 1);
     telemetry::gauge_max("x", 1);
-    telemetry::histogram_record("x", 1);
+    let mut local = telemetry::LocalHistogram::default();
+    local.record(1);
+    telemetry::histogram_merge("x", &local);
     telemetry::event("x", vec![("k", 1u64.into())]);
     drop(telemetry::stage!("x"));
     assert!(telemetry::collapsed_stacks().is_empty());
