@@ -60,7 +60,7 @@ fn main() {
         }
         let mut machine = Machine::new(&s.vm, MEM, FUEL).expect("machine");
         machine.run("main", &[]).expect("native run succeeds");
-        let mut native_pager = Pager::new(page, 1 << 20);
+        let mut native_pager = Pager::new(page);
         for (i, &count) in machine.exec_counts.iter().enumerate() {
             if count > 0 {
                 let (off, len) = offsets[i];
@@ -72,7 +72,7 @@ fn main() {
         let report = compress(&s.vm, BriscOptions::default()).expect("compression succeeds");
         let mut bm = BriscMachine::new(&report.image, MEM, FUEL).expect("machine");
         let outcome = bm.run("main", &[]).expect("interp run succeeds");
-        let mut brisc_pager = Pager::new(page, 1 << 20);
+        let mut brisc_pager = Pager::new(page);
         for (off, len) in bm.touched_runs() {
             brisc_pager.access_run(off, len);
         }

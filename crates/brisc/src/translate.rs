@@ -7,7 +7,7 @@
 //! x86-64 machine-code bytes whose output rate is the paper's
 //! "MB/sec of produced code" metric.
 
-use crate::image::{BriscImage, DecodeTables};
+use crate::image::{BriscImage, DecodeTables, ItemBuf};
 use crate::markov::BLOCK_START;
 use crate::BriscError;
 use codecomp_vm::isa::Inst;
@@ -41,6 +41,7 @@ pub fn translate_budgeted(
     let mut program = VmProgram::new();
     program.globals = image.globals.clone();
     let tables = DecodeTables::new(image);
+    let mut item = ItemBuf::default();
     for (fi, f) in image.functions.iter().enumerate() {
         // Pass 1: linear decode, collecting instructions and the branch
         // targets that need labels.
@@ -57,8 +58,8 @@ pub fn translate_budgeted(
             } else {
                 ctx
             };
-            let item = image.decode_at(pos, effective, &tables)?;
-            for inst in &item.insts {
+            image.decode_into(pos, effective, &tables, &mut item)?;
+            for inst in item.insts() {
                 match inst {
                     Inst::Branch { target, .. }
                     | Inst::BranchImm { target, .. }
@@ -68,8 +69,9 @@ pub fn translate_budgeted(
                     _ => {}
                 }
             }
-            let last_ends = item.insts.last().is_some_and(Inst::ends_block);
-            decoded.push((local, item.insts));
+            let last_ends = item.insts().last().is_some_and(Inst::ends_block);
+            let insts = item.insts().iter().zip(item.callees());
+            decoded.push((local, insts.map(|(i, &c)| image.named(i, c)).collect()));
             ctx = if last_ends { BLOCK_START } else { item.entry };
             pos += item.size;
         }

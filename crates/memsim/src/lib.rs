@@ -13,12 +13,12 @@
 //!   transfer + decompress + translate ("JIT") + run — with optional
 //!   overlap of translation and transfer ("the delivery time … can mask
 //!   some or even all of the recompilation time").
-//! - [`Pager`]: an LRU paging simulator over code-touch traces, for the
-//!   working-set experiments ("we have seen the CPU idle for most of the
+//! - [`Pager`]: the set of pages a code-touch trace touches, for the
+//!   working-set experiment ("we have seen the CPU idle for most of the
 //!   time during paging, so compressing pages can increase total
 //!   performance").
 
-use std::collections::VecDeque;
+use std::collections::HashSet;
 
 /// A delivery channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -228,53 +228,26 @@ pub fn crossover_bandwidth(
     Some((lo * hi).sqrt())
 }
 
-/// An LRU paging simulator over byte-address accesses.
+/// The working set of a run: the distinct pages its byte-address
+/// accesses touch.
 #[derive(Debug)]
 pub struct Pager {
     page_size: u32,
-    capacity: usize,
-    /// Resident pages, most recently used at the back.
-    resident: VecDeque<u32>,
-    faults: u64,
-    accesses: u64,
-    /// All distinct pages ever touched.
-    touched: std::collections::HashSet<u32>,
+    touched: HashSet<u32>,
 }
 
 impl Pager {
-    /// A pager with `capacity` resident pages of `page_size` bytes.
+    /// A pager of `page_size`-byte pages, nothing touched yet.
     ///
     /// # Panics
     ///
-    /// Panics if `page_size` is zero or `capacity` is zero.
-    pub fn new(page_size: u32, capacity: usize) -> Pager {
+    /// Panics if `page_size` is zero.
+    pub fn new(page_size: u32) -> Pager {
         assert!(page_size > 0, "page size must be positive");
-        assert!(capacity > 0, "capacity must be positive");
         Pager {
             page_size,
-            capacity,
-            resident: VecDeque::new(),
-            faults: 0,
-            accesses: 0,
-            touched: std::collections::HashSet::new(),
+            touched: HashSet::new(),
         }
-    }
-
-    /// Touches one byte address.
-    pub fn access(&mut self, addr: u32) {
-        let page = addr / self.page_size;
-        self.accesses += 1;
-        self.touched.insert(page);
-        if let Some(pos) = self.resident.iter().position(|&p| p == page) {
-            self.resident.remove(pos);
-            self.resident.push_back(page);
-            return;
-        }
-        self.faults += 1;
-        if self.resident.len() == self.capacity {
-            self.resident.pop_front();
-        }
-        self.resident.push_back(page);
     }
 
     /// Touches a byte run `(offset, len)`.
@@ -284,32 +257,13 @@ impl Pager {
         }
         let first = offset / self.page_size;
         let last = (offset + len - 1) / self.page_size;
-        for page in first..=last {
-            self.access(page * self.page_size);
-        }
-    }
-
-    /// Page faults so far.
-    pub fn faults(&self) -> u64 {
-        self.faults
-    }
-
-    /// Accesses so far.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
+        self.touched.extend(first..=last);
     }
 
     /// Distinct pages touched (the working set over the whole run).
     pub fn working_set_pages(&self) -> usize {
         self.touched.len()
     }
-}
-
-/// Total time of an execution whose code faults from a backing channel:
-/// CPU time plus fault service time ("we have seen the CPU idle for most
-/// of the time during paging").
-pub fn paged_run_time(cpu_seconds: f64, faults: u64, page_size: u32, channel: &Channel) -> f64 {
-    cpu_seconds + faults as f64 * channel.transfer_time(page_size as usize)
 }
 
 #[cfg(test)]
@@ -394,22 +348,17 @@ mod tests {
     }
 
     #[test]
-    fn pager_counts_faults_lru() {
-        let mut p = Pager::new(100, 2);
-        p.access(0); // fault: page 0
-        p.access(50); // hit
-        p.access(150); // fault: page 1
-        p.access(0); // hit
-        p.access(250); // fault: page 2, evicts LRU (page 1)
-        p.access(150); // fault again
-        assert_eq!(p.faults(), 4);
-        assert_eq!(p.accesses(), 6);
+    fn working_set_counts_each_page_once() {
+        let mut p = Pager::new(100);
+        for (offset, len) in [(0, 1), (50, 1), (150, 1), (0, 1), (250, 1), (150, 1)] {
+            p.access_run(offset, len);
+        }
         assert_eq!(p.working_set_pages(), 3);
     }
 
     #[test]
     fn runs_touch_every_spanned_page() {
-        let mut p = Pager::new(100, 10);
+        let mut p = Pager::new(100);
         p.access_run(95, 10); // spans pages 0 and 1
         assert_eq!(p.working_set_pages(), 2);
         p.access_run(300, 0); // empty run: nothing
@@ -422,33 +371,12 @@ mod tests {
     fn smaller_code_means_smaller_working_set() {
         // The same logical trace, expressed over native (large) and
         // compressed (small) layouts.
-        let mut native = Pager::new(4096, 1000);
-        let mut compressed = Pager::new(4096, 1000);
+        let mut native = Pager::new(4096);
+        let mut compressed = Pager::new(4096);
         for i in 0..100u32 {
             native.access_run(i * 1000, 400); // spread out
             compressed.access_run(i * 380, 150); // ~2.6x denser
         }
         assert!(compressed.working_set_pages() < native.working_set_pages());
-    }
-
-    #[test]
-    fn paged_run_time_adds_fault_service() {
-        let disk = Channel::disk();
-        let t = paged_run_time(1.0, 100, 4096, &disk);
-        assert!(t > 1.0 + 100.0 * 0.012);
-    }
-
-    #[test]
-    fn fewer_faults_can_beat_interpretation_overhead() {
-        // The intro's scenario: interpretation is 12x slower on the CPU
-        // but halves the paged working set; with a slow disk and tight
-        // memory the interpreted run can still win on total time.
-        let disk = Channel::disk();
-        let cpu_native = 0.05;
-        let native_faults = 2000u64;
-        let interp_faults = 600u64;
-        let native_total = paged_run_time(cpu_native, native_faults, 4096, &disk);
-        let interp_total = paged_run_time(cpu_native * 12.0, interp_faults, 4096, &disk);
-        assert!(interp_total < native_total);
     }
 }

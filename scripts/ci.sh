@@ -21,10 +21,14 @@ cargo test -q --offline --workspace
 # end_to_end's runs a 300-function module through every execution
 # tier, and brisc_decode_equivalence's decodes every item of the
 # 1200-function image both ways; they are too slow for the debug
-# profile above.
-echo "==> brisc and wire golden, tiers and decoders agree (release, includes the 300- and 1200-function cases)"
+# profile above. brisc_interp_golden runs here too: perfbench measures
+# the release build, where the decoder's `debug_assert!`s are compiled
+# out, so its pinned instruction and item counts and touch maps are
+# checked on that build as well as in debug.
+echo "==> brisc and wire golden, interpreter golden, tiers and decoders agree (release, includes the 300- and 1200-function cases)"
 cargo test --release --offline --test brisc_compress_golden --test wire_golden \
-    --test end_to_end --test brisc_decode_equivalence -- --include-ignored
+    --test brisc_interp_golden --test end_to_end --test brisc_decode_equivalence \
+    -- --include-ignored
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings

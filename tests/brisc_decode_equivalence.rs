@@ -94,9 +94,18 @@ fn assert_decoders_agree(what: &str, image: &BriscImage) -> usize {
                 .unwrap_or_else(|e| panic!("{what}: decode_into {pos}: {e}"));
             assert_eq!(buf.entry, named.entry, "{what} @{pos}: entry");
             assert_eq!(buf.size, named.size, "{what} @{pos}: size");
-            assert_eq!(buf.insts.len(), named.insts.len(), "{what} @{pos}: length");
-            assert_eq!(buf.callees.len(), buf.insts.len(), "{what} @{pos}: callees");
-            for ((inst, callee), named_inst) in buf.insts.iter().zip(&buf.callees).zip(&named.insts)
+            assert_eq!(
+                buf.insts().len(),
+                named.insts.len(),
+                "{what} @{pos}: length"
+            );
+            assert_eq!(
+                buf.callees().len(),
+                buf.insts().len(),
+                "{what} @{pos}: callees"
+            );
+            for ((inst, callee), named_inst) in
+                buf.insts().iter().zip(buf.callees()).zip(&named.insts)
             {
                 match named_inst {
                     Inst::Call {
@@ -125,7 +134,7 @@ fn assert_decoders_agree(what: &str, image: &BriscImage) -> usize {
                     }
                 }
             }
-            let ends = buf.insts.last().is_some_and(Inst::ends_block);
+            let ends = buf.insts().last().is_some_and(Inst::ends_block);
             ctx = if ends { BLOCK_START } else { buf.entry };
             pos += buf.size;
             items += 1;
