@@ -23,7 +23,7 @@
 
 use codecomp_bench::perf::{self, num, Rate, Report, LEVELS};
 use codecomp_bench::{subjects, Scale};
-use codecomp_brisc::image::DecodeTables;
+use codecomp_brisc::image::{DecodeTables, ItemBuf};
 use codecomp_brisc::interp::BriscMachine;
 use codecomp_brisc::BriscImage;
 use codecomp_core::telemetry;
@@ -368,9 +368,10 @@ fn brisc_jobs(out: &mut Out) -> Vec<Job> {
     let scan = move || -> u64 {
         let scan_one = |(image, tables): &(BriscImage, DecodeTables)| {
             let budget = Budget::default();
+            let mut item = ItemBuf::default();
             for f in 0..image.functions.len() {
                 image
-                    .validate_function(f, tables, &budget)
+                    .validate_function(f, tables, &budget, &mut item)
                     .expect("corpus decodes");
             }
             budget.usage().fuel_spent
