@@ -8,10 +8,11 @@
 //! recency list. This is the paper's exact example: the `ADDRLP8` stream
 //! `[72 72 68 72 68 68 68 68]` codes to `[0 1 0 2 2 1 1 1]`.
 //!
-//! A classic MTF transform over a fixed alphabet ([`mtf_encode_classic`])
-//! is also provided for ablation experiments.
-
-use crate::CodingError;
+//! [`mtf_encode`] and [`mtf_decode`] are that variant's two halves. The
+//! decoder returns each symbol as its index into the side table, which
+//! is what the wire format stores: its streams are already indices into
+//! a first-occurrence table, so the side table is the identity and is
+//! not transmitted.
 
 /// Output of [`mtf_encode`]: recency indices plus the first-occurrence table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,68 +72,27 @@ pub fn mtf_encode<T: Clone + PartialEq>(stream: &[T]) -> MtfEncoded<T> {
     MtfEncoded { indices, table }
 }
 
-/// Inverts [`mtf_encode`].
+/// Inverts [`mtf_encode`], returning each symbol as its index into
+/// the side table of `table_len` first occurrences.
 ///
-/// Returns `None` if the indices reference recency positions that do not
-/// exist or the table is shorter than the number of `0` indices.
-pub fn mtf_decode<T: Clone + PartialEq>(encoded: &MtfEncoded<T>) -> Option<Vec<T>> {
-    let mut recency: Vec<T> = Vec::new();
-    let mut table_iter = encoded.table.iter();
-    let mut out = Vec::with_capacity(encoded.indices.len());
-    for &idx in &encoded.indices {
-        if idx == 0 {
-            let sym = table_iter.next()?.clone();
-            // A "new" symbol that is already in the recency list means the
-            // encoding is corrupt.
-            if recency.contains(&sym) {
-                return None;
-            }
-            recency.insert(0, sym.clone());
-            out.push(sym);
-        } else {
-            let pos = idx as usize - 1;
-            if pos >= recency.len() {
-                return None;
-            }
-            let sym = recency.remove(pos);
-            recency.insert(0, sym.clone());
-            out.push(sym);
-        }
-    }
-    Some(out)
-}
-
-/// Budget-governed [`mtf_decode`]: the index count is checked against
-/// the stream-symbol ceiling and charged as decode fuel; a corrupt
-/// encoding surfaces as [`CodingError::InvalidCode`] instead of `None`.
-///
-/// # Errors
-///
-/// [`CodingError::LimitExceeded`] when the budget trips,
-/// [`CodingError::InvalidCode`] when the encoding is corrupt.
-pub fn mtf_decode_budgeted<T: Clone + PartialEq>(
-    encoded: &MtfEncoded<T>,
-    budget: &codecomp_core::Budget,
-) -> Result<Vec<T>, CodingError> {
-    budget.check_stream_symbols(encoded.indices.len() as u64)?;
-    budget.charge_fuel(encoded.indices.len() as u64)?;
-    mtf_decode(encoded).ok_or(CodingError::InvalidCode)
-}
-
-/// Batched inverse MTF for the wire format's identity side table.
-///
-/// The wire decoder always reconstructs streams whose first-occurrence
-/// table is the identity permutation `0..table_len` (the occurrence
-/// index *is* the symbol), so the generic [`mtf_decode`] machinery —
-/// recency membership scans, `remove` + `insert` double shifts, a
-/// clone per symbol — collapses to one array pass: a new symbol is the
-/// next counter value, a repeat is a single bounded `copy_within`
-/// front-move. Output is identical to [`mtf_decode`] over
-/// `MtfEncoded { indices, table: (0..table_len).collect() }`.
+/// One array pass: a new symbol is the next table index, a repeat is a
+/// single bounded `copy_within` front-move.
 ///
 /// Returns `None` when an index references a recency position that
 /// does not exist or more than `table_len` first occurrences appear.
-pub fn mtf_decode_identity(indices: &[u32], table_len: usize) -> Option<Vec<u32>> {
+///
+/// # Examples
+///
+/// ```
+/// use codecomp_coding::mtf::{mtf_decode, mtf_encode};
+///
+/// let stream = [72u32, 72, 68, 72, 68, 68, 68, 68];
+/// let enc = mtf_encode(&stream);
+/// let back = mtf_decode(&enc.indices, enc.table.len()).unwrap();
+/// assert_eq!(back, vec![0, 0, 1, 0, 1, 1, 1, 1]);
+/// assert!(back.iter().map(|&i| enc.table[i as usize]).eq(stream));
+/// ```
+pub fn mtf_decode(indices: &[u32], table_len: usize) -> Option<Vec<u32>> {
     let mut recency: Vec<u32> = Vec::with_capacity(table_len);
     let mut next_new: u32 = 0;
     let mut out = Vec::with_capacity(indices.len());
@@ -158,60 +118,49 @@ pub fn mtf_decode_identity(indices: &[u32], table_len: usize) -> Option<Vec<u32>
     Some(out)
 }
 
-/// Classic MTF transform over the alphabet `0..alphabet`.
-///
-/// The recency list is initialized to the identity permutation, so no
-/// side table is needed. Returns `None` if any symbol is `>= alphabet`.
-pub fn mtf_encode_classic(stream: &[u32], alphabet: u32) -> Option<Vec<u32>> {
-    let mut recency: Vec<u32> = (0..alphabet).collect();
-    let mut out = Vec::with_capacity(stream.len());
-    for &sym in stream {
-        let pos = recency.iter().position(|&s| s == sym)?;
-        out.push(pos as u32);
-        recency.remove(pos);
-        recency.insert(0, sym);
-    }
-    Some(out)
-}
-
-/// Inverts [`mtf_encode_classic`].
-///
-/// Returns `None` if any index is `>= alphabet`.
-pub fn mtf_decode_classic(indices: &[u32], alphabet: u32) -> Option<Vec<u32>> {
-    let mut recency: Vec<u32> = (0..alphabet).collect();
-    let mut out = Vec::with_capacity(indices.len());
-    for &idx in indices {
-        if idx >= alphabet {
-            return None;
-        }
-        let sym = recency.remove(idx as usize);
-        recency.insert(0, sym);
-        out.push(sym);
-    }
-    Some(out)
-}
-
-/// Budget-governed [`mtf_decode_classic`]: the recency list is one
-/// table of `alphabet` entries and the indices are one stream.
-///
-/// # Errors
-///
-/// [`CodingError::LimitExceeded`] when the budget trips,
-/// [`CodingError::InvalidCode`] on an out-of-alphabet index.
-pub fn mtf_decode_classic_budgeted(
-    indices: &[u32],
-    alphabet: u32,
-    budget: &codecomp_core::Budget,
-) -> Result<Vec<u32>, CodingError> {
-    budget.check_table_entries(u64::from(alphabet))?;
-    budget.check_stream_symbols(indices.len() as u64)?;
-    budget.charge_fuel(indices.len() as u64)?;
-    mtf_decode_classic(indices, alphabet).ok_or(CodingError::InvalidCode)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The textbook inverse over an explicit side table: recency
+    /// membership scans, `remove` + `insert` front-moves, a clone per
+    /// symbol. [`mtf_decode`] must agree with it.
+    fn reference_decode<T: Clone + PartialEq>(encoded: &MtfEncoded<T>) -> Option<Vec<T>> {
+        let mut recency: Vec<T> = Vec::new();
+        let mut table_iter = encoded.table.iter();
+        let mut out = Vec::with_capacity(encoded.indices.len());
+        for &idx in &encoded.indices {
+            if idx == 0 {
+                let sym = table_iter.next()?.clone();
+                // A "new" symbol already in the recency list means the
+                // encoding is corrupt.
+                if recency.contains(&sym) {
+                    return None;
+                }
+                recency.insert(0, sym.clone());
+                out.push(sym);
+            } else {
+                let pos = idx as usize - 1;
+                if pos >= recency.len() {
+                    return None;
+                }
+                let sym = recency.remove(pos);
+                recency.insert(0, sym.clone());
+                out.push(sym);
+            }
+        }
+        Some(out)
+    }
+
+    /// Decodes and maps each index back through the side table.
+    fn roundtrip<T: Clone>(enc: &MtfEncoded<T>) -> Option<Vec<T>> {
+        let back = mtf_decode(&enc.indices, enc.table.len())?;
+        Some(
+            back.iter()
+                .map(|&i| enc.table[i as usize].clone())
+                .collect(),
+        )
+    }
 
     #[test]
     fn paper_addrlp8_example() {
@@ -219,7 +168,7 @@ mod tests {
         let enc = mtf_encode(&stream);
         assert_eq!(enc.indices, vec![0, 1, 0, 2, 2, 1, 1, 1]);
         assert_eq!(enc.table, vec![72, 68]);
-        assert_eq!(mtf_decode(&enc).unwrap(), stream);
+        assert_eq!(roundtrip(&enc).unwrap(), stream);
     }
 
     #[test]
@@ -227,7 +176,7 @@ mod tests {
         let enc = mtf_encode::<u32>(&[]);
         assert!(enc.indices.is_empty());
         assert!(enc.table.is_empty());
-        assert_eq!(mtf_decode(&enc).unwrap(), Vec::<u32>::new());
+        assert_eq!(roundtrip(&enc).unwrap(), Vec::<u32>::new());
     }
 
     #[test]
@@ -252,7 +201,7 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         let enc = mtf_encode(&stream);
-        assert_eq!(mtf_decode(&enc).unwrap(), stream);
+        assert_eq!(roundtrip(&enc).unwrap(), stream);
     }
 
     #[test]
@@ -260,32 +209,13 @@ mod tests {
         let stream = [1u32, 2, 3];
         let mut enc = mtf_encode(&stream);
         enc.table.pop();
-        assert!(mtf_decode(&enc).is_none());
+        assert!(mtf_decode(&enc.indices, enc.table.len()).is_none());
     }
 
     #[test]
-    fn decode_rejects_out_of_range_index() {
-        let enc = MtfEncoded {
-            indices: vec![0, 5],
-            table: vec![7u32],
-        };
-        assert!(mtf_decode(&enc).is_none());
-    }
-
-    #[test]
-    fn decode_rejects_duplicate_new_symbol() {
-        let enc = MtfEncoded {
-            indices: vec![0, 0],
-            table: vec![7u32, 7],
-        };
-        assert!(mtf_decode(&enc).is_none());
-    }
-
-    #[test]
-    fn identity_decode_matches_generic_decode() {
-        // Exhaustive-ish: every encodable stream shape over a small
-        // alphabet plus the paper's example, checked against the
-        // generic decoder with an identity table.
+    fn decode_matches_the_reference() {
+        // Every encodable stream shape over a small alphabet plus the
+        // paper's example, checked against the reference decoder.
         let streams: Vec<Vec<u32>> = vec![
             vec![],
             vec![0],
@@ -296,54 +226,32 @@ mod tests {
         ];
         for stream in streams {
             let enc = mtf_encode(&stream);
-            let table_len = enc.table.len();
-            // Relabel so the side table is the identity permutation,
-            // which is exactly what the wire decoder reconstructs.
-            let relabeled: Vec<u32> = stream
-                .iter()
-                .map(|s| enc.table.iter().position(|t| t == s).unwrap() as u32)
-                .collect();
-            let enc_id = mtf_encode(&relabeled);
-            assert_eq!(enc_id.indices, enc.indices);
-            assert_eq!(enc_id.table, (0..table_len as u32).collect::<Vec<_>>());
-            assert_eq!(
-                mtf_decode_identity(&enc.indices, table_len),
-                mtf_decode(&enc_id),
-                "stream {stream:?}"
-            );
+            assert_eq!(roundtrip(&enc), reference_decode(&enc), "{stream:?}");
+            assert_eq!(roundtrip(&enc).unwrap(), stream);
         }
     }
 
     #[test]
-    fn identity_decode_rejects_bad_input() {
+    fn decode_rejects_bad_input() {
         // More zeros than the declared table.
-        assert!(mtf_decode_identity(&[0, 0], 1).is_none());
-        // Recency position that does not exist yet.
-        assert!(mtf_decode_identity(&[1], 4).is_none());
-        assert!(mtf_decode_identity(&[0, 3], 4).is_none());
+        assert!(mtf_decode(&[0, 0], 1).is_none());
+        // Recency positions that do not exist yet.
+        assert!(mtf_decode(&[1], 4).is_none());
+        assert!(mtf_decode(&[0, 3], 4).is_none());
+        assert!(mtf_decode(&[0, 5], 1).is_none());
         // Valid boundary: position exactly at the list edge.
-        assert_eq!(mtf_decode_identity(&[0, 0, 2], 2), Some(vec![0, 1, 0]));
-    }
-
-    #[test]
-    fn classic_roundtrip() {
-        let stream = [3u32, 3, 1, 0, 1, 3, 2, 2, 2];
-        let enc = mtf_encode_classic(&stream, 4).unwrap();
-        assert_eq!(mtf_decode_classic(&enc, 4).unwrap(), stream);
-    }
-
-    #[test]
-    fn classic_locality_yields_small_indices() {
-        let stream = [5u32, 5, 5, 5, 6, 6, 6, 6];
-        let enc = mtf_encode_classic(&stream, 16).unwrap();
-        // After the first access, repeated symbols index 0.
-        assert_eq!(&enc[1..4], &[0, 0, 0]);
-        assert_eq!(&enc[5..], &[0, 0, 0]);
-    }
-
-    #[test]
-    fn classic_rejects_out_of_alphabet() {
-        assert!(mtf_encode_classic(&[4], 4).is_none());
-        assert!(mtf_decode_classic(&[4], 4).is_none());
+        assert_eq!(mtf_decode(&[0, 0, 2], 2), Some(vec![0, 1, 0]));
+        // The reference rejects the same shapes, and a repeated first
+        // occurrence, which the identity table cannot express.
+        let bad = MtfEncoded {
+            indices: vec![0, 5],
+            table: vec![7u32],
+        };
+        assert!(reference_decode(&bad).is_none());
+        let bad = MtfEncoded {
+            indices: vec![0, 0],
+            table: vec![7u32, 7],
+        };
+        assert!(reference_decode(&bad).is_none());
     }
 }

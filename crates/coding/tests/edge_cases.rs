@@ -9,7 +9,7 @@ use codecomp_coding::arith::{
 use codecomp_coding::bits::{BitReader, BitWriter};
 use codecomp_coding::huffman::HuffmanDecoder;
 use codecomp_coding::model::{AdaptiveModel, ContextModel, FrequencyTable};
-use codecomp_coding::mtf::{mtf_decode, mtf_decode_classic, mtf_encode, MtfEncoded};
+use codecomp_coding::mtf::{mtf_decode, mtf_encode};
 use codecomp_coding::CodingError;
 
 #[test]
@@ -33,43 +33,22 @@ fn msb_reader_eof_mid_symbol() {
 #[test]
 fn mtf_decode_rejects_out_of_range_recency_index() {
     // Index 7 refers to recency position 6 of an empty list.
-    let bad = MtfEncoded::<u32> {
-        indices: vec![7],
-        table: vec![],
-    };
-    assert_eq!(mtf_decode(&bad), None);
+    assert_eq!(mtf_decode(&[7], 0), None);
     // Index 2 after a single "new" symbol: recency list has one entry.
-    let bad = MtfEncoded::<u32> {
-        indices: vec![0, 2],
-        table: vec![42],
-    };
-    assert_eq!(mtf_decode(&bad), None);
+    assert_eq!(mtf_decode(&[0, 2], 1), None);
 }
 
 #[test]
 fn mtf_decode_rejects_exhausted_side_table() {
     // Two "new symbol" indices but only one table entry.
-    let bad = MtfEncoded::<u32> {
-        indices: vec![0, 0],
-        table: vec![42],
-    };
-    assert_eq!(mtf_decode(&bad), None);
-}
-
-#[test]
-fn mtf_classic_rejects_out_of_alphabet_index() {
-    assert_eq!(mtf_decode_classic(&[5], 3), None);
-    assert_eq!(mtf_decode_classic(&[0, 1, 3], 3), None);
-    // In-range indices still decode.
-    assert!(mtf_decode_classic(&[0, 1, 2], 3).is_some());
+    assert_eq!(mtf_decode(&[0, 0], 1), None);
 }
 
 #[test]
 fn mtf_empty_stream_roundtrips() {
     let enc = mtf_encode::<u32>(&[]);
     assert!(enc.indices.is_empty() && enc.table.is_empty());
-    assert_eq!(mtf_decode(&enc), Some(vec![]));
-    assert_eq!(mtf_decode_classic(&[], 4), Some(vec![]));
+    assert_eq!(mtf_decode(&enc.indices, 0), Some(vec![]));
 }
 
 #[test]

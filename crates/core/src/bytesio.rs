@@ -1,15 +1,22 @@
-//! Byte-level codecs shared by the wire and BRISC containers.
+//! Byte-level codecs: the wire, demand and BRISC containers, the
+//! `.ccir` module format, and the pieces the VM instruction format
+//! shares with it.
 //!
-//! A container format is written once, as a function generic over
-//! [`Io`]: `Vec<u8>` implements it by writing each value, [`Cursor`]
-//! by overwriting each value with what the bytes say. One definition
+//! A format is written once, as a function generic over [`Io`]:
+//! `Vec<u8>` implements it by writing each value, [`Cursor`] by
+//! overwriting each value with what the bytes say. One definition
 //! yields both directions, so the writer and the reader cannot drift
-//! apart. The primitives are LEB128 varints, zigzag, length-prefixed
-//! strings and byte strings, and the count-prefixed [`Io::seq`], which
-//! is the only way a container reads a count.
+//! apart. The primitives are LEB128 varints, fixed-width little-endian
+//! integers, length-prefixed byte strings, the count-prefixed
+//! [`Io::seq_by`], which is the only way a format reads a count, and
+//! [`Io::iso`], which codes a value through a representation it maps
+//! to and from.
 
 use crate::{Budget, DecodeError};
-use codecomp_ir::tree::Global;
+use codecomp_ir::binary::{byte_for_op, op_for_byte};
+use codecomp_ir::op::{Literal, LiteralKind, Op, Width};
+use codecomp_ir::tree::{Global, Module, Tree};
+use std::collections::HashMap;
 
 /// Appends an unsigned LEB128 varint.
 #[inline]
@@ -37,6 +44,12 @@ pub fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
+/// The largest value `width` bytes hold.
+fn width_max(width: usize) -> u64 {
+    debug_assert!((1..=8).contains(&width), "fixed width {width}");
+    u64::MAX >> (64 - 8 * width)
+}
+
 /// One side of a reversible byte codec.
 ///
 /// A codec is written once, as `fn code_x<I: Io>(io: &mut I, v: &mut
@@ -46,36 +59,101 @@ pub fn zigzag(v: i64) -> u64 {
 /// [`DecodeError::Truncated`] when the input ends first,
 /// [`DecodeError::Malformed`] when the bytes are there but invalid, and
 /// [`DecodeError::LimitExceeded`] when a count trips the budget.
+/// Writes fail, with [`DecodeError::LimitExceeded`], only when a value
+/// does not fit its field.
 pub trait Io: Sized {
     /// Codes an unsigned varint.
     fn uvarint(&mut self, v: &mut u64) -> Result<(), DecodeError>;
 
+    /// Codes `v` as `width` little-endian bytes (1 to 8). Writing a
+    /// value that does not fit `width` bytes is an error, never a
+    /// truncation; reading rejects a value that does not fit `T`.
+    fn fixed<T: Copy + TryInto<u64> + TryFrom<u64>>(
+        &mut self,
+        v: &mut T,
+        width: usize,
+    ) -> Result<(), DecodeError>;
+
     /// Codes a length-prefixed byte string.
     fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), DecodeError>;
 
-    /// Codes a value as one byte: writing emits `to(v)`; reading
-    /// replaces `v` with `from(byte)`, which rejects bytes that denote
-    /// no value.
-    fn tag<T, E: From<DecodeError>>(
+    /// Codes `v` through a representation `B`: writing maps `v` with
+    /// `to` and codes the result with `code_b`; reading codes a `B` and
+    /// replaces `v` with `from` of it, which rejects whatever denotes
+    /// no value. `to` and `from` are inverses, and only one of them
+    /// runs.
+    fn iso<T, B: Default, E>(
         &mut self,
         v: &mut T,
-        to: impl FnOnce(&T) -> Result<u8, E>,
-        from: impl FnOnce(u8) -> Result<T, E>,
+        to: impl FnOnce(&mut T) -> Result<B, E>,
+        from: impl FnOnce(B) -> Result<T, E>,
+        code_b: impl FnOnce(&mut Self, &mut B) -> Result<(), E>,
     ) -> Result<(), E>;
 
-    /// Codes a count-prefixed sequence, each element with `each`.
-    /// Reading charges the count to the budget (table entries and fuel)
-    /// before reading any element, and caps preallocation by the bytes
-    /// left, so a forged count can neither allocate beyond the input
-    /// nor loop unmetered.
-    fn seq<T: Default, E: From<DecodeError>>(
+    /// Codes a sequence: its count with `count`, then each element with
+    /// `each`. Reading charges the count to the budget (table entries
+    /// and fuel) before reading any element, and caps preallocation by
+    /// the bytes left, so a forged count can neither allocate beyond
+    /// the input nor loop unmetered.
+    fn seq_by<T: Default, E: From<DecodeError>>(
         &mut self,
         v: &mut Vec<T>,
+        count: impl FnOnce(&mut Self, &mut usize) -> Result<(), DecodeError>,
         each: impl FnMut(&mut Self, &mut T) -> Result<(), E>,
     ) -> Result<(), E>;
 
     /// The budget reads are governed by; `None` when writing.
     fn budget(&self) -> Option<&Budget>;
+
+    /// [`Io::seq_by`] with a varint count.
+    fn seq<T: Default, E: From<DecodeError>>(
+        &mut self,
+        v: &mut Vec<T>,
+        each: impl FnMut(&mut Self, &mut T) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.seq_by(v, Self::usize, each)
+    }
+
+    /// Codes a value as one byte: [`Io::iso`] through a `u8`.
+    fn tag<T, E: From<DecodeError>>(
+        &mut self,
+        v: &mut T,
+        to: impl FnOnce(&T) -> Result<u8, E>,
+        from: impl FnOnce(u8) -> Result<T, E>,
+    ) -> Result<(), E> {
+        self.iso(v, |v| to(v), from, |io, b| Ok(io.fixed(b, 1)?))
+    }
+
+    /// Codes a signed value as `width` little-endian bytes of two's
+    /// complement, with [`Io::fixed`]'s checks.
+    fn ifixed<T: Copy + Into<i64> + TryFrom<i64>>(
+        &mut self,
+        v: &mut T,
+        width: usize,
+    ) -> Result<(), DecodeError> {
+        let max = width_max(width);
+        let shift = 64 - 8 * width as u32;
+        let extend = move |u: u64| ((u << shift) as i64) >> shift;
+        self.iso(
+            v,
+            |v| {
+                let i: i64 = (*v).into();
+                let u = i as u64 & max;
+                if extend(u) == i {
+                    Ok(u)
+                } else {
+                    Err(DecodeError::limit(
+                        format!("{width}-byte signed field"),
+                        max >> 1,
+                    ))
+                }
+            },
+            |u| {
+                T::try_from(extend(u)).map_err(|_| DecodeError::malformed("value exceeds its type"))
+            },
+            |io, u| io.fixed(u, width),
+        )
+    }
 
     /// Codes a fixed format tag: writes it, or checks it.
     fn magic(&mut self, magic: &[u8; 4]) -> Result<(), DecodeError> {
@@ -138,28 +216,44 @@ impl Io for Vec<u8> {
         Ok(())
     }
 
+    fn fixed<T: Copy + TryInto<u64> + TryFrom<u64>>(
+        &mut self,
+        v: &mut T,
+        width: usize,
+    ) -> Result<(), DecodeError> {
+        let max = width_max(width);
+        let u = (*v)
+            .try_into()
+            .ok()
+            .filter(|&u| u <= max)
+            .ok_or_else(|| DecodeError::limit(format!("{width}-byte field"), max))?;
+        self.extend_from_slice(&u.to_le_bytes()[..width]);
+        Ok(())
+    }
+
     fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), DecodeError> {
         put_uvarint(self, v.len() as u64);
         self.extend_from_slice(v);
         Ok(())
     }
 
-    fn tag<T, E: From<DecodeError>>(
+    fn iso<T, B: Default, E>(
         &mut self,
         v: &mut T,
-        to: impl FnOnce(&T) -> Result<u8, E>,
-        _: impl FnOnce(u8) -> Result<T, E>,
+        to: impl FnOnce(&mut T) -> Result<B, E>,
+        _: impl FnOnce(B) -> Result<T, E>,
+        code_b: impl FnOnce(&mut Self, &mut B) -> Result<(), E>,
     ) -> Result<(), E> {
-        self.push(to(v)?);
-        Ok(())
+        code_b(self, &mut to(v)?)
     }
 
-    fn seq<T: Default, E: From<DecodeError>>(
+    fn seq_by<T: Default, E: From<DecodeError>>(
         &mut self,
         v: &mut Vec<T>,
+        count: impl FnOnce(&mut Self, &mut usize) -> Result<(), DecodeError>,
         mut each: impl FnMut(&mut Self, &mut T) -> Result<(), E>,
     ) -> Result<(), E> {
-        put_uvarint(self, v.len() as u64);
+        count(self, &mut v.len())?;
         v.iter_mut().try_for_each(|t| each(self, t))
     }
 
@@ -231,28 +325,45 @@ impl Io for Cursor<'_> {
         Err(DecodeError::malformed("varint overflow"))
     }
 
+    fn fixed<T: Copy + TryInto<u64> + TryFrom<u64>>(
+        &mut self,
+        v: &mut T,
+        width: usize,
+    ) -> Result<(), DecodeError> {
+        let mut le = [0u8; 8];
+        le[..width].copy_from_slice(self.take(width)?);
+        *v = T::try_from(u64::from_le_bytes(le))
+            .map_err(|_| DecodeError::malformed("value exceeds its type"))?;
+        Ok(())
+    }
+
     fn bytes(&mut self, v: &mut Vec<u8>) -> Result<(), DecodeError> {
         let len = self.read_usize()?;
         *v = self.take(len)?.to_vec();
         Ok(())
     }
 
-    fn tag<T, E: From<DecodeError>>(
+    fn iso<T, B: Default, E>(
         &mut self,
         v: &mut T,
-        _: impl FnOnce(&T) -> Result<u8, E>,
-        from: impl FnOnce(u8) -> Result<T, E>,
+        _: impl FnOnce(&mut T) -> Result<B, E>,
+        from: impl FnOnce(B) -> Result<T, E>,
+        code_b: impl FnOnce(&mut Self, &mut B) -> Result<(), E>,
     ) -> Result<(), E> {
-        *v = from(self.take(1)?[0])?;
+        let mut b = B::default();
+        code_b(self, &mut b)?;
+        *v = from(b)?;
         Ok(())
     }
 
-    fn seq<T: Default, E: From<DecodeError>>(
+    fn seq_by<T: Default, E: From<DecodeError>>(
         &mut self,
         v: &mut Vec<T>,
+        count: impl FnOnce(&mut Self, &mut usize) -> Result<(), DecodeError>,
         mut each: impl FnMut(&mut Self, &mut T) -> Result<(), E>,
     ) -> Result<(), E> {
-        let n = self.read_usize()?;
+        let mut n = 0;
+        count(self, &mut n)?;
         self.budget.check_table_entries(n as u64)?;
         self.budget.charge_fuel(n as u64)?;
         // Every element takes at least one byte.
@@ -278,10 +389,248 @@ pub fn code_global<I: Io>(io: &mut I, g: &mut Global) -> Result<(), DecodeError>
     io.bytes(&mut g.init)
 }
 
+/// An IR node's head, `(operator, width, child count)`, as one
+/// operator byte ([`codecomp_ir::binary`]). The byte implies the child
+/// count, so the count is not coded: writing checks that the node has
+/// the children its operator takes (`RETV` none, `RET<t>` one), and
+/// reading takes the count from the operator.
+pub fn code_node<I: Io>(io: &mut I, node: &mut (Op, Width, usize)) -> Result<(), DecodeError> {
+    io.tag(
+        node,
+        |&(op, width, kids)| {
+            if kids != op.arity() {
+                let what = format!("{} with {kids} children", op.mnemonic());
+                return Err(DecodeError::malformed(what));
+            }
+            Ok(byte_for_op(op, width)?)
+        },
+        |byte| {
+            let (op, width) = op_for_byte(byte)
+                .ok_or_else(|| DecodeError::malformed(format!("unknown operator byte {byte}")))?;
+            Ok((op, width, op.arity()))
+        },
+    )
+}
+
+/// Names in first-use order, each coded as a 2-byte index: the symbol
+/// table of the `.ccir` format and of the VM instruction format.
+#[derive(Debug, Default, Clone)]
+pub struct SymbolTable {
+    names: Vec<String>,
+    index: HashMap<String, usize>,
+}
+
+impl SymbolTable {
+    /// Adds `name` unless it is already present.
+    pub fn intern(&mut self, name: &str) {
+        if !self.index.contains_key(name) {
+            self.index.insert(name.to_string(), self.names.len());
+            self.names.push(name.to_string());
+        }
+    }
+
+    /// Codes a reference to a name in the table as its 2-byte index.
+    ///
+    /// # Errors
+    ///
+    /// Writing a name not in the table, or whose index passes 65535;
+    /// reading an index past the table.
+    pub fn code_ref<I: Io>(&self, io: &mut I, name: &mut String) -> Result<(), DecodeError> {
+        io.iso(
+            name,
+            |name| {
+                self.index.get(name.as_str()).copied().ok_or_else(|| {
+                    DecodeError::malformed(format!("{name} is not in the symbol table"))
+                })
+            },
+            |i: usize| {
+                self.names
+                    .get(i)
+                    .cloned()
+                    .ok_or_else(|| DecodeError::malformed(format!("bad symbol index {i}")))
+            },
+            |io, i| io.fixed(i, 2),
+        )
+    }
+}
+
+/// Codes a byte string as its length in `width` bytes, then its bytes.
+fn code_byte_string<I: Io>(io: &mut I, v: &mut Vec<u8>, width: usize) -> Result<(), DecodeError> {
+    io.seq_by(v, |io, n| io.fixed(n, width), |io, b| io.fixed(b, 1))
+}
+
+/// The `.ccir` module format: the plain prefix-order byte form, whose
+/// size is the "uncompressed" column of the paper's wire table.
+///
+/// `"CCIR"`; the symbol table (a 2-byte count, then each name as a
+/// 2-byte length and UTF-8 bytes); the globals (a 2-byte count, then
+/// each one's 2-byte name index, 4-byte size and 4-byte-length
+/// initializer); the functions (a 2-byte count, then each one's 2-byte
+/// name index, 2-byte parameter count, 4-byte frame size, 4-byte
+/// statement count, and its body as a 4-byte length and the trees).
+/// All integers are little-endian.
+pub fn code_module<I: Io>(io: &mut I, module: &mut Module) -> Result<(), DecodeError> {
+    io.magic(b"CCIR")?;
+    // Writing interns every name the module uses, in first-use order;
+    // reading starts from the empty module's empty table and reads it.
+    let mut symbols = SymbolTable::default();
+    for f in &module.functions {
+        symbols.intern(&f.name);
+        for stmt in &f.body {
+            stmt.walk(&mut |node| {
+                if let Some(Literal::Symbol(name)) = node.literal() {
+                    symbols.intern(name);
+                }
+            });
+        }
+    }
+    for g in &module.globals {
+        symbols.intern(&g.name);
+    }
+    io.seq_by(
+        &mut symbols.names,
+        |io, n| io.fixed(n, 2),
+        |io, name| {
+            let mut b = std::mem::take(name).into_bytes();
+            code_byte_string(io, &mut b, 2)?;
+            *name =
+                String::from_utf8(b).map_err(|_| DecodeError::malformed("name is not UTF-8"))?;
+            Ok::<_, DecodeError>(())
+        },
+    )?;
+    io.seq_by(
+        &mut module.globals,
+        |io, n| io.fixed(n, 2),
+        |io, g| {
+            symbols.code_ref(io, &mut g.name)?;
+            io.fixed(&mut g.size, 4)?;
+            code_byte_string(io, &mut g.init, 4)
+        },
+    )?;
+    // `from` reads a body under the module's budget; it runs only when
+    // reading, so the default is never used.
+    let budget = io.budget().cloned().unwrap_or_default();
+    io.seq_by(
+        &mut module.functions,
+        |io, n| io.fixed(n, 2),
+        |io, f| {
+            symbols.code_ref(io, &mut f.name)?;
+            io.fixed(&mut f.param_count, 2)?;
+            io.fixed(&mut f.frame_size, 4)?;
+            // The body is coded into its own buffer so that its length
+            // can lead it.
+            io.iso(
+                &mut f.body,
+                |body| {
+                    let mut code = Vec::new();
+                    for stmt in body.iter_mut() {
+                        code_tree(&mut code, stmt, &symbols, 0)?;
+                    }
+                    Ok((body.len(), code))
+                },
+                |(stmts, code)| {
+                    let c = &mut Cursor::new(&code, &budget);
+                    let mut body = Vec::new();
+                    for _ in 0..stmts {
+                        let mut stmt = Tree::ret_void();
+                        code_tree(c, &mut stmt, &symbols, 0)?;
+                        body.push(stmt);
+                    }
+                    if c.remaining() != 0 {
+                        return Err(DecodeError::malformed(
+                            "body length disagrees with its trees",
+                        ));
+                    }
+                    Ok(body)
+                },
+                |io, (stmts, code)| {
+                    io.fixed(stmts, 4)?;
+                    code_byte_string(io, code, 4)
+                },
+            )
+        },
+    )
+}
+
+/// One tree in prefix order: its node's operator byte, its literal in
+/// the node's width (a label or symbol index in two bytes), then its
+/// children.
+fn code_tree<I: Io>(
+    io: &mut I,
+    tree: &mut Tree,
+    symbols: &SymbolTable,
+    depth: u32,
+) -> Result<(), DecodeError> {
+    // Bounds stack use against deeply nested input, as the wire
+    // pattern codec does.
+    if let Some(budget) = io.budget() {
+        budget.check_pattern_depth(depth)?;
+    }
+    let mut node = (tree.op(), tree.width(), tree.kids().len());
+    code_node(io, &mut node)?;
+    let (op, width, arity) = node;
+    let (_, literal, mut kids) = std::mem::replace(tree, Tree::ret_void()).into_parts();
+    // Reading starts from a zero literal of the operator's kind.
+    let mut literal = literal.or(match op.opcode.literal_kind() {
+        LiteralKind::None => None,
+        LiteralKind::Int => Some(Literal::Int(0)),
+        LiteralKind::Offset => Some(Literal::Offset(0)),
+        LiteralKind::Label => Some(Literal::Label(0)),
+        LiteralKind::Symbol => Some(Literal::Symbol(String::new())),
+    });
+    let bytes = width.bytes() as usize;
+    match &mut literal {
+        None => {}
+        Some(Literal::Int(v)) => io.ifixed(v, bytes)?,
+        Some(Literal::Offset(v)) => io.ifixed(v, bytes)?,
+        Some(Literal::Label(l)) => io.fixed(l, 2)?,
+        Some(Literal::Symbol(name)) => symbols.code_ref(io, name)?,
+    }
+    kids.resize_with(arity, Tree::ret_void);
+    for kid in &mut kids {
+        code_tree(io, kid, symbols, depth + 1)?;
+    }
+    *tree = Tree::build(op, literal, kids)?;
+    Ok(())
+}
+
+/// Encodes a module in the `.ccir` format ([`code_module`]).
+///
+/// # Errors
+///
+/// A tree outside the operator table, or a count, length or literal
+/// that does not fit its field.
+pub fn encode_module(module: &Module) -> Result<Vec<u8>, DecodeError> {
+    let mut out = Vec::new();
+    code_module(&mut out, &mut module.clone())?;
+    Ok(out)
+}
+
+/// Decodes a `.ccir` module under the default [`Budget`].
+///
+/// # Errors
+///
+/// [`DecodeError`] on malformed, truncated or over-budget input, or
+/// bytes after the last function.
+pub fn decode_module(bytes: &[u8]) -> Result<Module, DecodeError> {
+    let budget = Budget::default();
+    let mut c = Cursor::new(bytes, &budget);
+    let mut module = Module::default();
+    code_module(&mut c, &mut module)?;
+    if c.remaining() != 0 {
+        return Err(DecodeError::malformed(
+            "trailing bytes after the last function",
+        ));
+    }
+    Ok(module)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::DecodeLimits;
+    use codecomp_ir::op::{IrType, Opcode};
+    use codecomp_ir::tree::Function;
 
     fn written<T>(mut v: T, code: impl Fn(&mut Vec<u8>, &mut T)) -> Vec<u8> {
         let mut out = Vec::new();
@@ -444,5 +793,152 @@ mod tests {
         assert!(Cursor::new(&[2], &budget)
             .tag(&mut flag, |&f| Ok(u8::from(f)), from)
             .is_err());
+    }
+
+    #[test]
+    fn fixed_widths_are_checked_both_ways() {
+        let budget = Budget::default();
+        assert_eq!(
+            written(0x1234u16, |o, v| o.fixed(v, 2).unwrap()),
+            [0x34, 0x12]
+        );
+        assert_eq!(written(-2i32, |o, v| o.ifixed(v, 2).unwrap()), [0xFE, 0xFF]);
+        // Writing never truncates.
+        assert!(matches!(
+            Vec::new().fixed(&mut 70_000usize, 2),
+            Err(DecodeError::LimitExceeded { .. })
+        ));
+        assert!(Vec::new().ifixed(&mut 128i64, 1).is_err());
+        assert!(Vec::new().ifixed(&mut -129i64, 1).is_err());
+        // Reading sign-extends, and refuses what the target type cannot hold.
+        let mut v = 0i64;
+        Cursor::new(&[0x80], &budget).ifixed(&mut v, 1).unwrap();
+        assert_eq!(v, -128);
+        let r = Cursor::new(&[0x2C, 0x01], &budget).fixed(&mut 0u8, 2);
+        assert!(matches!(r, Err(DecodeError::Malformed { .. })));
+        assert_eq!(
+            Cursor::new(&[1], &budget).fixed(&mut 0u16, 2),
+            Err(DecodeError::Truncated)
+        );
+    }
+
+    fn sample_module() -> Module {
+        let mut f = Function::new("salt", 2, 24);
+        f.body = vec![
+            Tree::asgn(
+                IrType::I,
+                Tree::addr_local(72),
+                Tree::sub(
+                    IrType::I,
+                    Tree::indir(IrType::I, Tree::addr_local(72)),
+                    Tree::cnst(IrType::C, 1),
+                ),
+            ),
+            Tree::branch(
+                Opcode::Le,
+                IrType::I,
+                1,
+                Tree::indir(IrType::I, Tree::addr_local(68)),
+                Tree::cnst(IrType::C, 0),
+            ),
+            Tree::arg(IrType::I, Tree::indir(IrType::I, Tree::addr_local(72))),
+            Tree::call(IrType::I, Tree::addr_global("pepper")),
+            Tree::label(1),
+            Tree::ret(IrType::I, Tree::indir(IrType::I, Tree::addr_local(68))),
+        ];
+        Module {
+            globals: vec![Global {
+                name: "buf".into(),
+                size: 40,
+                init: vec![1, 2, 3],
+            }],
+            functions: vec![f],
+        }
+    }
+
+    /// A one-function module whose body is `body`.
+    fn with_body(body: Vec<Tree>) -> Module {
+        let mut f = Function::new("f", 0, 4);
+        f.body = body;
+        Module {
+            globals: Vec::new(),
+            functions: vec![f],
+        }
+    }
+
+    #[test]
+    fn module_roundtrip() {
+        let m = sample_module();
+        assert_eq!(decode_module(&encode_module(&m).unwrap()).unwrap(), m);
+    }
+
+    #[test]
+    fn literals_take_their_node_width() {
+        // One statement `ASGNI(ADDRLP8[0], <literal>)`: two operator
+        // bytes and the one-byte offset, then the literal node.
+        let size = |lit: Tree| {
+            let stmt = Tree::asgn(IrType::I, Tree::addr_local(0), lit);
+            encode_module(&with_body(vec![stmt])).unwrap().len()
+        };
+        let base = encode_module(&with_body(Vec::new())).unwrap().len() + 3;
+        assert_eq!(size(Tree::cnst(IrType::C, 1)), base + 2);
+        assert_eq!(size(Tree::cnst(IrType::S, 300)), base + 3);
+        assert_eq!(size(Tree::cnst(IrType::I, 1_000_000)), base + 5);
+        assert_eq!(size(Tree::addr_local(72)), base + 2);
+        assert_eq!(size(Tree::addr_local(300)), base + 3);
+    }
+
+    #[test]
+    fn negative_literals_roundtrip() {
+        let m = with_body(vec![
+            Tree::asgn(IrType::I, Tree::addr_local(-8), Tree::cnst(IrType::C, -5)),
+            Tree::asgn(IrType::S, Tree::addr_local(0), Tree::cnst(IrType::S, -300)),
+            Tree::asgn(
+                IrType::I,
+                Tree::addr_local(0),
+                Tree::cnst(IrType::I, -70_000),
+            ),
+            Tree::ret_void(),
+        ]);
+        assert_eq!(decode_module(&encode_module(&m).unwrap()).unwrap(), m);
+    }
+
+    #[test]
+    fn literals_wider_than_their_node_are_not_encoded() {
+        let m = with_body(vec![Tree::asgn(
+            IrType::C,
+            Tree::addr_local(0),
+            Tree::cnst(IrType::C, 200),
+        )]);
+        assert!(encode_module(&m).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_garbage() {
+        assert!(decode_module(b"").is_err());
+        assert!(decode_module(b"XXXX").is_err());
+        let bytes = encode_module(&sample_module()).unwrap();
+        assert!(decode_module(&bytes[..bytes.len() - 3]).is_err());
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(decode_module(&trailing).is_err());
+        // A body length that disagrees with the trees it frames.
+        let m = with_body(vec![Tree::ret_void()]);
+        let mut bytes = encode_module(&m).unwrap();
+        let at = bytes.len() - 1 - 4;
+        bytes[at] += 1;
+        bytes.push(0);
+        assert!(decode_module(&bytes).is_err());
+    }
+
+    #[test]
+    fn retv_with_child_rejected() {
+        let bad = Tree::build(
+            Op::new(Opcode::Ret, IrType::V),
+            None,
+            vec![Tree::cnst_auto(1)],
+        )
+        .unwrap();
+        assert!(encode_module(&with_body(vec![bad])).is_err());
     }
 }

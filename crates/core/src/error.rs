@@ -70,6 +70,12 @@ impl From<crate::CoreError> for DecodeError {
     }
 }
 
+impl From<codecomp_ir::IrError> for DecodeError {
+    fn from(e: codecomp_ir::IrError) -> Self {
+        DecodeError::malformed(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@
 //! - **Meters** (`decode_fuel`, `max_resident_bytes`) accumulate across
 //!   calls in the shared counters; fuel is charged per decoded
 //!   symbol/item, resident bytes by the demand loader as function
-//!   bodies materialize (and are released when they are evicted).
+//!   bodies materialize.
 //!
 //! Every check also records a high-water mark, so a caller can decode
 //! once with generous limits, read [`Budget::usage`], and learn the
@@ -315,19 +315,6 @@ impl Budget {
         );
         telemetry::gauge_max("limits.peak_table_entries", u.peak_table_entries);
     }
-
-    /// Releases `bytes` of demand-resident memory (eviction).
-    pub fn release_resident(&self, bytes: u64) {
-        let c = &self.counters.resident_bytes;
-        let mut cur = c.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(bytes);
-            match c.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -375,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn resident_rolls_back_on_refusal_and_releases() {
+    fn resident_rolls_back_on_refusal() {
         let b = Budget::new(DecodeLimits {
             max_resident_bytes: 100,
             ..DecodeLimits::default()
@@ -384,8 +371,7 @@ mod tests {
         assert!(b.charge_resident(50).is_err());
         assert_eq!(b.usage().resident_bytes, 60, "failed charge rolled back");
         b.charge_resident(40).unwrap();
-        b.release_resident(100);
-        assert_eq!(b.usage().resident_bytes, 0);
+        assert_eq!(b.usage().resident_bytes, 100);
         assert_eq!(b.usage().peak_resident_bytes, 100);
     }
 

@@ -14,8 +14,9 @@
 //! - [`op`]: the operator vocabulary with arities and literal kinds.
 //! - [`tree`]: trees, functions, and modules, with validation.
 //! - [`print`](mod@print) / [`parse`]: the human-readable lcc-like text form.
-//! - [`binary`]: a plain prefix-order byte encoding (the "uncompressed"
-//!   code-size baseline the paper's wire table starts from).
+//! - [`binary`]: the operator-byte table of the plain prefix-order byte
+//!   encoding (the "uncompressed" code-size baseline the paper's wire
+//!   table starts from).
 //! - [`eval`]: a reference evaluator used for differential testing
 //!   against the VM and BRISC interpreters.
 //!
@@ -69,8 +70,6 @@ pub enum IrError {
         /// What went wrong.
         message: String,
     },
-    /// Binary decoding failed.
-    Decode(String),
     /// Evaluation failed (bad address, missing function, …).
     Eval(String),
 }
@@ -82,7 +81,6 @@ impl fmt::Display for IrError {
             IrError::Parse { offset, message } => {
                 write!(f, "parse error at byte {offset}: {message}")
             }
-            IrError::Decode(m) => write!(f, "binary decode error: {m}"),
             IrError::Eval(m) => write!(f, "evaluation error: {m}"),
         }
     }

@@ -101,6 +101,16 @@ impl Width {
         }
     }
 
+    /// The width of a constant of type `ty`: `CNSTC` is 8 bits,
+    /// `CNSTS` 16, every other constant full width.
+    pub fn for_constant(ty: IrType) -> Width {
+        match ty {
+            IrType::C => Width::W8,
+            IrType::S => Width::W16,
+            _ => Width::W32,
+        }
+    }
+
     /// Bytes occupied by a literal of this width in the binary form.
     pub fn bytes(self) -> u32 {
         match self {
@@ -387,12 +397,9 @@ impl Opcode {
             Opcode::AddrG | Opcode::AddrF | Opcode::AddrL => "addr",
             Opcode::Indir | Opcode::Asgn => "mem",
             Opcode::Cvt => "cvt",
-            Opcode::Neg
-            | Opcode::Add
-            | Opcode::Sub
-            | Opcode::Mul
-            | Opcode::Div
-            | Opcode::Mod => "arith",
+            Opcode::Neg | Opcode::Add | Opcode::Sub | Opcode::Mul | Opcode::Div | Opcode::Mod => {
+                "arith"
+            }
             Opcode::BCom | Opcode::BAnd | Opcode::BOr | Opcode::BXor => "bitwise",
             Opcode::Lsh | Opcode::Rsh => "shift",
             Opcode::Eq

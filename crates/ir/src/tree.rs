@@ -89,13 +89,15 @@ impl Tree {
     pub fn width(&self) -> Width {
         match (self.op.opcode, &self.literal) {
             (Opcode::AddrL | Opcode::AddrF, Some(lit)) => lit.width(),
-            (Opcode::Cnst, Some(_)) => match self.op.ty {
-                IrType::C => Width::W8,
-                IrType::S => Width::W16,
-                _ => Width::W32,
-            },
+            (Opcode::Cnst, Some(_)) => Width::for_constant(self.op.ty),
             _ => Width::W32,
         }
+    }
+
+    /// The operator, literal and children, moved out of the node;
+    /// [`Tree::build`] puts them back together.
+    pub fn into_parts(self) -> (Op, Option<Literal>, Vec<Tree>) {
+        (self.op, self.literal, self.kids)
     }
 
     /// Number of nodes in the tree.
@@ -301,7 +303,7 @@ impl Tree {
 }
 
 /// A compiled function: a forest of statement trees plus frame layout.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Function {
     /// Function name.
     pub name: String,

@@ -2,8 +2,8 @@
 //! survive the text and binary representations unchanged, and the
 //! decoders are total on garbage.
 
+use codecomp_core::bytesio::{decode_module, encode_module};
 use codecomp_core::fault::XorShift64;
-use codecomp_ir::binary::{decode_module, encode_module};
 use codecomp_ir::op::{IrType, Op, Opcode};
 use codecomp_ir::parse::{parse_module, parse_tree};
 use codecomp_ir::tree::{Function, Global, Module, Tree};

@@ -16,6 +16,7 @@ use crate::isa::{AluOp, Cond, FuncRef, Inst, MemWidth};
 use crate::program::VmProgram;
 use crate::reg::Reg;
 use crate::VmError;
+use codecomp_core::bytesio::{Io, SymbolTable};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -174,9 +175,10 @@ impl Field {
 }
 
 /// Immediate width variants selected by the opcode byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum ImmWidth {
     /// No immediate field.
+    #[default]
     None,
     /// Signed 8-bit.
     W8,
@@ -549,127 +551,84 @@ pub fn inst_size(inst: &Inst) -> usize {
     1 + reg_nibbles.div_ceil(2) + tail_bytes
 }
 
-/// Encodes one instruction, interning call symbols via `intern`.
+/// One instruction: the opcode byte (base pattern and immediate
+/// width), the register fields as nibbles packed two to a byte, then
+/// the immediate in its width, branch targets and call symbols
+/// (indices into `symbols`) in two bytes each, in field order.
+/// [`inst_size`] is this length in closed form.
 ///
 /// # Errors
 ///
-/// [`VmError::Encode`] on labels.
-pub fn encode_inst(
-    inst: &Inst,
-    intern: &mut impl FnMut(&str) -> u16,
-    out: &mut Vec<u8>,
-) -> Result<(), VmError> {
-    if inst.is_label() {
-        return Err(VmError::Encode("labels have no encoding".into()));
-    }
-    let op = base_op(inst);
-    let fs = fields(inst);
-    let imm_value = fs.iter().find_map(|f| match f {
-        Field::Imm(v) => Some(*v),
-        _ => None,
-    });
-    let width = imm_value.map_or(ImmWidth::None, imm_width);
-    let byte = *opcode_table()
-        .1
-        .get(&(op, width))
-        .ok_or_else(|| VmError::Encode(format!("no opcode for {op:?}/{width:?}")))?;
-    out.push(byte);
-    // Register nibbles, in field order.
-    let regs: Vec<u8> = fs
-        .iter()
-        .filter_map(|f| match f {
-            Field::Reg(r) => Some(r.number()),
-            _ => None,
-        })
-        .collect();
-    for pair in regs.chunks(2) {
-        out.push((pair[0] << 4) | pair.get(1).copied().unwrap_or(0));
-    }
-    // Immediate, then target/function tails.
-    for f in &fs {
-        match f {
-            Field::Reg(_) => {}
-            Field::Imm(v) => match width {
-                ImmWidth::W8 => out.push(*v as u8),
-                ImmWidth::W16 => out.extend_from_slice(&(*v as u16).to_le_bytes()),
-                _ => out.extend_from_slice(&(*v as u32).to_le_bytes()),
-            },
-            Field::Target(t) => out.extend_from_slice(&(*t as u16).to_le_bytes()),
-            Field::Func(name) => out.extend_from_slice(&intern(name).to_le_bytes()),
-        }
-    }
-    Ok(())
-}
-
-/// Decodes one instruction; the inverse of [`encode_inst`].
-///
-/// # Errors
-///
-/// [`VmError::Encode`] on truncation or unknown opcodes.
-pub fn decode_inst(bytes: &[u8], pos: &mut usize, symbols: &[String]) -> Result<Inst, VmError> {
-    let eof = || VmError::Encode("unexpected end of code".into());
-    let byte = *bytes.get(*pos).ok_or_else(eof)?;
-    *pos += 1;
-    let &(op, width) = opcode_table()
-        .0
-        .get(byte as usize)
-        .ok_or_else(|| VmError::Encode(format!("unknown opcode byte {byte}")))?;
-    // Reconstruct the field shape from a canonical instance.
-    let shape = fields(&canonical_instance(op));
-    let reg_count = shape.iter().filter(|f| matches!(f, Field::Reg(_))).count();
-    let mut regs = Vec::with_capacity(reg_count);
-    for i in 0..reg_count.div_ceil(2) {
-        let b = *bytes.get(*pos).ok_or_else(eof)?;
-        *pos += 1;
-        regs.push(b >> 4);
-        if i * 2 + 1 < reg_count {
-            regs.push(b & 0x0F);
-        }
-    }
-    let mut reg_iter = regs.into_iter();
-    let mut out_fields = Vec::with_capacity(shape.len());
-    for f in &shape {
-        match f {
-            Field::Reg(_) => out_fields.push(Field::Reg(Reg::new(
-                reg_iter.next().expect("counted register fields"),
-            ))),
-            Field::Imm(_) => {
-                let v = match width {
-                    ImmWidth::W8 => {
-                        let b = *bytes.get(*pos).ok_or_else(eof)?;
-                        *pos += 1;
-                        i32::from(b as i8)
-                    }
-                    ImmWidth::W16 => {
-                        let b = bytes.get(*pos..*pos + 2).ok_or_else(eof)?;
-                        *pos += 2;
-                        i32::from(i16::from_le_bytes([b[0], b[1]]))
-                    }
-                    _ => {
-                        let b = bytes.get(*pos..*pos + 4).ok_or_else(eof)?;
-                        *pos += 4;
-                        i32::from_le_bytes([b[0], b[1], b[2], b[3]])
-                    }
-                };
-                out_fields.push(Field::Imm(v));
+/// Writing: a label, a branch target past 65535, or a call symbol not
+/// in `symbols`. Reading: truncation, an unknown opcode byte, or a bad
+/// symbol index.
+pub fn code_inst<I: Io>(io: &mut I, inst: &mut Inst, symbols: &SymbolTable) -> Result<(), VmError> {
+    io.iso(
+        inst,
+        |inst| {
+            if inst.is_label() {
+                return Err(VmError::Encode("labels have no encoding".into()));
             }
-            Field::Target(_) => {
-                let b = bytes.get(*pos..*pos + 2).ok_or_else(eof)?;
-                *pos += 2;
-                out_fields.push(Field::Target(u32::from(u16::from_le_bytes([b[0], b[1]]))));
+            let fs = fields(inst);
+            let imm = fs.iter().find_map(|f| match f {
+                Field::Imm(v) => Some(imm_width(*v)),
+                _ => None,
+            });
+            Ok((base_op(inst), imm.unwrap_or(ImmWidth::None), fs))
+        },
+        |(op, _, fs)| rebuild(op, &fs),
+        |io, (op, width, fs)| {
+            let mut key = (*op, *width);
+            io.tag(
+                &mut key,
+                |k| {
+                    let byte = opcode_table().1.get(k).copied();
+                    byte.ok_or_else(|| VmError::Encode(format!("no opcode for {k:?}")))
+                },
+                |b| {
+                    let key = opcode_table().0.get(usize::from(b)).copied();
+                    key.ok_or_else(|| VmError::Encode(format!("unknown opcode byte {b}")))
+                },
+            )?;
+            (*op, *width) = key;
+            // Reading starts from the pattern's field shape; writing
+            // has the instruction's own fields, of that shape.
+            if fs.is_empty() {
+                *fs = fields(&canonical_instance(*op));
             }
-            Field::Func(_) => {
-                let b = bytes.get(*pos..*pos + 2).ok_or_else(eof)?;
-                *pos += 2;
-                let idx = u16::from_le_bytes([b[0], b[1]]);
-                let name = symbols
-                    .get(usize::from(idx))
-                    .ok_or_else(|| VmError::Encode(format!("bad symbol index {idx}")))?;
-                out_fields.push(Field::Func(name.clone()));
+            let regs: Vec<usize> = (0..fs.len())
+                .filter(|&i| matches!(fs[i], Field::Reg(_)))
+                .collect();
+            let number = |f: &Field| match f {
+                Field::Reg(r) => r.number(),
+                _ => 0,
+            };
+            for pair in regs.chunks(2) {
+                let mut nibbles = (
+                    number(&fs[pair[0]]),
+                    pair.get(1).map_or(0, |&i| number(&fs[i])),
+                );
+                io.tag(
+                    &mut nibbles,
+                    |&(hi, lo)| Ok::<_, VmError>((hi << 4) | lo),
+                    |b| Ok((b >> 4, b & 0x0F)),
+                )?;
+                fs[pair[0]] = Field::Reg(Reg::new(nibbles.0));
+                if let Some(&i) = pair.get(1) {
+                    fs[i] = Field::Reg(Reg::new(nibbles.1));
+                }
             }
-        }
-    }
-    rebuild(op, &out_fields)
+            for f in fs.iter_mut() {
+                match f {
+                    Field::Reg(_) => {}
+                    Field::Imm(v) => io.ifixed(v, (width.bits() / 8) as usize)?,
+                    Field::Target(t) => io.fixed(t, 2)?,
+                    Field::Func(name) => symbols.code_ref(io, name)?,
+                }
+            }
+            Ok(())
+        },
+    )
 }
 
 /// A canonical instance of each base pattern (all fields zeroed), used
@@ -820,7 +779,7 @@ mod tests {
     }
 
     #[test]
-    fn inst_encode_decode_roundtrip() {
+    fn inst_code_roundtrip() {
         let samples = [
             "li n3,-77",
             "li n0,123456",
@@ -837,20 +796,36 @@ mod tests {
             "epi",
             "nop",
         ];
-        let symbols = vec!["pepper".to_string()];
+        let mut symbols = SymbolTable::default();
+        symbols.intern("pepper");
+        let budget = codecomp_core::Budget::default();
         for s in samples {
-            let inst = parse_inst(s, 1).unwrap();
+            let mut inst = parse_inst(s, 1).unwrap();
             let mut buf = Vec::new();
-            let mut intern = |name: &str| {
-                assert_eq!(name, "pepper");
-                0u16
-            };
-            encode_inst(&inst, &mut intern, &mut buf).unwrap();
+            code_inst(&mut buf, &mut inst, &symbols).unwrap();
             assert_eq!(buf.len(), inst_size(&inst), "size mismatch for {s}");
-            let mut pos = 0;
-            let back = decode_inst(&buf, &mut pos, &symbols).unwrap();
-            assert_eq!(pos, buf.len());
+            let mut c = codecomp_core::bytesio::Cursor::new(&buf, &budget);
+            let mut back = Inst::Nop;
+            code_inst(&mut c, &mut back, &symbols).unwrap();
+            assert_eq!(c.remaining(), 0);
             assert_eq!(back, inst, "encode/decode failed for {s}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_fields_are_not_encoded() {
+        let symbols = SymbolTable::default();
+        for mut inst in [
+            Inst::Jump { target: 70_000 },
+            Inst::Call {
+                target: FuncRef::Symbol("missing".into()),
+            },
+            Inst::Label(3),
+        ] {
+            assert!(
+                code_inst(&mut Vec::new(), &mut inst, &symbols).is_err(),
+                "{inst:?}"
+            );
         }
     }
 

@@ -190,7 +190,7 @@ pub enum FuncRef {
 /// `Label` is a zero-byte pseudo-instruction; branch targets are label
 /// numbers resolved against it. Everything else encodes per
 /// [`crate::encode`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum Inst {
     /// `li rd, imm` — load immediate (the one immediate primitive that
     /// survives de-tuning).
@@ -361,6 +361,7 @@ pub enum Inst {
         rn: Reg,
     },
     /// `nop`.
+    #[default]
     Nop,
     /// `$L:` — label definition (zero bytes).
     Label(u32),

@@ -93,3 +93,9 @@ impl fmt::Display for VmError {
 }
 
 impl Error for VmError {}
+
+impl From<codecomp_core::DecodeError> for VmError {
+    fn from(e: codecomp_core::DecodeError) -> Self {
+        VmError::Encode(e.to_string())
+    }
+}

@@ -2,9 +2,11 @@
 //! the assembly and binary representations; the decoders never panic on
 //! arbitrary bytes.
 
+use codecomp_core::bytesio::{Cursor, SymbolTable};
 use codecomp_core::fault::XorShift64;
+use codecomp_core::Budget;
 use codecomp_vm::asm::{parse_inst, parse_program};
-use codecomp_vm::encode::{base_op, decode_inst, encode_inst, fields, inst_size, rebuild};
+use codecomp_vm::encode::{base_op, code_inst, fields, inst_size, rebuild};
 use codecomp_vm::isa::{AluOp, Cond, FuncRef, Inst, MemWidth};
 use codecomp_vm::reg::Reg;
 
@@ -139,6 +141,20 @@ fn inst(rng: &mut XorShift64) -> Inst {
     }
 }
 
+/// The call targets of `insts`, in first-use order.
+fn call_symbols(insts: &[Inst]) -> SymbolTable {
+    let mut symbols = SymbolTable::default();
+    for i in insts {
+        if let Inst::Call {
+            target: FuncRef::Symbol(name),
+        } = i
+        {
+            symbols.intern(name);
+        }
+    }
+    symbols
+}
+
 #[test]
 fn asm_text_roundtrip() {
     for case in 0..CASES {
@@ -154,25 +170,22 @@ fn asm_text_roundtrip() {
 fn binary_roundtrip() {
     for case in 0..CASES {
         let mut rng = XorShift64::new(0x2B00 + case);
-        let insts: Vec<Inst> = (0..rng.range_usize(1, 32)).map(|_| inst(&mut rng)).collect();
-        let mut symbols: Vec<String> = Vec::new();
+        let mut insts: Vec<Inst> = (0..rng.range_usize(1, 32))
+            .map(|_| inst(&mut rng))
+            .collect();
+        let symbols = call_symbols(&insts);
         let mut buf = Vec::new();
-        for i in &insts {
-            let mut intern = |name: &str| -> u16 {
-                if let Some(p) = symbols.iter().position(|s| s == name) {
-                    return p as u16;
-                }
-                symbols.push(name.to_string());
-                symbols.len() as u16 - 1
-            };
-            encode_inst(i, &mut intern, &mut buf).unwrap();
+        for i in &mut insts {
+            code_inst(&mut buf, i, &symbols).unwrap();
         }
-        let mut pos = 0;
+        let budget = Budget::default();
+        let mut c = Cursor::new(&buf, &budget);
         for i in &insts {
-            let back = decode_inst(&buf, &mut pos, &symbols).unwrap();
+            let mut back = Inst::Nop;
+            code_inst(&mut c, &mut back, &symbols).unwrap();
             assert_eq!(&back, i);
         }
-        assert_eq!(pos, buf.len());
+        assert_eq!(c.remaining(), 0);
     }
 }
 
@@ -180,10 +193,10 @@ fn binary_roundtrip() {
 fn size_matches_encoding() {
     for case in 0..CASES {
         let mut rng = XorShift64::new(0x2C00 + case);
-        let i = inst(&mut rng);
+        let mut i = inst(&mut rng);
+        let symbols = call_symbols(std::slice::from_ref(&i));
         let mut buf = Vec::new();
-        let mut intern = |_: &str| 0u16;
-        encode_inst(&i, &mut intern, &mut buf).unwrap();
+        code_inst(&mut buf, &mut i, &symbols).unwrap();
         assert_eq!(buf.len(), inst_size(&i));
     }
 }
@@ -205,10 +218,12 @@ fn decoder_never_panics() {
         let mut rng = XorShift64::new(0x2E00 + case);
         let len = rng.below(64) as usize;
         let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-        let symbols = vec!["f".to_string()];
-        let mut pos = 0;
-        while pos < bytes.len() {
-            if decode_inst(&bytes, &mut pos, &symbols).is_err() {
+        let mut symbols = SymbolTable::default();
+        symbols.intern("f");
+        let budget = Budget::default();
+        let mut c = Cursor::new(&bytes, &budget);
+        while c.remaining() > 0 {
+            if code_inst(&mut c, &mut Inst::Nop, &symbols).is_err() {
                 break;
             }
         }

@@ -303,7 +303,8 @@ pub struct DemandReport {
 ///
 /// Residency is accounted in compressed unit bytes — the same metric as
 /// [`DemandImage::demand_bytes`] — against the budget's
-/// `max_resident_bytes`; [`DemandLoader::evict`] releases it.
+/// `max_resident_bytes`; a loaded function stays resident for the
+/// loader's lifetime.
 #[derive(Debug)]
 pub struct DemandLoader<'a> {
     image: &'a DemandImage,
@@ -315,22 +316,12 @@ pub struct DemandLoader<'a> {
 impl<'a> DemandLoader<'a> {
     /// A loader over `image` governed by a fresh budget with `limits`.
     pub fn new(image: &'a DemandImage, limits: DecodeLimits) -> Self {
-        Self::with_budget(image, Budget::new(limits))
-    }
-
-    /// A loader sharing `budget` with an enclosing pipeline.
-    pub fn with_budget(image: &'a DemandImage, budget: Budget) -> Self {
         DemandLoader {
             image,
-            budget,
+            budget: Budget::new(limits),
             resident: BTreeMap::new(),
             quarantine: BTreeMap::new(),
         }
-    }
-
-    /// The budget governing this loader.
-    pub fn budget(&self) -> &Budget {
-        &self.budget
     }
 
     /// Demand-loads `name`, decoding its unit if not already resident.
@@ -388,20 +379,6 @@ impl<'a> DemandLoader<'a> {
             }
         }
         Ok(&self.resident[name].0)
-    }
-
-    /// Evicts a resident function, releasing its residency charge.
-    /// Returns whether it was resident.
-    pub fn evict(&mut self, name: &str) -> bool {
-        match self.resident.remove(name) {
-            Some((_, bytes)) => {
-                self.budget.release_resident(bytes);
-                telemetry::counter_add("wire.demand.evictions", 1);
-                self.budget.publish_telemetry();
-                true
-            }
-            None => false,
-        }
     }
 
     /// Clears `name`'s quarantine record, rebinds the loader's ceilings
@@ -692,17 +669,15 @@ mod tests {
     }
 
     #[test]
-    fn eviction_releases_residency() {
+    fn residency_is_charged_in_unit_bytes() {
         let m = sample();
         let img = DemandImage::build(&m, WireOptions::default()).unwrap();
         let unit = img.unit_size("main").unwrap() as u64;
         let mut loader = DemandLoader::new(&img, DecodeLimits::default());
         loader.demand("main").unwrap();
         assert_eq!(loader.report().resident_bytes, unit);
-        assert!(loader.evict("main"));
-        assert!(!loader.evict("main"));
-        assert_eq!(loader.report().resident_bytes, 0);
         loader.demand("main").unwrap();
+        assert_eq!(loader.report().resident_bytes, unit, "charged once");
     }
 
     #[test]
@@ -725,8 +700,11 @@ mod tests {
                 ..
             }
         ));
-        assert!(loader.evict("main"));
-        loader.retry_with("used", limits).unwrap();
+        let raised = DecodeLimits {
+            max_resident_bytes: main_len + used_len,
+            ..limits
+        };
+        loader.retry_with("used", raised).unwrap();
     }
 
     #[test]

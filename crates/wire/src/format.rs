@@ -4,16 +4,16 @@ use crate::WireError;
 use codecomp_coding::arith::{ArithDecoder, ArithEncoder};
 use codecomp_coding::huffman::{HuffmanDecoder, HuffmanEncoder};
 use codecomp_coding::model::AdaptiveModel;
-use codecomp_coding::mtf::{mtf_decode_identity, mtf_encode};
-use codecomp_core::bytesio::{code_global, put_uvarint, Cursor, Io};
+use codecomp_coding::mtf::{mtf_decode, mtf_encode};
+use codecomp_core::bytesio::{code_global, code_node, Cursor, Io};
 use codecomp_core::streams::SplitStreams;
 use codecomp_core::telemetry;
 use codecomp_core::treepat::TreePattern;
 use codecomp_core::Budget;
 use codecomp_flate::{deflate_compress, inflate_budgeted, CompressionLevel};
-use codecomp_ir::binary::{byte_for_op, desc_for_byte, desc_to_op};
 use codecomp_ir::op::{Literal, LiteralKind};
 use codecomp_ir::tree::{Function, Global, Module, Tree};
+use std::collections::HashMap;
 
 const MAGIC: &[u8; 4] = b"CCWF";
 
@@ -142,33 +142,49 @@ pub fn compress(module: &Module, mut options: WireOptions) -> Result<WireReport,
 
     // $patterns: the operator-pattern stream.
     let mut payload = Vec::new();
-    encode_symbol_stream(
+    code_symbol_stream(
         &mut payload,
-        &mut split.patterns,
-        code_pattern,
-        &split.pattern_stream,
         options,
+        &mut split.patterns,
+        &mut split.pattern_stream,
+        code_pattern,
     )?;
     sections.push(("$patterns".into(), payload));
     section_symbols.push(("$patterns".into(), split.pattern_stream.len() as u64));
 
-    // Literal streams: per class, or one mixed stream.
-    if options.split_streams {
-        for (key, lits) in &split.literals {
-            let mut payload = Vec::new();
-            encode_literal_stream(&mut payload, lits, options)?;
-            sections.push((key.clone(), payload));
-            section_symbols.push((key.clone(), lits.len() as u64));
-        }
+    // Literal streams: per class, or one mixed stream, each over its
+    // first-occurrence table.
+    let literal_streams: Vec<(String, Vec<Literal>)> = if options.split_streams {
+        std::mem::take(&mut split.literals).into_iter().collect()
     } else {
         let mut all = Vec::new();
         for tree in &trees {
             collect_literals_prefix(tree, &mut all);
         }
+        vec![("$literals".into(), all)]
+    };
+    for (key, lits) in literal_streams {
+        let mut table: Vec<Literal> = Vec::new();
+        let mut index: HashMap<&Literal, u32> = HashMap::new();
+        let mut occurrences: Vec<u32> = lits
+            .iter()
+            .map(|l| {
+                *index.entry(l).or_insert_with(|| {
+                    table.push(l.clone());
+                    table.len() as u32 - 1
+                })
+            })
+            .collect();
         let mut payload = Vec::new();
-        encode_literal_stream(&mut payload, &all, options)?;
-        sections.push(("$literals".into(), payload));
-        section_symbols.push(("$literals".into(), all.len() as u64));
+        code_symbol_stream(
+            &mut payload,
+            options,
+            &mut table,
+            &mut occurrences,
+            code_literal,
+        )?;
+        sections.push((key.clone(), payload));
+        section_symbols.push((key, lits.len() as u64));
     }
 
     // 5. DEFLATE each stream in isolation and assemble the container.
@@ -331,23 +347,28 @@ pub fn decompress_budgeted(bytes: &[u8], budget: &Budget) -> Result<Module, Wire
         let len = payload.len() as u64;
         let raw = inflate_section(payload, options, budget)?;
         let c = &mut Cursor::new(&raw, budget);
-        let symbols = match i {
+        let (table_len, symbols) = match i {
             0 => {
                 code_meta(c, &mut globals, &mut shapes)?;
-                0
+                (0, 0)
             }
             1 => {
-                (patterns, stream) =
-                    decode_symbol_stream(c, options, budget, &mut stats, code_pattern)?;
-                stream.len()
+                code_symbol_stream(c, options, &mut patterns, &mut stream, code_pattern)?;
+                (patterns.len(), stream.len())
             }
             _ => {
-                let lits = decode_literal_stream(c, options, budget, &mut stats)?;
-                let n = lits.len();
+                let (mut table, mut occurrences) = (Vec::new(), Vec::new());
+                code_symbol_stream(c, options, &mut table, &mut occurrences, code_literal)?;
+                let lits = occurrences
+                    .iter()
+                    .map(|&o| table[o as usize].clone())
+                    .collect();
                 literal_sections.push((key.clone(), lits));
-                n
+                (table.len(), occurrences.len())
             }
         };
+        stats.table_entries += table_len as u64;
+        stats.symbols += symbols as u64;
         if stats.enabled {
             stats.sections.push((key, len, symbols as u64));
         }
@@ -479,23 +500,7 @@ fn code_pattern_node<I: Io>(
         budget.check_pattern_depth(depth)?;
     }
     let mut node = (p.op, p.width, p.kids.len());
-    io.tag(
-        &mut node,
-        |&(op, width, kids)| {
-            if kids != op.arity() {
-                let what = format!("{} with {kids} children", op.mnemonic());
-                return Err(codecomp_ir::IrError::Malformed(what).into());
-            }
-            Ok(byte_for_op(op, width)?)
-        },
-        |byte| {
-            let Some(desc) = desc_for_byte(byte) else {
-                return Err(WireError::Corrupt(format!("unknown operator byte {byte}")));
-            };
-            let (op, width) = desc_to_op(desc);
-            Ok((op, width, op.arity()))
-        },
-    )?;
+    code_node(io, &mut node)?;
     (p.op, p.width) = (node.0, node.1);
     p.has_literal = p.op.opcode.literal_kind() != LiteralKind::None;
     p.kids.resize_with(node.2, TreePattern::default);
@@ -548,216 +553,158 @@ fn collect_literals_prefix(tree: &Tree, out: &mut Vec<Literal>) {
     }
 }
 
-// ---- generic symbol-stream coding --------------------------------------------
+// ---- symbol streams ------------------------------------------------------------
 
-/// Encodes a stream of occurrences over a first-occurrence-ordered table:
-/// the table, coded entry by entry with `code_entry`, then the
-/// occurrences (indices into it, in program order).
-fn encode_symbol_stream<T: Default>(
-    out: &mut Vec<u8>,
-    table: &mut Vec<T>,
-    code_entry: impl FnMut(&mut Vec<u8>, &mut T) -> Result<(), WireError>,
-    occurrences: &[u32],
+/// A stream of occurrences over a first-occurrence-ordered table: the
+/// table, coded entry by entry with `code_entry`, then the occurrences
+/// (indices into it, in program order), MTF-coded when the options say
+/// so, in the options' index coder.
+///
+/// # Errors
+///
+/// Writing: an entry `code_entry` cannot code. Reading: malformed,
+/// truncated or over-budget input, or an occurrence past the table.
+pub fn code_symbol_stream<I: Io, T: Default>(
+    io: &mut I,
     options: WireOptions,
+    table: &mut Vec<T>,
+    occurrences: &mut Vec<u32>,
+    code_entry: impl FnMut(&mut I, &mut T) -> Result<(), WireError>,
 ) -> Result<(), WireError> {
-    out.seq(table, code_entry)?;
+    // The `wire.decode.*` stages time reads only.
+    let entries = io
+        .budget()
+        .map(|_| telemetry::stage!("wire.decode.entry_table"));
+    io.seq(table, code_entry)?;
+    drop(entries);
     let table_len = table.len();
-    let (indices, alphabet) = if options.mtf {
+    if options.mtf {
         // The paper's MTF variant: index 0 denotes a first occurrence.
         // Occurrence values are first-occurrence-ordered table indices,
         // so the MTF side table is the identity and is not transmitted.
-        let enc = mtf_encode(occurrences);
-        debug_assert!(enc.table.iter().copied().eq(0..table_len as u32));
-        (enc.indices, table_len + 1)
+        io.iso(
+            occurrences,
+            |occurrences| {
+                let enc = mtf_encode(occurrences);
+                debug_assert!(enc.table.iter().copied().eq(0..table_len as u32));
+                Ok(enc.indices)
+            },
+            |indices| {
+                let _mtf = telemetry::stage!("wire.decode.mtf");
+                mtf_decode(&indices, table_len)
+                    .ok_or_else(|| WireError::Corrupt("bad MTF index".into()))
+            },
+            |io, indices| code_indices(io, indices, table_len + 1, options.coder),
+        )?;
     } else {
-        (occurrences.to_vec(), table_len)
-    };
-    encode_indices(out, &indices, alphabet.max(1), options.coder)
-}
-
-fn decode_symbol_stream<'a, T: Default>(
-    c: &mut Cursor<'a>,
-    options: WireOptions,
-    budget: &Budget,
-    stats: &mut DecodeStats,
-    code_entry: impl FnMut(&mut Cursor<'a>, &mut T) -> Result<(), WireError>,
-) -> Result<(Vec<T>, Vec<u32>), WireError> {
-    let mut table = Vec::new();
-    {
-        let _entries = telemetry::stage!("wire.decode.entry_table");
-        c.seq(&mut table, code_entry)?;
+        code_indices(io, occurrences, table_len.max(1), options.coder)?;
     }
-    let table_len = table.len();
-    let alphabet = if options.mtf {
-        table_len + 1
-    } else {
-        table_len
-    };
-    let indices = {
-        let _indices = telemetry::stage!("wire.decode.indices");
-        decode_indices(c, alphabet.max(1), options.coder, budget)?
-    };
-    let mtf = telemetry::stage!("wire.decode.mtf");
-    let occurrences = if options.mtf {
-        // Occurrence values are first-occurrence table indices, so the
-        // MTF side table is the identity and the batched array decoder
-        // applies.
-        let Some(occ) = mtf_decode_identity(&indices, table_len) else {
-            return Err(WireError::Corrupt("bad MTF index".into()));
-        };
-        occ
-    } else {
-        indices
-    };
-    drop(mtf);
-    if occurrences.iter().any(|&o| o as usize >= table_len) && !occurrences.is_empty() {
+    if occurrences.iter().any(|&o| o as usize >= table_len) {
         return Err(WireError::Corrupt("occurrence beyond table".into()));
-    }
-    stats.symbols += occurrences.len() as u64;
-    stats.table_entries += table_len as u64;
-    Ok((table, occurrences))
-}
-
-fn encode_literal_stream(
-    out: &mut Vec<u8>,
-    lits: &[Literal],
-    options: WireOptions,
-) -> Result<(), WireError> {
-    // Build the first-occurrence table.
-    let mut table: Vec<Literal> = Vec::new();
-    let mut occurrences = Vec::with_capacity(lits.len());
-    for l in lits {
-        let idx = match table.iter().position(|t| t == l) {
-            Some(i) => i,
-            None => {
-                table.push(l.clone());
-                table.len() - 1
-            }
-        };
-        occurrences.push(idx as u32);
-    }
-    encode_symbol_stream(out, &mut table, code_literal, &occurrences, options)
-}
-
-fn decode_literal_stream(
-    c: &mut Cursor<'_>,
-    options: WireOptions,
-    budget: &Budget,
-    stats: &mut DecodeStats,
-) -> Result<Vec<Literal>, WireError> {
-    let (table, occurrences) = decode_symbol_stream(c, options, budget, stats, code_literal)?;
-    occurrences
-        .into_iter()
-        .map(|o| {
-            table
-                .get(o as usize)
-                .cloned()
-                .ok_or_else(|| WireError::Corrupt("occurrence beyond table".into()))
-        })
-        .collect()
-}
-
-// ---- index coding ---------------------------------------------------------------
-
-fn encode_indices(
-    out: &mut Vec<u8>,
-    indices: &[u32],
-    alphabet: usize,
-    coder: Coder,
-) -> Result<(), WireError> {
-    put_uvarint(out, indices.len() as u64);
-    if indices.is_empty() {
-        return Ok(());
-    }
-    match coder {
-        Coder::Raw => {
-            for &i in indices {
-                put_uvarint(out, u64::from(i));
-            }
-        }
-        Coder::Huffman => {
-            let mut freqs = vec![0u64; alphabet];
-            for &i in indices {
-                freqs[i as usize] += 1;
-            }
-            let enc = HuffmanEncoder::from_frequencies(&freqs, 15)?;
-            out.extend_from_slice(enc.lengths());
-            debug_assert_eq!(enc.lengths().len(), alphabet);
-            let bits = enc.encode_symbols(indices.iter().map(|&i| i as usize))?;
-            put_uvarint(out, bits.len() as u64);
-            out.extend_from_slice(&bits);
-        }
-        Coder::Arithmetic => {
-            let mut model = AdaptiveModel::new(alphabet);
-            let mut enc = ArithEncoder::new();
-            for &i in indices {
-                let (lo, hi) = model.bounds(i as usize)?;
-                enc.encode(lo, hi, model.total())?;
-                model.update(i as usize)?;
-            }
-            let bytes = enc.finish();
-            put_uvarint(out, bytes.len() as u64);
-            out.extend_from_slice(&bytes);
-        }
     }
     Ok(())
 }
 
-fn decode_indices(
-    c: &mut Cursor<'_>,
+/// An index stream over `0..alphabet`: its count, then the indices in
+/// the coder's form. The batched Huffman and arithmetic coders are the
+/// two halves of an [`Io::iso`] each.
+fn code_indices<I: Io>(
+    io: &mut I,
+    indices: &mut Vec<u32>,
     alphabet: usize,
     coder: Coder,
-    budget: &Budget,
-) -> Result<Vec<u32>, WireError> {
-    let count = c.read_usize()?;
+) -> Result<(), WireError> {
+    let _indices = io
+        .budget()
+        .map(|_| telemetry::stage!("wire.decode.indices"));
+    let mut count = indices.len();
+    io.usize(&mut count)?;
     if count == 0 {
-        return Ok(Vec::new());
+        return Ok(());
     }
-    // An attacker-supplied count above the stream-symbol ceiling is
-    // rejected before any decode work happens; the adaptive arithmetic
-    // coder can represent near-zero bits per symbol, so without this
-    // cap a tiny payload could demand unbounded decode effort.
-    budget.check_stream_symbols(count as u64)?;
-    budget.charge_fuel(count as u64)?;
+    if let Some(budget) = io.budget() {
+        // An attacker-supplied count above the stream-symbol ceiling is
+        // rejected before any decode work happens; the adaptive
+        // arithmetic coder can represent near-zero bits per symbol, so
+        // without this cap a tiny payload could demand unbounded decode
+        // effort.
+        budget.check_stream_symbols(count as u64)?;
+        budget.charge_fuel(count as u64)?;
+    }
     match coder {
         Coder::Raw => {
-            let mut out = Vec::with_capacity(count.min(c.remaining()));
-            for _ in 0..count {
-                let mut index = 0;
-                c.u32(&mut index)?;
-                out.push(index);
+            // Reading grows the stream as it goes, so a forged count
+            // allocates no more than the bytes behind it.
+            for k in 0..count {
+                if k == indices.len() {
+                    indices.push(0);
+                }
+                io.u32(&mut indices[k])?;
             }
-            Ok(out)
         }
-        Coder::Huffman => {
-            let lengths = c.take(alphabet)?;
-            let nbytes = c.read_usize()?;
-            let bits = c.take(nbytes)?;
-            let dec = {
-                let _build = telemetry::stage!("wire.decode.table_build");
-                HuffmanDecoder::from_lengths(lengths)?
-            };
-            // Table-driven bulk decode: two-level lookup against a
-            // 64-bit reservoir instead of a bit-walk per symbol.
-            let out = dec.decode_exact(bits, count)?;
-            Ok(out.into_iter().map(|s| s as u32).collect())
-        }
+        Coder::Huffman => io.iso(
+            indices,
+            |indices| {
+                let mut freqs = vec![0u64; alphabet];
+                for &i in indices.iter() {
+                    freqs[i as usize] += 1;
+                }
+                let enc = HuffmanEncoder::from_frequencies(&freqs, 15)?;
+                let bits = enc.encode_symbols(indices.iter().map(|&i| i as usize))?;
+                Ok((enc.lengths().to_vec(), bits))
+            },
+            |(lengths, bits)| -> Result<_, WireError> {
+                let dec = {
+                    let _build = telemetry::stage!("wire.decode.table_build");
+                    HuffmanDecoder::from_lengths(&lengths)?
+                };
+                // Table-driven bulk decode: two-level lookup against a
+                // 64-bit reservoir instead of a bit-walk per symbol.
+                let out = dec.decode_exact(&bits, count)?;
+                Ok(out.into_iter().map(|s| s as u32).collect())
+            },
+            |io, (lengths, bits)| {
+                // A code length per symbol of the alphabet, then the bits.
+                lengths.resize(alphabet, 0);
+                for len in lengths.iter_mut() {
+                    io.fixed(len, 1)?;
+                }
+                Ok(io.bytes(bits)?)
+            },
+        )?,
         Coder::Arithmetic => {
-            let nbytes = c.read_usize()?;
-            let bytes = c.take(nbytes)?;
-            let mut model = AdaptiveModel::with_budget(alphabet, budget)?;
-            let mut dec = ArithDecoder::new(bytes)?;
-            let mut out = Vec::with_capacity(count);
-            for _ in 0..count {
-                let point = dec.decode_point(model.total())?;
-                let (sym, lo, hi) = model.locate(point)?;
-                dec.consume(lo, hi, model.total())?;
-                model.update(sym)?;
-                out.push(sym as u32);
-            }
-            Ok(out)
+            // `from` runs only when reading, under the cursor's budget.
+            let budget = io.budget().cloned().unwrap_or_default();
+            io.iso(
+                indices,
+                |indices| {
+                    let mut model = AdaptiveModel::new(alphabet);
+                    let mut enc = ArithEncoder::new();
+                    for &i in indices.iter() {
+                        let (lo, hi) = model.bounds(i as usize)?;
+                        enc.encode(lo, hi, model.total())?;
+                        model.update(i as usize)?;
+                    }
+                    Ok(enc.finish())
+                },
+                |bytes| -> Result<_, WireError> {
+                    let mut model = AdaptiveModel::with_budget(alphabet, &budget)?;
+                    let mut dec = ArithDecoder::new(&bytes)?;
+                    let mut out = Vec::with_capacity(count);
+                    for _ in 0..count {
+                        let point = dec.decode_point(model.total())?;
+                        let (sym, lo, hi) = model.locate(point)?;
+                        dec.consume(lo, hi, model.total())?;
+                        model.update(sym)?;
+                        out.push(sym as u32);
+                    }
+                    Ok(out)
+                },
+                |io, bytes| Ok(io.bytes(bytes)?),
+            )?;
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -830,7 +777,7 @@ mod tests {
         src.push_str("int main() { return work3(1, 5) + work7(2, 9); }");
         let m = compile(&src).unwrap();
         let packed = compress(&m, WireOptions::default()).unwrap();
-        let uncompressed = codecomp_ir::binary::encode_module(&m).unwrap().len();
+        let uncompressed = codecomp_core::bytesio::encode_module(&m).unwrap().len();
         assert!(
             packed.total() < uncompressed / 2,
             "wire {} should be well below raw {}",

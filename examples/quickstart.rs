@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. The wire format: maximum density, linear decompression.
     let packed = wire_compress(&ir, WireOptions::default())?;
-    let raw = code_compression::ir::binary::encode_module(&ir)?;
+    let raw = code_compression::core::bytesio::encode_module(&ir)?;
     println!(
         "wire format: {} bytes (uncompressed tree code: {} bytes, {:.1}x)",
         packed.total(),

@@ -16,10 +16,10 @@
 use code_compression::brisc::interp::BriscMachine;
 use code_compression::brisc::translate::translate;
 use code_compression::brisc::{compress as brisc_compress, BriscImage, BriscOptions};
+use code_compression::core::bytesio::{decode_module, encode_module};
 use code_compression::core::telemetry;
 use code_compression::core::{Budget, DecodeLimits};
 use code_compression::front::compile;
-use code_compression::ir::binary::{decode_module, encode_module};
 use code_compression::ir::eval::Evaluator;
 use code_compression::ir::Module;
 use code_compression::vm::codegen::compile_module;

@@ -1,10 +1,11 @@
-//! The inverse property every container codec satisfies: writing a
-//! value and reading the bytes back returns the value and consumes
-//! every byte. Each codec is one `Io`-generic function, so the property
-//! checks that its two instantiations agree on real values: the corpus
-//! and synthetic multi-module programs, under all 24 `WireOptions`
-//! combinations for the wire containers and under the default and
-//! order-0 BRISC options for the BRISC image.
+//! The inverse property every byte codec satisfies: writing a value and
+//! reading the bytes back returns the value and consumes every byte.
+//! Each codec is one `Io`-generic function, so the property checks that
+//! its two instantiations agree on real values: the corpus and
+//! synthetic multi-module programs, under all 24 `WireOptions`
+//! combinations for the wire containers and symbol streams, under the
+//! default and order-0 BRISC options for the BRISC image, and as the
+//! `.ccir` module and the VM instructions compiled from it.
 
 use std::fmt::Debug;
 
@@ -13,16 +14,20 @@ use code_compression::brisc::image::{
     code_container as brisc_container, code_entry, code_function, code_header, code_markov,
 };
 use code_compression::brisc::BriscImage;
-use code_compression::core::bytesio::{Cursor, Io};
+use code_compression::core::bytesio::{code_module, Cursor, SymbolTable};
 use code_compression::core::Budget;
 use code_compression::corpus::{benchmarks, synthetic_modules, MultiModuleConfig};
 use code_compression::flate::inflate;
 use code_compression::front::compile;
 use code_compression::ir::tree::Module;
 use code_compression::vm::codegen::compile_module;
-use code_compression::vm::isa::IsaConfig;
+use code_compression::vm::encode::code_inst;
+use code_compression::vm::isa::{FuncRef, Inst, IsaConfig};
+use code_compression::vm::program::FlatProgram;
 use code_compression::wire::demand::code_image;
-use code_compression::wire::format::{code_container, code_literal, code_meta, code_pattern};
+use code_compression::wire::format::{
+    code_container, code_literal, code_meta, code_pattern, code_symbol_stream,
+};
 use code_compression::wire::{compress, Coder, DemandImage, WireOptions};
 
 /// Writes `value` with `write`, reads the bytes back with `read` (the
@@ -110,8 +115,9 @@ fn wire_codecs_invert_on_corpus_and_synthetic_modules() {
                 |o, (opts, s)| code_container(o, opts, s),
                 |c, (opts, s)| code_container(c, opts, s),
             );
-            // Each section's leading structure as the image carries it:
-            // `$meta` whole, then the pattern and literal tables.
+            // Each section as the image carries it: `$meta`, then the
+            // pattern and literal streams, each a table and the
+            // occurrences over it.
             for (i, (key, payload)) in framed.1.iter().enumerate() {
                 let raw = if options.deflate {
                     inflate(payload).unwrap()
@@ -130,22 +136,24 @@ fn wire_codecs_invert_on_corpus_and_synthetic_modules() {
                         |c, (g, f)| code_meta(c, g, f),
                     );
                 } else if i == 1 {
-                    let mut table = Vec::new();
-                    c.seq(&mut table, code_pattern).unwrap();
+                    let mut stream = (Vec::new(), Vec::new());
+                    code_symbol_stream(&mut c, options, &mut stream.0, &mut stream.1, code_pattern)
+                        .unwrap();
                     check_inverse(
                         &what,
-                        &table,
-                        |o, t| o.seq(t, code_pattern),
-                        |c, t| c.seq(t, code_pattern),
+                        &stream,
+                        |o, (t, s)| code_symbol_stream(o, options, t, s, code_pattern),
+                        |c, (t, s)| code_symbol_stream(c, options, t, s, code_pattern),
                     );
                 } else {
-                    let mut table = Vec::new();
-                    c.seq(&mut table, code_literal).unwrap();
+                    let mut stream = (Vec::new(), Vec::new());
+                    code_symbol_stream(&mut c, options, &mut stream.0, &mut stream.1, code_literal)
+                        .unwrap();
                     check_inverse(
                         &what,
-                        &table,
-                        |o, t| o.seq(t, code_literal),
-                        |c, t| c.seq(t, code_literal),
+                        &stream,
+                        |o, (t, s)| code_symbol_stream(o, options, t, s, code_literal),
+                        |c, (t, s)| code_symbol_stream(c, options, t, s, code_literal),
                     );
                 }
             }
@@ -211,6 +219,35 @@ fn brisc_codecs_invert_on_corpus_and_synthetic_modules() {
                 &container,
                 |o, (img, packed)| brisc_container(o, img, packed),
                 |c, (img, packed)| brisc_container(c, img, packed),
+            );
+        }
+    }
+}
+
+#[test]
+fn module_and_instruction_codecs_invert_on_corpus_and_synthetic_modules() {
+    for (name, module) in modules() {
+        check_inverse(&format!("{name}/ccir"), &module, code_module, |c, m| {
+            code_module(c, m)
+        });
+        // The linked form: labels resolved to instruction indices.
+        let vm = compile_module(&module, IsaConfig::full()).unwrap();
+        let code = FlatProgram::link(&vm).unwrap().code;
+        let mut symbols = SymbolTable::default();
+        for i in &code {
+            if let Inst::Call {
+                target: FuncRef::Symbol(callee),
+            } = i
+            {
+                symbols.intern(callee);
+            }
+        }
+        for (k, inst) in code.iter().enumerate() {
+            check_inverse(
+                &format!("{name}/inst {k} {inst}"),
+                inst,
+                |o, i| code_inst(o, i, &symbols),
+                |c, i| code_inst(c, i, &symbols),
             );
         }
     }

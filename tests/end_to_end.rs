@@ -162,7 +162,7 @@ fn wire_and_brisc_both_compress_large_programs() {
         },
     );
     let ir = compile(&src).unwrap();
-    let raw = code_compression::ir::binary::encode_module(&ir)
+    let raw = code_compression::core::bytesio::encode_module(&ir)
         .unwrap()
         .len();
     let wire = wire_compress(&ir, WireOptions::default()).unwrap().total();

@@ -8,9 +8,9 @@
 //! loads), at every option combination. The decoders hold no state
 //! between calls, so each image is decoded once.
 
+use code_compression::core::bytesio::encode_module;
 use code_compression::corpus::{benchmarks, synthetic_modules, MultiModuleConfig};
 use code_compression::front::compile;
-use code_compression::ir::binary::encode_module;
 use code_compression::ir::Module;
 use code_compression::wire::{compress, decompress, Coder, DemandImage, WireOptions};
 

@@ -23,7 +23,7 @@ use code_compression::ir::Module;
 use code_compression::vm::codegen::compile_module;
 use code_compression::vm::isa::IsaConfig;
 use code_compression::wire::{
-    compress as wire_compress, decompress_budgeted, DemandError, DemandImage, DemandLoader,
+    compress as wire_compress, decompress_budgeted, Coder, DemandError, DemandImage, DemandLoader,
     WireOptions,
 };
 use std::collections::BTreeMap;
@@ -331,6 +331,33 @@ fn stage_self_times_sum_exactly_to_their_parents() {
                 "{name} did not move"
             );
         }
+    }
+}
+
+#[test]
+fn compress_moves_no_decode_counter() {
+    let _serial = serial();
+    ring();
+    let decode_counters = || -> BTreeMap<String, u64> {
+        metrics()
+            .counters
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("wire.decode."))
+            .collect()
+    };
+    for b in benchmarks() {
+        let module = b.compile().expect("corpus compiles");
+        let before = decode_counters();
+        for options in [
+            WireOptions::default(),
+            WireOptions {
+                coder: Coder::Arithmetic,
+                ..WireOptions::default()
+            },
+        ] {
+            wire_compress(&module, options).expect("wire pack");
+        }
+        assert_eq!(decode_counters(), before, "{}", b.name);
     }
 }
 
