@@ -32,6 +32,7 @@ use codecomp_corpus::{benchmarks, synthetic, SynthConfig};
 use codecomp_flate::deflate::deflate_compress_fixed;
 use codecomp_flate::{deflate_compress, inflate, CompressionLevel};
 use codecomp_ir::Module;
+use codecomp_vm::VmProgram;
 use codecomp_wire::{compress, decompress, WireOptions};
 
 const STAGES: [&str; 4] = ["inflate", "deflate", "wire", "brisc"];
@@ -139,10 +140,11 @@ fn fail(why: &str) -> ! {
 struct Job {
     /// Report key prefix, such as `wire.decode`.
     key: String,
-    /// Work done per call, in `unit`s (MiB, or millions of instructions
-    /// or of BRISC items).
+    /// Work done per call, in `unit`s (MiB, millions of instructions or
+    /// of BRISC items, or thousands of IR nodes).
     units: f64,
-    /// Rate unit suffix of the report key: `mib_s`, `mips` or `mitems_s`.
+    /// Rate unit suffix of the report key: `mib_s`, `mips`, `mitems_s`
+    /// or `knodes_s`.
     unit: &'static str,
     /// Also measured with a collector installed.
     collector: bool,
@@ -382,5 +384,26 @@ fn brisc_jobs(out: &mut Out) -> Vec<Job> {
         scan();
     });
     decode.unit = "mitems_s";
-    vec![load, interp, decode]
+    // The compressor over the corpus and synth-wcp, in thousands of IR
+    // nodes per second (1000 / rate is µs per node).
+    let programs: Vec<(usize, VmProgram)> = subjects(Scale::WithSynthetic)
+        .into_iter()
+        .filter(|s| !matches!(s.name.as_str(), "synth-lcc" | "synth-gcc"))
+        .map(|s| (s.ir.node_count(), s.vm))
+        .collect();
+    let nodes: usize = programs.iter().map(|(n, _)| n).sum();
+    out.put(
+        "brisc.compress.payload",
+        format!(
+            "\"bundled corpus + synth-wcp, {} programs, {nodes} IR nodes\"",
+            programs.len()
+        ),
+    );
+    let mut compress = Job::new("brisc.compress", nodes as f64 / 1e3, move || {
+        for (_, vm) in &programs {
+            codecomp_bench::brisc(vm);
+        }
+    });
+    compress.unit = "knodes_s";
+    vec![load, interp, decode, compress]
 }

@@ -10,13 +10,17 @@
 //! fewer than `K` positive candidates.
 //!
 //! Candidates are generated as allocation-free `Copy` keys (an entry
-//! plus a spec), and only the keys that can reach `P > 0` are ever
-//! materialized into a [`DictEntry`]. Keys are grouped by a fingerprint
-//! of the pattern sequence they denote; a group whose summed savings,
-//! less the smallest exact dictionary size among its keys, is not
-//! positive cannot hold an adoptable entry under either memory regime,
-//! so its keys are dropped unscored. The bound is exact: the surviving
-//! entries, their scores and their order are those of scoring every key.
+//! plus a spec, or two of them) and priced from costs the dictionary
+//! caches per entry: a key's serialized size, fingerprint and native
+//! expansion cost each follow in O(1) from its source entries'. Keys
+//! are grouped by the fingerprint of the pattern sequence they denote,
+//! and a group's summed saving, less its smallest dictionary size and
+//! the table charge, bounds the `B` of every entry in it under either
+//! memory regime. Groups are visited best bound first, and a group's
+//! keys are materialized into [`DictEntry`]s only while its bound can
+//! still beat or tie the `K`-th best score found so far. The search is
+//! exact: it adopts the entries, in the order, that scoring every key
+//! would.
 //!
 //! Generation is incremental. A pass only generates keys at the sites
 //! that hold an entry adopted since the last scan — singles of such an
@@ -28,7 +32,7 @@ use crate::entry::{DictEntry, FieldKind, ImmEnc, InstPattern, PatternField, MAX_
 use crate::image::{assemble_with, BriscImage, FuncItems, Item};
 use crate::BriscError;
 use codecomp_core::bytesio::{uvarint_len, zigzag};
-use codecomp_core::dict::{select_top_k, Benefit, MemoryRegime, PassPolicy};
+use codecomp_core::dict::{Benefit, MemoryRegime, PassPolicy, TopK};
 use codecomp_core::fxhash::{FxHashMap, FxHasher};
 use codecomp_core::telemetry::stage;
 use codecomp_vm::encode::{field_refs, Field, FieldRef};
@@ -102,8 +106,9 @@ pub struct BriscReport {
     /// Each distinct key is counted once, in the pass that first
     /// generates it.
     pub candidates_tested: usize,
-    /// Candidates among them whose bound allowed `P > 0`, and which were
-    /// therefore materialized and fully scored.
+    /// Candidates among them that were materialized and fully scored:
+    /// the keys of the fingerprint groups whose bound could still reach
+    /// the pass's top `K` when the search came to them.
     pub candidates_scored: usize,
     /// Final dictionary size including base entries (gcc: 1232).
     pub dictionary_entries: usize,
@@ -143,6 +148,10 @@ struct Dictionary {
     bits: Vec<u32>,
     /// Serialized size per entry ([`DictEntry::dict_bytes`]).
     bytes: Vec<usize>,
+    /// Fingerprint per entry ([`fingerprint`]).
+    fingerprints: Vec<u64>,
+    /// Per entry, each pattern's [`InstPattern::native_bytes`].
+    native: Vec<Vec<usize>>,
     index: FxHashMap<DictEntry, u32>,
 }
 
@@ -152,6 +161,14 @@ impl Dictionary {
         let id = self.entries.len() as u32;
         self.bits.push(entry.wildcard_bits());
         self.bytes.push(bytes);
+        self.fingerprints.push(fingerprint(&entry));
+        self.native.push(
+            entry
+                .patterns
+                .iter()
+                .map(InstPattern::native_bytes)
+                .collect(),
+        );
         self.index.insert(entry.clone(), id);
         self.entries.push(entry);
         id
@@ -340,59 +357,74 @@ impl Hunt {
         new_ids.len()
     }
 
-    /// Bounds and scores `candidates` and returns the top `K` entries
-    /// with their serialized sizes.
+    /// Scores `candidates` and returns the top `K` entries with their
+    /// serialized sizes.
     fn score(&mut self, candidates: FxHashMap<CandKey, i64>) -> Vec<(DictEntry, usize)> {
         let charge = i64::from(self.options.table_charge);
 
         // Bound: group keys by the pattern sequence they denote. Every
         // saving is positive and `W ≥ 0`, so an entry's `B` is at most
         // its group's summed saving less the group's smallest exact
-        // dictionary size and the table charge; a group where that is
-        // not positive holds no adoptable entry.
-        let mut keyed: Vec<(CandKey, i64, u64)> = Vec::with_capacity(candidates.len());
-        let mut groups: FxHashMap<u64, (i64, usize)> = FxHashMap::default();
-        for (&key, &saved) in &candidates {
-            let fp = fingerprint(key, &self.dict.entries);
-            let group = groups.entry(fp).or_insert((0, usize::MAX));
-            group.0 += saved;
-            group.1 = group.1.min(key_dict_bytes(key, &self.dict));
-            keyed.push((key, saved, fp));
+        // dictionary size and the table charge.
+        let mut group_of: FxHashMap<u64, usize> =
+            FxHashMap::with_capacity_and_hasher(candidates.len(), Default::default());
+        let mut groups: Vec<(i64, usize)> = Vec::new();
+        let mut keyed: Vec<(usize, CandKey, i64, usize)> = Vec::with_capacity(candidates.len());
+        for (key, saved) in candidates {
+            let bytes = key_dict_bytes(key, &self.dict);
+            let g = *group_of
+                .entry(key_fingerprint(key, &self.dict))
+                .or_insert_with(|| {
+                    groups.push((0, usize::MAX));
+                    groups.len() - 1
+                });
+            groups[g].0 += saved;
+            groups[g].1 = groups[g].1.min(bytes);
+            keyed.push((g, key, saved, bytes));
         }
+        let bound = |g: usize| groups[g].0 - groups[g].1 as i64 - charge;
 
-        // Materialize the survivors once per key; merge keys that denote
-        // the same resulting pattern; drop entries already in the
-        // dictionary.
-        let mut merged: FxHashMap<DictEntry, i64> = FxHashMap::default();
-        for (key, saved, fp) in keyed {
-            let (sum, min_bytes) = groups[&fp];
-            if sum - min_bytes as i64 - charge <= 0 {
-                continue;
-            }
-            self.candidates_scored += 1;
-            let entry = materialize(key, &self.dict.entries);
-            debug_assert_eq!(key_dict_bytes(key, &self.dict), entry.dict_bytes());
-            if self.dict.index.contains_key(&entry) {
-                continue;
-            }
-            *merged.entry(entry).or_insert(0) += saved;
+        // Order the keys of every group that can hold a positive `B` by
+        // their group's bound, best first.
+        let mut order: Vec<usize> = (0..groups.len()).filter(|&g| bound(g) > 0).collect();
+        order.sort_unstable_by_key(|&g| std::cmp::Reverse(bound(g)));
+        let mut rank = vec![usize::MAX; groups.len()];
+        for (r, &g) in order.iter().enumerate() {
+            rank[g] = r;
         }
-        let mut merged: Vec<(DictEntry, i64)> = merged.into_iter().collect();
-        // Deterministic order for tie-breaking inside select_top_k.
-        merged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let scored: Vec<((DictEntry, usize), Benefit)> = merged
-            .into_iter()
-            .map(|(entry, total_saved)| {
-                let bytes = entry.dict_bytes();
+        keyed.retain(|&(g, ..)| rank[g] != usize::MAX);
+        keyed.sort_unstable_by_key(|&(g, ..)| rank[g]);
+
+        // Branch and bound: materialize a group's keys, merge those that
+        // denote the same entry and drop entries already in the
+        // dictionary, until no later group's bound can reach the top K.
+        let mut top = TopK::new(self.options.k, self.options.regime);
+        let mut merged: Vec<(DictEntry, i64, usize, CandKey)> = Vec::new();
+        for keys in keyed.chunk_by(|x, y| x.0 == y.0) {
+            if !top.admits(bound(keys[0].0)) {
+                break;
+            }
+            self.candidates_scored += keys.len();
+            for &(_, key, saved, bytes) in keys {
+                let entry = materialize(key, &self.dict.entries);
+                debug_assert_eq!(bytes, entry.dict_bytes());
+                match merged.iter_mut().find(|m| m.0 == entry) {
+                    Some(m) => m.1 += saved,
+                    None => merged.push((entry, saved, bytes, key)),
+                }
+            }
+            for (entry, saved, bytes, key) in merged.drain(..) {
+                if self.dict.index.contains_key(&entry) {
+                    continue;
+                }
                 let benefit = Benefit {
-                    size_reduction: total_saved - bytes as i64 - charge,
-                    table_cost: entry.native_table_cost() as i64,
+                    size_reduction: saved - bytes as i64 - charge,
+                    table_cost: key_table_cost(key, &self.dict) as i64,
                 };
-                ((entry, bytes), benefit)
-            })
-            .collect();
-
-        select_top_k(scored, self.options.k, self.options.regime)
+                top.offer((entry, bytes), benefit);
+            }
+        }
+        top.into_best_first()
             .into_iter()
             .map(|(adopted, _)| adopted)
             .collect()
@@ -621,32 +653,110 @@ fn key_dict_bytes(key: CandKey, dict: &Dictionary) -> usize {
     }
 }
 
-/// A hash of the pattern sequence `key` materializes to, computed
-/// without materializing it: the source entries' patterns are walked
-/// with the spec'd field substituted. Keys that denote equal entries
-/// get equal fingerprints.
-fn fingerprint(key: CandKey, dictionary: &[DictEntry]) -> u64 {
-    fn walk(h: &mut FxHasher, entry: &DictEntry, spec: SpecDesc) {
-        let substitution = spec.substitution();
-        for (pi, pattern) in entry.patterns.iter().enumerate() {
-            pattern.base.hash(h);
-            for (fi, field) in pattern.fields.iter().enumerate() {
-                match &substitution {
-                    Some((at, to)) if *at == (pi, fi) => to.hash(h),
-                    _ => field.hash(h),
-                }
-            }
-        }
-    }
+/// `materialize(key, ..).native_table_cost()` from the cached
+/// per-pattern costs: only the one pattern a spec changes is encoded
+/// again.
+fn key_table_cost(key: CandKey, dict: &Dictionary) -> usize {
+    let of = |entry: u32, spec: SpecDesc| {
+        let costs = &dict.native[entry as usize];
+        let total: usize = costs.iter().sum();
+        let Some(((pi, fi), to)) = spec.substitution() else {
+            return total;
+        };
+        let mut pattern = dict.entries[entry as usize].patterns[pi].clone();
+        pattern.fields[fi] = to;
+        total - costs[pi] + pattern.native_bytes()
+    };
+    let native = match key {
+        CandKey::Single { entry, spec } => of(entry, spec),
+        CandKey::Pair { a, sa, b, sb } => of(a, sa) + of(b, sb),
+    };
+    native / 2
+}
+
+/// Multiplier of the fingerprint polynomial. It is odd, so no power of
+/// it is zero mod 2^64 and every pattern position counts.
+const FP_BASE: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// `x` spread over all 64 bits (the SplitMix64 finalizer), so that
+/// sums of hashes do not cancel.
+fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The 32 low bits of an Fx hash of `v`.
+fn fx32(v: impl Hash) -> u64 {
     let mut h = FxHasher::default();
+    v.hash(&mut h);
+    h.finish() & 0xFFFF_FFFF
+}
+
+/// A hash of `field` at position `fi` of a pattern: a tag, the field's
+/// value and its position packed into one word, then mixed. A spec
+/// replaces a wildcard with a burned register or immediate or an `-x4`
+/// wildcard, so pricing a key runs no hasher.
+fn field_hash(fi: usize, field: &PatternField) -> u64 {
+    let code = match field {
+        PatternField::Burned(Field::Reg(r)) => u64::from(r.number()),
+        PatternField::Burned(Field::Imm(v)) => 1 << 32 | u64::from(*v as u32),
+        PatternField::Burned(Field::Target(t)) => 2 << 32 | u64::from(*t),
+        PatternField::Burned(Field::Func(name)) => 3 << 32 | fx32(name),
+        PatternField::Wildcard(kind) => {
+            4 << 32
+                | match kind {
+                    FieldKind::Imm(enc) => *enc as u64,
+                    FieldKind::Reg => 4,
+                    FieldKind::Target => 5,
+                    FieldKind::Func => 6,
+                }
+        }
+    };
+    mix(code | (fi as u64) << 40)
+}
+
+/// A hash of an entry's pattern sequence: `Σ h(pᵢ)·R^(n−1−i)` over its
+/// `n` patterns, where a pattern's `h` is the hash of its base plus the
+/// hash of each `(position, field)`. Both sums are linear, so a key's
+/// fingerprint follows from its source entries' in O(1)
+/// ([`key_fingerprint`]).
+fn fingerprint(entry: &DictEntry) -> u64 {
+    entry.patterns.iter().fold(0, |fp, p| {
+        let h = p
+            .fields
+            .iter()
+            .enumerate()
+            .fold(mix(5 << 32 | fx32(p.base)), |h, (fi, field)| {
+                h.wrapping_add(field_hash(fi, field))
+            });
+        fp.wrapping_mul(FP_BASE).wrapping_add(h)
+    })
+}
+
+/// `fingerprint(&materialize(key, ..))` in O(1) from the cached
+/// fingerprints: a spec adds the change in its one field's hash at its
+/// pattern's weight, and a combination shifts the first part's
+/// fingerprint past the second part's patterns. Keys that denote equal
+/// entries get equal fingerprints.
+fn key_fingerprint(key: CandKey, dict: &Dictionary) -> u64 {
+    let of = |entry: u32, spec: SpecDesc| {
+        let fp = dict.fingerprints[entry as usize];
+        let Some(((pi, fi), to)) = spec.substitution() else {
+            return fp;
+        };
+        let patterns = &dict.entries[entry as usize].patterns;
+        let delta = field_hash(fi, &to).wrapping_sub(field_hash(fi, &patterns[pi].fields[fi]));
+        let weight = FP_BASE.wrapping_pow((patterns.len() - 1 - pi) as u32);
+        fp.wrapping_add(delta.wrapping_mul(weight))
+    };
     match key {
-        CandKey::Single { entry, spec } => walk(&mut h, &dictionary[entry as usize], spec),
+        CandKey::Single { entry, spec } => of(entry, spec),
         CandKey::Pair { a, sa, b, sb } => {
-            walk(&mut h, &dictionary[a as usize], sa);
-            walk(&mut h, &dictionary[b as usize], sb);
+            let shift = FP_BASE.wrapping_pow(dict.entries[b as usize].len() as u32);
+            of(a, sa).wrapping_mul(shift).wrapping_add(of(b, sb))
         }
     }
-    h.finish()
 }
 
 /// Encoded instance size for `bits` of wildcard operands: one opcode
@@ -1042,13 +1152,21 @@ pub(crate) mod tests {
                 let mut fingerprints: FxHashMap<DictEntry, u64> = FxHashMap::default();
                 for &key in candidates.keys() {
                     let entry = materialize(key, &hunt.dict.entries);
+                    let at = || format!("{}: {key:?} -> {entry}", b.name);
                     assert_eq!(
                         key_dict_bytes(key, &hunt.dict),
                         entry.dict_bytes(),
-                        "{}: {key:?} -> {entry}",
-                        b.name
+                        "{}",
+                        at()
                     );
-                    let fp = fingerprint(key, &hunt.dict.entries);
+                    assert_eq!(
+                        key_table_cost(key, &hunt.dict),
+                        entry.native_table_cost(),
+                        "{}",
+                        at()
+                    );
+                    let fp = key_fingerprint(key, &hunt.dict);
+                    assert_eq!(fp, fingerprint(&entry), "{}", at());
                     let first = *fingerprints.entry(entry.clone()).or_insert(fp);
                     assert_eq!(fp, first, "{}: keys for {entry} disagree", b.name);
                 }
@@ -1150,6 +1268,160 @@ pub(crate) mod tests {
             },
             BriscOptions { k: 5, ..d },
         ]
+    }
+
+    /// The scorer the branch-and-bound search replaced: fingerprint
+    /// every key by walking its source entries, materialize every key
+    /// whose group bound is positive, merge by entry, price each entry
+    /// with `dict_bytes()` and `native_table_cost()`, and take the top
+    /// `K` of a full sort by score, then entry.
+    fn reference_score(hunt: &Hunt, candidates: &FxHashMap<CandKey, i64>) -> Vec<DictEntry> {
+        fn walk(h: &mut FxHasher, entry: &DictEntry, spec: SpecDesc) {
+            let substitution = spec.substitution();
+            for (pi, pattern) in entry.patterns.iter().enumerate() {
+                pattern.base.hash(h);
+                for (fi, field) in pattern.fields.iter().enumerate() {
+                    match &substitution {
+                        Some((at, to)) if *at == (pi, fi) => to.hash(h),
+                        _ => field.hash(h),
+                    }
+                }
+            }
+        }
+        let walked_fingerprint = |key: CandKey| {
+            let entries = &hunt.dict.entries;
+            let mut h = FxHasher::default();
+            match key {
+                CandKey::Single { entry, spec } => walk(&mut h, &entries[entry as usize], spec),
+                CandKey::Pair { a, sa, b, sb } => {
+                    walk(&mut h, &entries[a as usize], sa);
+                    walk(&mut h, &entries[b as usize], sb);
+                }
+            }
+            h.finish()
+        };
+        let charge = i64::from(hunt.options.table_charge);
+        let mut groups: FxHashMap<u64, (i64, usize)> = FxHashMap::default();
+        for (&key, &saved) in candidates {
+            let group = groups
+                .entry(walked_fingerprint(key))
+                .or_insert((0, usize::MAX));
+            group.0 += saved;
+            group.1 = group.1.min(key_dict_bytes(key, &hunt.dict));
+        }
+        let mut merged: FxHashMap<DictEntry, i64> = FxHashMap::default();
+        for (&key, &saved) in candidates {
+            let (sum, min_bytes) = groups[&walked_fingerprint(key)];
+            if sum - min_bytes as i64 - charge <= 0 {
+                continue;
+            }
+            let entry = materialize(key, &hunt.dict.entries);
+            if !hunt.dict.index.contains_key(&entry) {
+                *merged.entry(entry).or_insert(0) += saved;
+            }
+        }
+        let mut scored: Vec<(DictEntry, i64)> = merged
+            .into_iter()
+            .map(|(entry, saved)| {
+                let benefit = Benefit {
+                    size_reduction: saved - entry.dict_bytes() as i64 - charge,
+                    table_cost: entry.native_table_cost() as i64,
+                };
+                let score = hunt.options.regime.score(benefit);
+                (entry, score)
+            })
+            .filter(|&(_, score)| score > 0)
+            .collect();
+        scored.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        scored.truncate(hunt.options.k);
+        scored.into_iter().map(|(entry, _)| entry).collect()
+    }
+
+    /// Runs the hunt over `program` and checks that every pass adopts
+    /// what [`reference_score`] picks from the same candidates, in the
+    /// same order.
+    fn assert_scorers_agree(name: &str, program: &VmProgram, options: BriscOptions) {
+        let policy = options.pass_policy();
+        let mut hunt = Hunt::new(program, options).unwrap();
+        let mut passes = 0;
+        loop {
+            passes += 1;
+            let expected = reference_score(&hunt, &hunt.candidates());
+            let before = hunt.dict.entries.len();
+            let adopted = hunt.pass();
+            assert!(
+                hunt.dict.entries[before..] == expected[..],
+                "{name} {options:?} pass {passes}: adopted {:?}, the reference {:?}",
+                hunt.dict.entries[before..]
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>(),
+                expected.iter().map(ToString::to_string).collect::<Vec<_>>()
+            );
+            if !policy.continue_after(adopted, passes) {
+                break;
+            }
+        }
+    }
+
+    /// `count` programs of each perfbench synthetic workload's shape:
+    /// members of `synthetic_modules` groups (a shared prelude of 10
+    /// functions, 6 of their own) and 12-function `synthetic` programs,
+    /// drawn from seeds upward of `seed`.
+    fn perfbench_shaped(seed: u64, count: usize) -> Vec<(String, VmProgram)> {
+        let group = MultiModuleConfig {
+            modules: 5,
+            shared_functions: 10,
+            functions_per_module: 6,
+            statements_per_function: 8,
+            globals: 5,
+            max_expr_depth: 4,
+        };
+        let distinct = codecomp_corpus::SynthConfig {
+            functions: 12,
+            statements_per_function: 8,
+            globals: 6,
+        };
+        let members = (seed..)
+            .flat_map(|s| {
+                synthetic_modules(s, group)
+                    .into_iter()
+                    .enumerate()
+                    .map(move |(m, src)| (format!("shared-{s}-m{m}"), src))
+            })
+            .take(count);
+        let programs = (seed..seed + count as u64).map(|s| {
+            (
+                format!("distinct-{s}"),
+                codecomp_corpus::synthetic(s, distinct),
+            )
+        });
+        members
+            .chain(programs)
+            .map(|(name, src)| (name, vm_program(&src)))
+            .collect()
+    }
+
+    #[test]
+    fn branch_and_bound_adopts_what_scoring_every_key_adopts() {
+        let corpus = codecomp_corpus::benchmarks()
+            .into_iter()
+            .map(|b| (b.name.to_string(), vm_program(b.source)));
+        for (name, p) in corpus.chain(perfbench_shaped(1, 2)) {
+            for options in golden_variants() {
+                assert_scorers_agree(&name, &p, options);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "60 programs under 9 option sets: run with --release --include-ignored"]
+    fn branch_and_bound_agrees_on_perfbench_shaped_programs() {
+        for (name, p) in perfbench_shaped(100, 30) {
+            for options in golden_variants() {
+                assert_scorers_agree(&name, &p, options);
+            }
+        }
     }
 
     /// The rule incremental generation replaces: scan every site and

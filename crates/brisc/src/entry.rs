@@ -220,6 +220,24 @@ impl InstPattern {
             .sum()
     }
 
+    /// The pattern's share of [`DictEntry::native_table_cost`] before
+    /// halving: its canonical instance's x86 length plus its
+    /// fixed-width length. The x86 encoder keeps no state from one
+    /// instruction to the next, so an entry's cost is the sum of its
+    /// patterns' shares.
+    pub fn native_bytes(&self) -> usize {
+        let inst = self.canonical();
+        let x86 = codecomp_vm::native::X86Encoder::new().emit(&inst);
+        // Fixed-width proxy: 4 bytes per instruction, 8 for wide ops.
+        let fixed = match &inst {
+            Inst::Call { .. } | Inst::Epi => 8,
+            Inst::Bcopy { .. } | Inst::Bzero { .. } => 16,
+            Inst::Branch { .. } | Inst::BranchImm { .. } => 8,
+            _ => 4,
+        };
+        x86 + fixed
+    }
+
     /// A canonical instance (wildcards zeroed) for native-cost estimation.
     pub fn canonical(&self) -> Inst {
         let base = canonical_instance(self.base);
@@ -310,20 +328,11 @@ impl DictEntry {
     /// expansions across a variable-width and a fixed-width target
     /// (the paper averages Pentium and PowerPC 601).
     pub fn native_table_cost(&self) -> usize {
-        let mut x86 = codecomp_vm::native::X86Encoder::new();
-        let mut fixed = 0usize;
-        for p in &self.patterns {
-            let inst = p.canonical();
-            x86.emit(&inst);
-            // Fixed-width proxy: 4 bytes per instruction, 8 for wide ops.
-            fixed += match &inst {
-                Inst::Call { .. } | Inst::Epi => 8,
-                Inst::Bcopy { .. } | Inst::Bzero { .. } => 16,
-                Inst::Branch { .. } | Inst::BranchImm { .. } => 8,
-                _ => 4,
-            };
-        }
-        (x86.bytes().len() + fixed) / 2
+        self.patterns
+            .iter()
+            .map(InstPattern::native_bytes)
+            .sum::<usize>()
+            / 2
     }
 
     /// Whether `insts` has one instruction per component and each

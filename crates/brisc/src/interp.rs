@@ -72,6 +72,10 @@ pub struct BriscMachine<'a> {
     /// Touch map for working-set measurement: bit `i % 64` of word
     /// `i / 64` is set once code byte `i` has been decoded.
     touched: Vec<u64>,
+    /// The decode buffer every run and validation scan reuses, so each
+    /// entry's instructions are copied from its template once per
+    /// machine.
+    item: ItemBuf,
 }
 
 impl<'a> BriscMachine<'a> {
@@ -102,6 +106,7 @@ impl<'a> BriscMachine<'a> {
             image,
             fuel,
             items_decoded: 0,
+            item: ItemBuf::default(),
         })
     }
 
@@ -122,10 +127,9 @@ impl<'a> BriscMachine<'a> {
         limits: codecomp_core::DecodeLimits,
     ) -> Result<Self, BriscError> {
         let mut m = Self::new(image, mem_size, fuel)?;
-        let mut item = ItemBuf::default();
         for i in 0..image.functions.len() {
             let budget = codecomp_core::Budget::new(limits);
-            if let Err(e) = image.validate_function(i, &m.tables, &budget, &mut item) {
+            if let Err(e) = image.validate_function(i, &m.tables, &budget, &mut m.item) {
                 let cause = codecomp_core::DecodeError::from(e);
                 if codecomp_core::telemetry::enabled() {
                     codecomp_core::telemetry::counter_add("brisc.interp.quarantines", 1);
@@ -174,10 +178,9 @@ impl<'a> BriscMachine<'a> {
             .function_index(name)
             .ok_or_else(|| BriscError::Exec(format!("undefined function {name}")))?;
         let budget = codecomp_core::Budget::new(limits);
-        let mut item = ItemBuf::default();
         match self
             .image
-            .validate_function(idx, &self.tables, &budget, &mut item)
+            .validate_function(idx, &self.tables, &budget, &mut self.item)
         {
             Ok(()) => {
                 self.quarantine[idx] = None;
@@ -203,7 +206,9 @@ impl<'a> BriscMachine<'a> {
     pub fn run(&mut self, entry: &str, args: &[i64]) -> Result<BriscOutcome, BriscError> {
         let _stage = codecomp_core::telemetry::stage!("brisc.run");
         let (fuel_before, instrs_before) = (self.fuel, self.core.instructions());
-        let result = self.run_inner(entry, args);
+        let mut item = std::mem::take(&mut self.item);
+        let result = self.run_inner(entry, args, &mut item);
+        self.item = item;
         if codecomp_core::telemetry::enabled() {
             use codecomp_core::telemetry as t;
             t::counter_add(
@@ -224,7 +229,12 @@ impl<'a> BriscMachine<'a> {
         result
     }
 
-    fn run_inner(&mut self, entry: &str, args: &[i64]) -> Result<BriscOutcome, BriscError> {
+    fn run_inner(
+        &mut self,
+        entry: &str,
+        args: &[i64],
+        item: &mut ItemBuf,
+    ) -> Result<BriscOutcome, BriscError> {
         let entry_idx = self
             .image
             .function_index(entry)
@@ -242,7 +252,6 @@ impl<'a> BriscMachine<'a> {
             saved_regs: &[],
         };
         let mut extra_leaders: &[u32] = &[];
-        let mut item = ItemBuf::default();
         loop {
             if self.fuel == 0 {
                 return Err(BriscError::Exec("fuel exhausted".into()));
@@ -269,7 +278,7 @@ impl<'a> BriscMachine<'a> {
                     });
                 }
             }
-            image.decode_into(pc, ctx, &self.tables, &mut item)?;
+            image.decode_into(pc, ctx, &self.tables, item)?;
             self.items_decoded += 1;
             let next = pc + item.size;
             self.touch(pc, next);
@@ -579,6 +588,20 @@ mod tests {
             .run("h", &[3])
             .unwrap();
         assert_eq!(m3.run("h", &[3]).unwrap().value, expect.value);
+    }
+
+    #[test]
+    fn one_machine_reuses_its_decode_buffer_across_scans_and_runs() {
+        let src = "int sq(int x) { return x * x; } int main() { return sq(6) + sq(2); }";
+        let vm = compile_module(&compile(src).unwrap(), IsaConfig::full()).unwrap();
+        let report = compress(&vm, BriscOptions::default()).unwrap();
+        let limits = codecomp_core::DecodeLimits::default();
+        let mut m = BriscMachine::new_governed(&report.image, 1 << 20, 1 << 24, limits).unwrap();
+        assert!(m.quarantined_functions().is_empty());
+        assert_eq!(m.run("main", &[]).unwrap().value, 40);
+        m.revalidate("sq", limits).unwrap();
+        assert_eq!(m.run("main", &[]).unwrap().value, 40);
+        assert_eq!(m.run("sq", &[7]).unwrap().value, 49);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! positive." The candidate generation is compressor-specific; the
 //! selection discipline lives here.
 
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// A scored candidate: `benefit = size_reduction - table_cost`
@@ -54,57 +55,101 @@ impl MemoryRegime {
     }
 }
 
-/// Selects the top-`k` positive-benefit candidates from one pass.
+/// The `k` best positive-benefit candidates offered so far: §4's "heap
+/// of candidate instructions, sorted by B", kept at size `k`.
 ///
-/// Returns at most `k` items ordered best-first; ties break on the
-/// supplied sequence number so selection is deterministic.
-pub fn select_top_k<T>(
-    candidates: Vec<(T, Benefit)>,
+/// Candidates rank by score under the regime, higher first; equal
+/// scores rank by the item, smaller first. The ranking is total, so what
+/// is kept does not depend on the order of the offers. A caller that can
+/// bound the scores of candidates it has not built yet asks
+/// [`Self::admits`] first and stops once the bound cannot get in.
+#[derive(Debug)]
+pub struct TopK<T> {
     k: usize,
     regime: MemoryRegime,
-) -> Vec<(T, Benefit)> {
-    struct Entry<T> {
-        score: i64,
-        seq: usize,
-        item: T,
-        benefit: Benefit,
+    /// The kept candidates, the worst on top.
+    heap: BinaryHeap<Ranked<T>>,
+}
+
+#[derive(Debug)]
+struct Ranked<T> {
+    score: i64,
+    item: T,
+    benefit: Benefit,
+}
+
+impl<T: Ord> Ord for Ranked<T> {
+    /// Greater is worse: a lower score, or an equal score and a larger
+    /// item.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .score
+            .cmp(&self.score)
+            .then_with(|| self.item.cmp(&other.item))
     }
-    impl<T> PartialEq for Entry<T> {
-        fn eq(&self, other: &Self) -> bool {
-            self.score == other.score && self.seq == other.seq
-        }
+}
+
+impl<T: Ord> PartialOrd for Ranked<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
-    impl<T> Eq for Entry<T> {}
-    impl<T> PartialOrd for Entry<T> {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
+}
+
+impl<T: Ord> PartialEq for Ranked<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
-    impl<T> Ord for Entry<T> {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.score.cmp(&other.score).then(other.seq.cmp(&self.seq))
+}
+
+impl<T: Ord> Eq for Ranked<T> {}
+
+impl<T: Ord> TopK<T> {
+    /// An empty selection of at most `k` candidates scored under `regime`.
+    pub fn new(k: usize, regime: MemoryRegime) -> TopK<T> {
+        TopK {
+            k,
+            regime,
+            heap: BinaryHeap::new(),
         }
     }
 
-    let mut heap: BinaryHeap<Entry<T>> = candidates
-        .into_iter()
-        .enumerate()
-        .filter(|(_, (_, b))| regime.score(*b) > 0)
-        .map(|(seq, (item, benefit))| Entry {
-            score: regime.score(benefit),
-            seq,
+    /// Whether a candidate scoring `score` could be kept: it is positive,
+    /// and fewer than `k` are kept or it at least ties the worst kept
+    /// score (a tie goes to the smaller item).
+    pub fn admits(&self, score: i64) -> bool {
+        score > 0
+            && (self.heap.len() < self.k || self.heap.peek().is_some_and(|w| score >= w.score))
+    }
+
+    /// Offers one candidate; it is kept if it ranks among the best `k`
+    /// so far with `B > 0`.
+    pub fn offer(&mut self, item: T, benefit: Benefit) {
+        let score = self.regime.score(benefit);
+        if !self.admits(score) {
+            return;
+        }
+        let ranked = Ranked {
+            score,
             item,
             benefit,
-        })
-        .collect();
-    let mut out = Vec::with_capacity(k.min(heap.len()));
-    for _ in 0..k {
-        match heap.pop() {
-            Some(e) => out.push((e.item, e.benefit)),
-            None => break,
+        };
+        if self.heap.len() < self.k {
+            self.heap.push(ranked);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if ranked < *worst {
+                *worst = ranked;
+            }
         }
     }
-    out
+
+    /// The kept candidates, best first.
+    pub fn into_best_first(self) -> Vec<(T, Benefit)> {
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|r| (r.item, r.benefit))
+            .collect()
+    }
 }
 
 /// Pass-loop bookkeeping: the construction stops "after a pass that
@@ -142,6 +187,20 @@ impl PassPolicy {
 mod tests {
     use super::*;
 
+    /// Offers every candidate in order and returns the kept ones, best
+    /// first.
+    fn select<T: Ord>(
+        candidates: Vec<(T, Benefit)>,
+        k: usize,
+        regime: MemoryRegime,
+    ) -> Vec<(T, Benefit)> {
+        let mut top = TopK::new(k, regime);
+        for (item, benefit) in candidates {
+            top.offer(item, benefit);
+        }
+        top.into_best_first()
+    }
+
     #[test]
     fn benefit_matches_paper_example() {
         // §4: [enter sp,*,*] saves 1 byte, costs 2 bytes of dictionary
@@ -152,9 +211,9 @@ mod tests {
             table_cost: 25,
         };
         assert_eq!(b.value(), -26);
-        assert!(select_top_k(vec![((), b)], 20, MemoryRegime::Constrained).is_empty());
+        assert!(select(vec![((), b)], 20, MemoryRegime::Constrained).is_empty());
         // In abundant memory, still negative (P = −1).
-        assert!(select_top_k(vec![((), b)], 20, MemoryRegime::Abundant).is_empty());
+        assert!(select(vec![((), b)], 20, MemoryRegime::Abundant).is_empty());
     }
 
     #[test]
@@ -189,7 +248,7 @@ mod tests {
                 },
             ),
         ];
-        let picked = select_top_k(cands, 2, MemoryRegime::Constrained);
+        let picked = select(cands, 2, MemoryRegime::Constrained);
         let names: Vec<&str> = picked.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, vec!["b", "d"]);
     }
@@ -212,10 +271,10 @@ mod tests {
                 },
             ),
         ];
-        let constrained = select_top_k(cands.clone(), 2, MemoryRegime::Constrained);
+        let constrained = select(cands.clone(), 2, MemoryRegime::Constrained);
         assert_eq!(constrained.len(), 1);
         assert_eq!(constrained[0].0, "light");
-        let abundant = select_top_k(cands, 2, MemoryRegime::Abundant);
+        let abundant = select(cands, 2, MemoryRegime::Abundant);
         assert_eq!(abundant[0].0, "heavy");
         assert_eq!(abundant.len(), 2);
     }
@@ -238,8 +297,50 @@ mod tests {
                 },
             ),
         ];
-        let picked = select_top_k(cands, 1, MemoryRegime::Constrained);
+        let picked = select(cands, 1, MemoryRegime::Constrained);
         assert_eq!(picked[0].0, "first");
+    }
+
+    #[test]
+    fn selection_does_not_depend_on_offer_order() {
+        let b = |size_reduction| Benefit {
+            size_reduction,
+            table_cost: 0,
+        };
+        let cands = vec![
+            (3, b(5)),
+            (1, b(7)),
+            (4, b(5)),
+            (2, b(5)),
+            (5, b(-1)),
+            (0, b(2)),
+        ];
+        let forward = select(cands.clone(), 3, MemoryRegime::Constrained);
+        let names: Vec<i32> = forward.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, vec![1, 2, 3]);
+        let mut reversed = cands;
+        reversed.reverse();
+        assert_eq!(select(reversed, 3, MemoryRegime::Constrained), forward);
+    }
+
+    #[test]
+    fn admits_what_could_still_be_kept() {
+        let b = |size_reduction| Benefit {
+            size_reduction,
+            table_cost: 0,
+        };
+        let mut top = TopK::new(2, MemoryRegime::Constrained);
+        assert!(!top.admits(0), "B must be positive");
+        assert!(top.admits(1), "room left");
+        top.offer("m", b(4));
+        top.offer("n", b(6));
+        assert!(!top.admits(3));
+        assert!(top.admits(4), "a tie can still win on the item");
+        top.offer("z", b(4));
+        top.offer("a", b(4));
+        let names: Vec<&str> = top.into_best_first().iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, vec!["n", "a"]);
+        assert!(!TopK::<()>::new(0, MemoryRegime::Abundant).admits(9));
     }
 
     #[test]

@@ -30,6 +30,12 @@ cargo test --release --offline --test brisc_compress_golden --test wire_golden \
     --test brisc_interp_golden --test end_to_end --test brisc_decode_equivalence \
     -- --include-ignored
 
+# The BRISC scorer's branch-and-bound search against the full-sort
+# reference it replaced, pass by pass, on 60 perfbench-shaped programs
+# under every golden option set; too slow for the debug profile.
+echo "==> BRISC scorer agrees with its full-sort reference (release, includes the perfbench-shaped case)"
+cargo test --release --offline -p codecomp-brisc --lib branch_and_bound -- --include-ignored
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
