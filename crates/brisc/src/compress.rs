@@ -37,7 +37,7 @@ use codecomp_core::fxhash::{FxHashMap, FxHasher};
 use codecomp_core::telemetry::stage;
 use codecomp_vm::encode::{field_refs, Field, FieldRef};
 use codecomp_vm::isa::Inst;
-use codecomp_vm::program::{VmFunction, VmProgram};
+use codecomp_vm::program::{branch_targets, compact, VmFunction, VmProgram};
 use codecomp_vm::reg::Reg;
 use std::hash::{Hash, Hasher};
 
@@ -221,7 +221,7 @@ pub fn compress(program: &VmProgram, options: BriscOptions) -> Result<BriscRepor
     let _stage = stage!("brisc.compress");
     let input_bytes = codecomp_vm::encode::code_segment_size(program);
 
-    let mut hunt = Hunt::new(program, options)?;
+    let mut hunt = Hunt::new(program, options);
     let base_entries = hunt.dict.entries.len();
 
     // ---- greedy passes ----
@@ -305,20 +305,21 @@ pub fn compress(program: &VmProgram, options: BriscOptions) -> Result<BriscRepor
 
 impl Hunt {
     /// The initial item sequence: every instruction on its base entry.
-    fn new(program: &VmProgram, options: BriscOptions) -> Result<Hunt, BriscError> {
+    fn new(program: &VmProgram, options: BriscOptions) -> Hunt {
         let mut dict = Dictionary::default();
-        let mut funcs = Vec::with_capacity(program.functions.len());
-        for f in &program.functions {
-            funcs.push(build_cfunc(f, options, &mut dict)?);
-        }
-        Ok(Hunt {
+        let funcs = program
+            .functions
+            .iter()
+            .map(|f| build_cfunc(f, options, &mut dict))
+            .collect();
+        Hunt {
             options,
             funcs,
             dict,
             scanned: 0,
             candidates_tested: 0,
             candidates_scored: 0,
-        })
+        }
     }
 
     /// Every new candidate key of this pass with its summed byte saving.
@@ -433,56 +434,18 @@ impl Hunt {
 
 // ---- initial program construction ---------------------------------------------
 
-fn build_cfunc(
-    f: &VmFunction,
-    options: BriscOptions,
-    dict: &mut Dictionary,
-) -> Result<CFunc, BriscError> {
-    // Epilogue peephole (on the labeled form, so labels stay aligned).
-    let code = if options.epi {
+fn build_cfunc(f: &VmFunction, options: BriscOptions, dict: &mut Dictionary) -> CFunc {
+    let insts = if options.epi {
         replace_epilogues(f)
     } else {
         f.code.clone()
     };
-
-    // Strip labels, mapping label -> instruction index.
-    let mut insts: Vec<Inst> = Vec::with_capacity(code.len());
-    let mut label_at: FxHashMap<u32, usize> = FxHashMap::default();
-    for inst in &code {
-        match inst {
-            Inst::Label(l) => {
-                label_at.insert(*l, insts.len());
-            }
-            other => insts.push(other.clone()),
-        }
-    }
-    // Rewrite branch targets to instruction indices.
-    let resolve = |l: u32| -> Result<u32, BriscError> {
-        label_at
-            .get(&l)
-            .map(|&i| i as u32)
-            .ok_or_else(|| BriscError::Compress(format!("unresolved label {l} in {}", f.name)))
-    };
     // Instruction-level leaders: the entry, branch targets, and every
-    // instruction after a block end.
-    let mut leaders = vec![false; insts.len()];
+    // instruction after a block end. A target past the last instruction
+    // starts no item; conversion to the image reports it.
+    let mut leaders = branch_targets(&insts);
     if let Some(entry) = leaders.first_mut() {
         *entry = true;
-    }
-    for inst in &mut insts {
-        match inst {
-            Inst::Branch { target, .. }
-            | Inst::BranchImm { target, .. }
-            | Inst::Jump { target } => {
-                *target = resolve(*target)?;
-                // A label past the last instruction starts no item;
-                // conversion to the image reports it.
-                if let Some(leader) = leaders.get_mut(*target as usize) {
-                    *leader = true;
-                }
-            }
-            _ => {}
-        }
     }
     for (i, pair) in insts.windows(2).enumerate() {
         if pair[0].ends_block() {
@@ -499,22 +462,25 @@ fn build_cfunc(
             first_inst: i,
         });
     }
-    Ok(CFunc {
+    CFunc {
         name: f.name.clone(),
         param_count: f.param_count,
         frame_size: f.frame_size,
         saved_regs: f.saved_regs.clone(),
         items,
         leaders,
-    })
+    }
 }
 
-/// Replaces the conventional epilogue (`reload`*, `reload ra`, `exit`,
-/// `rjr ra`) with the `epi` macro-instruction when it matches the
-/// function's frame layout exactly.
-fn replace_epilogues(f: &VmFunction) -> Vec<Inst> {
+/// `f`'s code with each conventional epilogue (`reload`*, `reload ra`,
+/// `exit`, `rjr ra`) that matches its frame layout exactly, and that no
+/// branch enters past its first instruction, folded into the `epi`
+/// macro-instruction. Under [`BriscOptions::epi`] this is the code the
+/// image holds, and so what [`crate::translate`] gives back.
+pub fn replace_epilogues(f: &VmFunction) -> Vec<Inst> {
+    let mut code = f.code.clone();
     if f.frame_size == 0 {
-        return f.code.clone();
+        return code;
     }
     let mut expect: Vec<Inst> = Vec::new();
     for (i, &r) in f.saved_regs.iter().enumerate() {
@@ -532,18 +498,21 @@ fn replace_epilogues(f: &VmFunction) -> Vec<Inst> {
     });
     expect.push(Inst::Rjr { rs: Reg::RA });
 
-    let mut out = Vec::with_capacity(f.code.len());
+    let targeted = branch_targets(&code);
+    let mut keep = vec![true; code.len()];
     let mut i = 0usize;
-    while i < f.code.len() {
-        if f.code[i..].starts_with(&expect) {
-            out.push(Inst::Epi);
-            i += expect.len();
+    while i + expect.len() <= code.len() {
+        let end = i + expect.len();
+        if code[i..end] == expect[..] && !targeted[i + 1..end].contains(&true) {
+            code[i] = Inst::Epi;
+            keep[i + 1..end].fill(false);
+            i = end;
         } else {
-            out.push(f.code[i].clone());
             i += 1;
         }
     }
-    out
+    compact(&mut code, &keep);
+    code
 }
 
 // ---- candidate generation -----------------------------------------------------
@@ -1036,10 +1005,13 @@ pub(crate) mod tests {
         );
         // Original count shrinks by (saved reloads + ra reload + exit + rjr - 1).
         let delta = salt.saved_regs.len() + 3 - 1;
-        assert_eq!(
-            rewritten.iter().filter(|i| !i.is_label()).count(),
-            salt.inst_count() - delta
-        );
+        assert_eq!(rewritten.len(), salt.code.len() - delta);
+        // An early `return` jumps to the epilogue, and then to the `epi`.
+        let p = vm_program("int f(int a) { int b = a + 1; if (a) return b; return 2; }");
+        let f = p.function("f").unwrap();
+        let rewritten = replace_epilogues(f);
+        let epi = rewritten.iter().position(|i| *i == Inst::Epi).unwrap() as u32;
+        assert!(rewritten.contains(&Inst::Jump { target: epi }), "{f}");
     }
 
     #[test]
@@ -1133,7 +1105,7 @@ pub(crate) mod tests {
         mut check: impl FnMut(&Hunt, &FxHashMap<CandKey, i64>),
     ) {
         let policy = options.pass_policy();
-        let mut hunt = Hunt::new(program, options).unwrap();
+        let mut hunt = Hunt::new(program, options);
         let mut passes = 0;
         loop {
             check(&hunt, &hunt.candidates());
@@ -1342,7 +1314,7 @@ pub(crate) mod tests {
     /// same order.
     fn assert_scorers_agree(name: &str, program: &VmProgram, options: BriscOptions) {
         let policy = options.pass_policy();
-        let mut hunt = Hunt::new(program, options).unwrap();
+        let mut hunt = Hunt::new(program, options);
         let mut passes = 0;
         loop {
             passes += 1;

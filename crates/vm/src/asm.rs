@@ -2,12 +2,16 @@
 //!
 //! The syntax follows the paper's examples: `ld.iw n0,4(sp)`,
 //! `spill.i ra,20(sp)`, `ble.i n4,0,$L56`, `enter sp,sp,24`, `rjr ra`.
-//! Labels print as `$L<n>:` on their own line.
+//! `$L` names are syntax only: [`parse_program`] resolves each `$L<n>:`
+//! line to the index of the instruction after it, and a function prints
+//! `$L<index>:` before each instruction a branch targets, so printing
+//! and parsing give back the same program.
 
 use crate::isa::{AluOp, Cond, FuncRef, Inst, MemWidth};
-use crate::program::{VmFunction, VmGlobal, VmProgram};
+use crate::program::{branch_targets, VmFunction, VmGlobal, VmProgram};
 use crate::reg::Reg;
 use crate::VmError;
+use std::collections::HashMap;
 use std::fmt;
 
 impl fmt::Display for Inst {
@@ -66,7 +70,6 @@ impl fmt::Display for Inst {
             Inst::Bcopy { rd, rs, rn } => write!(f, "bcopy {rd},{rs},{rn}"),
             Inst::Bzero { rd, rn } => write!(f, "bzero {rd},{rn}"),
             Inst::Nop => write!(f, "nop"),
-            Inst::Label(l) => write!(f, "$L{l}:"),
         }
     }
 }
@@ -88,12 +91,12 @@ impl fmt::Display for VmFunction {
             }
         }
         writeln!(f)?;
-        for inst in &self.code {
-            if inst.is_label() {
-                writeln!(f, "{inst}")?;
-            } else {
-                writeln!(f, "    {inst}")?;
+        let targeted = branch_targets(&self.code);
+        for (i, inst) in self.code.iter().enumerate() {
+            if targeted[i] {
+                writeln!(f, "$L{i}:")?;
             }
+            writeln!(f, "    {inst}")?;
         }
         write!(f, ".end")
     }
@@ -115,7 +118,8 @@ impl fmt::Display for VmProgram {
     }
 }
 
-/// Parses one instruction line (no label-colon form).
+/// Parses one instruction line. A `$L<n>` target is taken as the
+/// index `n`; label definitions (`$L<n>:`) belong to [`parse_program`].
 ///
 /// # Errors
 ///
@@ -126,13 +130,6 @@ pub fn parse_inst(text: &str, line: u32) -> Result<Inst, VmError> {
         message: m.to_string(),
     };
     let text = text.trim();
-    if let Some(rest) = text.strip_prefix("$L") {
-        let rest = rest
-            .strip_suffix(':')
-            .ok_or_else(|| err("label must end with ':'"))?;
-        let n: u32 = rest.parse().map_err(|_| err("bad label number"))?;
-        return Ok(Inst::Label(n));
-    }
     let (mnemonic, operands) = match text.split_once(char::is_whitespace) {
         Some((m, rest)) => (m, rest.trim()),
         None => (text, ""),
@@ -358,14 +355,20 @@ pub fn parse_inst(text: &str, line: u32) -> Result<Inst, VmError> {
     }
 }
 
-/// Parses a whole program in the `Display` format of [`VmProgram`].
+/// Parses a whole program in the `Display` format of [`VmProgram`],
+/// resolving each function's `$L<n>` names to instruction indices.
 ///
 /// # Errors
 ///
-/// [`VmError::Asm`] on the first malformed line.
+/// [`VmError::Asm`] on the first malformed line, duplicate or undefined
+/// label, or label that no instruction follows.
 pub fn parse_program(text: &str) -> Result<VmProgram, VmError> {
     let mut program = VmProgram::new();
     let mut current: Option<VmFunction> = None;
+    // The current function's labels (name → index) and each of its
+    // instructions' line numbers.
+    let mut labels: HashMap<u32, u32> = HashMap::new();
+    let mut lines: Vec<u32> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let lineno = i as u32 + 1;
         let line = raw.trim();
@@ -422,14 +425,36 @@ pub fn parse_program(text: &str) -> Result<VmProgram, VmError> {
             );
             f.saved_regs = saves;
             current = Some(f);
+            labels.clear();
+            lines.clear();
+        } else if let Some(rest) = line.strip_prefix("$L") {
+            let f = current.as_ref().ok_or_else(|| err("label outside .func"))?;
+            let n: u32 = rest
+                .strip_suffix(':')
+                .and_then(|n| n.parse().ok())
+                .ok_or_else(|| err("bad label definition"))?;
+            if labels.insert(n, f.code.len() as u32).is_some() {
+                return Err(err(&format!("duplicate label $L{n}")));
+            }
         } else if line == ".end" {
-            let f = current.take().ok_or_else(|| err(".end without .func"))?;
+            let mut f = current.take().ok_or_else(|| err(".end without .func"))?;
+            for (inst, &at) in f.code.iter_mut().zip(&lines) {
+                if let Some(target) = inst.target_mut() {
+                    *target = *labels.get(target).ok_or_else(|| VmError::Asm {
+                        line: at,
+                        message: format!("undefined label $L{target}"),
+                    })?;
+                }
+            }
+            f.validate()
+                .map_err(|_| err("label not followed by an instruction"))?;
             program.functions.push(f);
         } else {
             let f = current
                 .as_mut()
                 .ok_or_else(|| err("instruction outside .func"))?;
             f.code.push(parse_inst(line, lineno)?);
+            lines.push(lineno);
         }
     }
     if current.is_some() {
@@ -466,10 +491,16 @@ mod tests {
             "exit sp,sp,24",
             "rjr ra",
         ];
-        for l in lines {
+        for l in lines.iter().filter(|l| !l.ends_with(':')) {
             let inst = parse_inst(l, 1).unwrap();
-            assert_eq!(inst.to_string(), l, "roundtrip failed for {l}");
+            assert_eq!(inst.to_string(), *l, "roundtrip failed for {l}");
         }
+        // In a program, `$L56` names the instruction after `$L56:`.
+        let text = format!(".func salt params=1 frame=24\n{}\n.end\n", lines.join("\n"));
+        let salt = &parse_program(&text).unwrap().functions[0];
+        assert_eq!(salt.code.len(), lines.len() - 1);
+        assert_eq!(salt.code[5].target(), Some(9));
+        assert_eq!(salt.code[9].to_string(), "add.i n0,n4,-1");
     }
 
     #[test]
@@ -534,6 +565,7 @@ mod tests {
         assert!(parse_inst("spill.i n4,16(n3)", 1).is_err());
         assert!(parse_inst("enter sp,n0,24", 1).is_err());
         assert!(parse_inst("$L5", 1).is_err());
+        assert!(parse_inst("$L5:", 1).is_err());
     }
 
     #[test]
@@ -553,8 +585,19 @@ $L2:
         let p = parse_program(text).unwrap();
         assert_eq!(p.globals.len(), 1);
         assert_eq!(p.functions[0].saved_regs.len(), 2);
-        assert_eq!(p.functions[0].inst_count(), 5);
+        assert_eq!(p.functions[0].code.len(), 5);
+        assert_eq!(
+            p.functions[0].code[2],
+            Inst::BranchImm {
+                cond: Cond::Le,
+                rs: Reg::new(4),
+                imm: 0,
+                target: 4,
+            }
+        );
+        assert_eq!(p.functions[0].code[3], Inst::Jump { target: 2 });
         let printed = p.to_string();
+        assert!(printed.contains("$L2:\n    ble.i n4,0,$L4\n    j $L2\n$L4:\n    epi"));
         let reparsed = parse_program(&printed).unwrap();
         // IsaConfig is not part of the text form.
         assert_eq!(reparsed.functions, p.functions);
@@ -567,5 +610,38 @@ $L2:
         assert!(parse_program(".end").is_err());
         assert!(parse_program("nop").is_err());
         assert!(parse_program(".func f params=0 frame=0\nnop").is_err());
+        for (text, line) in [
+            (".func f params=0 frame=0\nnop\nj $L7\n.end", 3),
+            (".func f params=0 frame=0\nj $L1\n$L1:\n.end", 4),
+        ] {
+            match parse_program(text) {
+                Err(VmError::Asm { line: l, .. }) => assert_eq!(l, line, "{text}"),
+                other => panic!("{text}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn duplicate_label_rejected() {
+        match parse_program(".func f params=0 frame=0\n$L1:\nnop\n$L1:\nnop\n.end") {
+            Err(VmError::Asm { line: 4, message }) => assert!(message.contains("duplicate")),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn compiled_programs_print_and_parse_back() {
+        let ir = codecomp_front::compile(
+            "int g(int n) { int s = 0; while (n > 0) { if (n & 1) s += n; n--; } return s; }
+             int main() { return g(9) + g(4); }",
+        )
+        .unwrap();
+        for (_, isa) in IsaConfig::variants() {
+            let p = crate::codegen::compile_module(&ir, isa).unwrap();
+            assert_eq!(
+                parse_program(&p.to_string()).unwrap().functions,
+                p.functions
+            );
+        }
     }
 }

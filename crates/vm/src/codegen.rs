@@ -25,15 +25,12 @@
 //! offset-0 loads and stores (the §5 de-tuning experiment).
 
 use crate::isa::{AluOp, Cond, FuncRef, Inst, IsaConfig, MemWidth};
-use crate::program::{VmFunction, VmProgram};
+use crate::program::{compact, VmFunction, VmProgram};
 use crate::reg::Reg;
 use crate::VmError;
 use codecomp_ir::op::{IrType, Literal, Opcode};
 use codecomp_ir::tree::{Function, Module, Tree};
 use std::collections::HashMap;
-
-/// Label number used for the function epilogue (IR labels stay small).
-const EPILOGUE_LABEL: u32 = 1_000_000;
 
 /// Compiles an IR module into a VM program under the given ISA variant.
 ///
@@ -71,8 +68,7 @@ pub fn compile_module(module: &Module, isa: IsaConfig) -> Result<VmProgram, VmEr
     program.validate()?;
     if codecomp_core::telemetry::enabled() {
         use codecomp_core::telemetry as t;
-        let instrs: usize = program.functions.iter().map(|f| f.code.len()).sum();
-        t::counter_add("vm.codegen.instrs", instrs as u64);
+        t::counter_add("vm.codegen.instrs", program.inst_count() as u64);
         t::counter_add("vm.codegen.functions", program.functions.len() as u64);
     }
     Ok(program)
@@ -100,6 +96,10 @@ struct FuncCodegen<'a> {
     frame_size: u32,
     local_base: i32,
     out: Vec<Inst>,
+    /// IR label → index of the instruction it precedes in `out`.
+    labels: HashMap<u32, u32>,
+    /// Indices in `out` of the jumps a `return` makes to the epilogue.
+    returns: Vec<usize>,
     pool: Vec<Reg>,
     pending_args: usize,
 }
@@ -121,6 +121,8 @@ impl<'a> FuncCodegen<'a> {
             frame_size: 0,
             local_base: 0,
             out: Vec::new(),
+            labels: HashMap::new(),
+            returns: Vec::new(),
             pool: Vec::new(),
             pending_args: 0,
         }
@@ -132,9 +134,10 @@ impl<'a> FuncCodegen<'a> {
         for stmt in &self.f.body {
             self.stmt(stmt)?;
         }
-        self.out.push(Inst::Label(EPILOGUE_LABEL));
+        let epilogue = self.out.len() as u32;
         self.epilogue()?;
-        self.drop_fallthrough_jumps();
+        self.resolve_targets(epilogue)?;
+        self.peephole(epilogue);
         let mut vf = VmFunction::new(&self.f.name, self.f.param_count, self.frame_size);
         vf.saved_regs = self.saved_regs;
         vf.code = self.out;
@@ -142,44 +145,60 @@ impl<'a> FuncCodegen<'a> {
         Ok(vf)
     }
 
-    /// Removes jumps whose target label follows immediately (only labels
-    /// between) — the common `j $Lend` right before `$Lend:` — plus two
-    /// move cleanups: `mov x,x` and the redundant back-copy in
-    /// `mov a,b; mov b,a` (legal when no label intervenes, since the
-    /// registers already hold equal values).
-    fn drop_fallthrough_jumps(&mut self) {
-        let code = std::mem::take(&mut self.out);
-        let mut out: Vec<Inst> = Vec::with_capacity(code.len());
-        for (i, inst) in code.iter().enumerate() {
-            match inst {
-                Inst::Jump { target } => {
-                    let falls_to_target = code[i + 1..]
-                        .iter()
-                        .take_while(|n| n.is_label())
-                        .any(|n| matches!(n, Inst::Label(l) if l == target));
-                    if falls_to_target {
-                        continue;
-                    }
-                }
-                Inst::Mov { rd, rs } => {
-                    if rd == rs {
-                        continue;
-                    }
-                    if let Some(Inst::Mov {
-                        rd: prev_rd,
-                        rs: prev_rs,
-                    }) = out.last()
-                    {
-                        if prev_rd == rs && prev_rs == rd {
-                            continue;
-                        }
-                    }
-                }
-                _ => {}
-            }
-            out.push(inst.clone());
+    /// Turns each IR label a branch names into the index of the
+    /// instruction the label precedes, and each `return`'s jump into a
+    /// jump to the epilogue.
+    fn resolve_targets(&mut self, epilogue: u32) -> Result<(), VmError> {
+        let mut returns = self.returns.iter().copied().peekable();
+        for (i, inst) in self.out.iter_mut().enumerate() {
+            let Some(target) = inst.target_mut() else {
+                continue;
+            };
+            *target = if returns.next_if_eq(&i).is_some() {
+                epilogue
+            } else {
+                *self.labels.get(target).ok_or_else(|| {
+                    VmError::Codegen(format!("unresolved label {target} in {}", self.f.name))
+                })?
+            };
         }
-        self.out = out;
+        Ok(())
+    }
+
+    /// Removes jumps to the next instruction — the common `j $Lend`
+    /// right before `$Lend:` — plus two move cleanups: `mov x,x` and the
+    /// redundant back-copy in `mov a,b; mov b,a` (legal when no label
+    /// lies between the two, since the registers already hold equal
+    /// values).
+    fn peephole(&mut self, epilogue: u32) {
+        let code = &self.out;
+        let mut labelled = vec![false; code.len()];
+        for &at in self.labels.values().chain([&epilogue]) {
+            if let Some(l) = labelled.get_mut(at as usize) {
+                *l = true;
+            }
+        }
+        let mut keep = vec![true; code.len()];
+        let mut last_kept: Option<&Inst> = None;
+        let mut label_since_kept = false;
+        for (i, inst) in code.iter().enumerate() {
+            label_since_kept |= labelled[i];
+            keep[i] = match inst {
+                Inst::Jump { target } => *target as usize != i + 1,
+                Inst::Mov { rd, rs } => {
+                    let back_copy = !label_since_kept
+                        && matches!(last_kept, Some(Inst::Mov { rd: prev_rd, rs: prev_rs })
+                            if prev_rd == rs && prev_rs == rd);
+                    rd != rs && !back_copy
+                }
+                _ => true,
+            };
+            if keep[i] {
+                last_kept = Some(inst);
+                label_since_kept = false;
+            }
+        }
+        compact(&mut self.out, &keep);
     }
 
     // ---- analysis ---------------------------------------------------------
@@ -429,7 +448,12 @@ impl<'a> FuncCodegen<'a> {
                 let Some(Literal::Label(l)) = tree.literal() else {
                     return Err(VmError::Codegen("label without number".into()));
                 };
-                self.out.push(Inst::Label(*l));
+                if self.labels.insert(*l, self.out.len() as u32).is_some() {
+                    return Err(VmError::Codegen(format!(
+                        "duplicate label {l} in {}",
+                        self.f.name
+                    )));
+                }
                 Ok(())
             }
             Opcode::Jump => {
@@ -482,9 +506,9 @@ impl<'a> FuncCodegen<'a> {
                     }
                     self.free_reg(r);
                 }
-                self.out.push(Inst::Jump {
-                    target: EPILOGUE_LABEL,
-                });
+                // Aimed at the epilogue by `resolve_targets`.
+                self.returns.push(self.out.len());
+                self.out.push(Inst::Jump { target: 0 });
                 Ok(())
             }
             Opcode::Arg => {

@@ -147,7 +147,7 @@ pub enum Field {
     Reg(Reg),
     /// An immediate (1/2/4-byte encoded).
     Imm(i32),
-    /// A branch target label (2 bytes).
+    /// A branch target: an instruction index in the function (2 bytes).
     Target(u32),
     /// A function symbol (2-byte index into the program symbol table).
     Func(String),
@@ -228,10 +228,6 @@ pub fn has_imm(op: BaseOp) -> bool {
 }
 
 /// The base pattern of an instruction.
-///
-/// # Panics
-///
-/// Panics on [`Inst::Label`], which is a pseudo-instruction.
 pub fn base_op(inst: &Inst) -> BaseOp {
     match inst {
         Inst::Li { .. } => BaseOp::Li,
@@ -257,7 +253,6 @@ pub fn base_op(inst: &Inst) -> BaseOp {
         Inst::Bcopy { .. } => BaseOp::Bcopy,
         Inst::Bzero { .. } => BaseOp::Bzero,
         Inst::Nop => BaseOp::Nop,
-        Inst::Label(_) => panic!("labels have no encoding"),
     }
 }
 
@@ -269,7 +264,7 @@ pub enum FieldRef<'a> {
     Reg(Reg),
     /// An immediate.
     Imm(i32),
-    /// A branch target label.
+    /// A branch target: an instruction index in the function.
     Target(u32),
     /// A function symbol.
     Func(&'a str),
@@ -330,19 +325,11 @@ impl<'a> std::ops::Deref for FieldRefs<'a> {
 /// `enter`/`exit` expose their two (always-`sp`) register fields because
 /// the encoding transmits them — this is what makes `[enter sp,*,*]` a
 /// meaningful operand specialization in the paper's worked example.
-///
-/// # Panics
-///
-/// Panics on [`Inst::Label`].
 pub fn fields(inst: &Inst) -> Vec<Field> {
     field_refs(inst).iter().map(|f| f.to_field()).collect()
 }
 
 /// [`fields`], borrowed and on the stack: never allocates.
-///
-/// # Panics
-///
-/// Panics on [`Inst::Label`].
 pub fn field_refs(inst: &Inst) -> FieldRefs<'_> {
     use FieldRef as F;
     let sp = F::Reg(Reg::SP);
@@ -379,7 +366,6 @@ pub fn field_refs(inst: &Inst) -> FieldRefs<'_> {
         Inst::Epi | Inst::Nop => FieldRefs::of(&[]),
         Inst::Bcopy { rd, rs, rn } => FieldRefs::of(&[F::Reg(*rd), F::Reg(*rs), F::Reg(*rn)]),
         Inst::Bzero { rd, rn } => FieldRefs::of(&[F::Reg(*rd), F::Reg(*rn)]),
-        Inst::Label(_) => panic!("labels have no fields"),
     }
 }
 
@@ -534,11 +520,8 @@ pub fn opcode_count() -> usize {
     opcode_table().0.len()
 }
 
-/// Encoded size in bytes of one instruction (labels are free).
+/// Encoded size in bytes of one instruction.
 pub fn inst_size(inst: &Inst) -> usize {
-    if inst.is_label() {
-        return 0;
-    }
     let mut reg_nibbles = 0usize;
     let mut tail_bytes = 0usize;
     for f in field_refs(inst).iter() {
@@ -559,16 +542,13 @@ pub fn inst_size(inst: &Inst) -> usize {
 ///
 /// # Errors
 ///
-/// Writing: a label, a branch target past 65535, or a call symbol not
-/// in `symbols`. Reading: truncation, an unknown opcode byte, or a bad
-/// symbol index.
+/// Writing: a branch target past 65535, which only a function of more
+/// than 65536 instructions has, or a call symbol not in `symbols`.
+/// Reading: truncation, an unknown opcode byte, or a bad symbol index.
 pub fn code_inst<I: Io>(io: &mut I, inst: &mut Inst, symbols: &SymbolTable) -> Result<(), VmError> {
     io.iso(
         inst,
         |inst| {
-            if inst.is_label() {
-                return Err(VmError::Encode("labels have no encoding".into()));
-            }
             let fs = fields(inst);
             let imm = fs.iter().find_map(|f| match f {
                 Field::Imm(v) => Some(imm_width(*v)),
@@ -702,9 +682,9 @@ pub fn canonical_instance(op: BaseOp) -> Inst {
     }
 }
 
-/// Code-segment size (instruction bytes only) of a whole program, with
-/// labels materialized as 2-byte branch targets already counted in the
-/// branch instructions themselves.
+/// Code-segment size (instruction bytes only) of a whole program: the
+/// bytes [`code_inst`] writes for every instruction, branch targets
+/// (function-relative indices) in their 2 bytes each.
 pub fn code_segment_size(program: &VmProgram) -> usize {
     program
         .functions
@@ -734,8 +714,6 @@ mod tests {
         assert_eq!(inst_size(&parse_inst("mov.i n4,n0", 1).unwrap()), 2);
         // rjr ra: opcode + 1 nibble-padded byte = 2.
         assert_eq!(inst_size(&parse_inst("rjr ra", 1).unwrap()), 2);
-        // Labels are free.
-        assert_eq!(inst_size(&Inst::Label(3)), 0);
         // Wide immediates cost more.
         assert_eq!(inst_size(&parse_inst("li n0,5", 1).unwrap()), 3);
         assert_eq!(inst_size(&parse_inst("li n0,300", 1).unwrap()), 4);
@@ -820,7 +798,6 @@ mod tests {
             Inst::Call {
                 target: FuncRef::Symbol("missing".into()),
             },
-            Inst::Label(3),
         ] {
             assert!(
                 code_inst(&mut Vec::new(), &mut inst, &symbols).is_err(),

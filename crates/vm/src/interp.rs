@@ -147,8 +147,8 @@ impl Core {
     /// # Errors
     ///
     /// [`VmError::Exec`] on faults: division by zero, a bad memory
-    /// access, a call or jump to an address that is not code, an
-    /// unresolved callee, or a label.
+    /// access, a call or jump to an address that is not code, or an
+    /// unresolved callee.
     // `#[inline]` here and on the helpers it calls lets the in-place
     // interpreter, in another crate, inline them; otherwise each memory
     // access there would be a cross-crate call.
@@ -283,7 +283,6 @@ impl Core {
                 }
             }
             Inst::Nop => {}
-            Inst::Label(_) => return Err(VmError::Exec("label reached execution".into())),
         }
         Ok(Flow::Fall)
     }

@@ -187,9 +187,10 @@ pub enum FuncRef {
 
 /// One VM instruction.
 ///
-/// `Label` is a zero-byte pseudo-instruction; branch targets are label
-/// numbers resolved against it. Everything else encodes per
-/// [`crate::encode`].
+/// Every variant is a real instruction that encodes per
+/// [`crate::encode`]. A branch target is the index of an instruction in
+/// the same function's code; the assembler's `$L` names are syntax for
+/// those indices.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum Inst {
     /// `li rd, imm` — load immediate (the one immediate primitive that
@@ -307,7 +308,7 @@ pub enum Inst {
         rs: Reg,
         /// Right operand.
         rt: Reg,
-        /// Target label number.
+        /// Target instruction index in the function.
         target: u32,
     },
     /// `bcc.i rs, imm, $L` — compare-and-branch against an immediate.
@@ -318,12 +319,12 @@ pub enum Inst {
         rs: Reg,
         /// Immediate right operand.
         imm: i32,
-        /// Target label number.
+        /// Target instruction index in the function.
         target: u32,
     },
     /// `j $L` — unconditional jump.
     Jump {
-        /// Target label number.
+        /// Target instruction index in the function.
         target: u32,
     },
     /// `call f`.
@@ -363,14 +364,27 @@ pub enum Inst {
     /// `nop`.
     #[default]
     Nop,
-    /// `$L:` — label definition (zero bytes).
-    Label(u32),
 }
 
 impl Inst {
-    /// Whether this is the zero-size label pseudo-instruction.
-    pub fn is_label(&self) -> bool {
-        matches!(self, Inst::Label(_))
+    /// The branch target of a branch or jump.
+    pub fn target(&self) -> Option<u32> {
+        match self {
+            Inst::Branch { target, .. }
+            | Inst::BranchImm { target, .. }
+            | Inst::Jump { target } => Some(*target),
+            _ => None,
+        }
+    }
+
+    /// [`Inst::target`], for rewriting.
+    pub fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Inst::Branch { target, .. }
+            | Inst::BranchImm { target, .. }
+            | Inst::Jump { target } => Some(target),
+            _ => None,
+        }
     }
 
     /// Whether control can fall through to the next instruction.
@@ -500,7 +514,8 @@ mod tests {
         .ends_block());
         assert!(Inst::Nop.falls_through());
         assert!(!Inst::Epi.falls_through());
-        assert!(Inst::Label(3).is_label());
+        assert_eq!(Inst::Jump { target: 3 }.target(), Some(3));
+        assert_eq!(Inst::Epi.target(), None);
     }
 
     #[test]

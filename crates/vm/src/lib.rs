@@ -12,7 +12,8 @@
 //! - [`asm`]: the assembly text form used throughout the paper
 //!   (`ld.iw n0,4(sp)`, `spill.i ra,20(sp)`, `ble.i n4,0,$L56`, …),
 //!   both printing and parsing.
-//! - [`program`]: linked programs — functions, labels, a flat code space.
+//! - [`program`]: programs — functions whose branch targets are
+//!   function-relative instruction indices, and a flat code space.
 //! - [`encode`]: the quantized byte encoding whose size is the "VM code"
 //!   input measure for BRISC.
 //! - [`codegen`]: the IR → VM compiler with callee-saved register

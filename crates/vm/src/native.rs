@@ -118,7 +118,6 @@ impl X86Encoder {
     pub fn emit(&mut self, inst: &Inst) -> usize {
         let before = self.out.len();
         match inst {
-            Inst::Label(_) => {}
             Inst::Li { rd, imm } => self.mov_imm(x86_reg(*rd), *imm),
             Inst::Mov { rd, rs } => self.alu_rr(0x89, x86_reg(*rs), x86_reg(*rd)),
             Inst::Neg { rd, rs } => {
@@ -424,7 +423,6 @@ pub fn fixed_width_size(program: &VmProgram) -> usize {
     for f in &program.functions {
         for inst in &f.code {
             size += match inst {
-                Inst::Label(_) => 0,
                 Inst::Li { imm, .. } => wide13(*imm, 4),
                 Inst::AluImm { imm, .. } => wide13(*imm, 4),
                 Inst::BranchImm { imm, .. } => wide13(*imm, 4) + 4, // cmp + branch
@@ -462,7 +460,6 @@ pub fn fixed_width_bytes(program: &VmProgram) -> Vec<u8> {
     for f in &program.functions {
         for inst in &f.code {
             match inst {
-                Inst::Label(_) => {}
                 Inst::Li { rd, imm } => {
                     word(
                         &mut out,
@@ -631,12 +628,6 @@ mod tests {
         // rsp base forces a SIB byte.
         let sp_based = emit_one("ld.iw n0,4(sp)");
         assert_eq!(sp_based, vec![0x8B, 0x44, 0x24, 0x04]);
-    }
-
-    #[test]
-    fn labels_are_free() {
-        let mut enc = X86Encoder::new();
-        assert_eq!(enc.emit(&crate::isa::Inst::Label(1)), 0);
     }
 
     #[test]

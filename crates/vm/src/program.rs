@@ -21,7 +21,7 @@ pub struct VmFunction {
     /// Their conventional slots are `frame_size - 8 - 4*i`; `ra` lives at
     /// `frame_size - 4`.
     pub saved_regs: Vec<Reg>,
-    /// Instructions, including `Label` pseudo-instructions.
+    /// Instructions. A branch target is an index into this vector.
     pub code: Vec<Inst>,
 }
 
@@ -47,55 +47,57 @@ impl VmFunction {
         self.frame_size as i32 - 8 - 4 * i as i32
     }
 
-    /// Maps label numbers to instruction indices.
+    /// Checks that every branch target is an instruction of this
+    /// function.
     ///
     /// # Errors
     ///
-    /// [`VmError::Codegen`] on duplicate labels.
-    pub fn label_map(&self) -> Result<HashMap<u32, usize>, VmError> {
-        let mut map = HashMap::new();
-        for (i, inst) in self.code.iter().enumerate() {
-            if let Inst::Label(l) = inst {
-                if map.insert(*l, i).is_some() {
-                    return Err(VmError::Codegen(format!(
-                        "duplicate label {l} in {}",
-                        self.name
-                    )));
-                }
-            }
-        }
-        Ok(map)
-    }
-
-    /// Real (non-label) instruction count.
-    pub fn inst_count(&self) -> usize {
-        self.code.iter().filter(|i| !i.is_label()).count()
-    }
-
-    /// Checks that all branch targets resolve.
-    ///
-    /// # Errors
-    ///
-    /// [`VmError::Codegen`] naming the unresolved label.
+    /// [`VmError::Codegen`] naming the first target past the end.
     pub fn validate(&self) -> Result<(), VmError> {
-        let labels = self.label_map()?;
-        for inst in &self.code {
-            let target = match inst {
-                Inst::Branch { target, .. }
-                | Inst::BranchImm { target, .. }
-                | Inst::Jump { target } => Some(*target),
-                _ => None,
-            };
-            if let Some(t) = target {
-                if !labels.contains_key(&t) {
-                    return Err(VmError::Codegen(format!(
-                        "unresolved label {t} in {}",
-                        self.name
-                    )));
-                }
-            }
+        match self
+            .code
+            .iter()
+            .find_map(|inst| inst.target().filter(|&t| t as usize >= self.code.len()))
+        {
+            Some(t) => Err(VmError::Codegen(format!(
+                "branch target {t} past the end of {} ({} instructions)",
+                self.name,
+                self.code.len()
+            ))),
+            None => Ok(()),
         }
-        Ok(())
+    }
+}
+
+/// Marks the instructions some branch or jump of `code` targets.
+pub fn branch_targets(code: &[Inst]) -> Vec<bool> {
+    let mut targeted = vec![false; code.len()];
+    for t in code.iter().filter_map(Inst::target) {
+        if let Some(slot) = targeted.get_mut(t as usize) {
+            *slot = true;
+        }
+    }
+    targeted
+}
+
+/// Drops every instruction whose `keep` flag is false and moves each
+/// branch target onto the kept code: a target at a dropped instruction
+/// lands on the first kept one after it. An in-function rewrite that
+/// deletes or folds instructions does so through this one remap; one
+/// that must not fold across a branch target checks [`branch_targets`]
+/// first.
+pub fn compact(code: &mut Vec<Inst>, keep: &[bool]) {
+    let mut new_index = Vec::with_capacity(keep.len() + 1);
+    let mut kept = 0u32;
+    for &k in keep {
+        new_index.push(kept);
+        kept += u32::from(k);
+    }
+    new_index.push(kept);
+    let mut keep = keep.iter();
+    code.retain(|_| *keep.next().unwrap_or(&true));
+    for t in code.iter_mut().filter_map(Inst::target_mut) {
+        *t = new_index[(*t as usize).min(new_index.len() - 1)];
     }
 }
 
@@ -131,17 +133,18 @@ impl VmProgram {
         self.functions.iter().find(|f| f.name == name)
     }
 
-    /// Total real instruction count.
+    /// Total instruction count.
     pub fn inst_count(&self) -> usize {
-        self.functions.iter().map(VmFunction::inst_count).sum()
+        self.functions.iter().map(|f| f.code.len()).sum()
     }
 
-    /// Validates labels and call targets.
+    /// Validates branch and call targets.
     ///
     /// # Errors
     ///
-    /// [`VmError::Codegen`] on the first unresolved label or call target
-    /// that is neither a program function nor a host function.
+    /// [`VmError::Codegen`] on the first branch target past its
+    /// function's end, or call target that is neither a program function
+    /// nor a host function.
     pub fn validate(&self) -> Result<(), VmError> {
         for f in &self.functions {
             f.validate()?;
@@ -199,12 +202,12 @@ pub fn callees_by_name<'a>(
 }
 
 /// A program flattened into one code space, ready for interpretation:
-/// labels resolved to absolute instruction indices, label
-/// pseudo-instructions removed, and calls resolved to [`Callee`]s.
+/// branch targets rebased to absolute instruction indices and calls
+/// resolved to [`Callee`]s.
 #[derive(Debug, Clone)]
 pub struct FlatProgram {
-    /// All instructions, label-free, with branch/jump targets rewritten
-    /// to absolute indices (in `Branch::target` etc.).
+    /// All instructions, each function's branch targets plus that
+    /// function's start.
     pub code: Vec<Inst>,
     /// Parallel to `code`: each call's target, [`Callee::None`] for
     /// everything else.
@@ -226,59 +229,23 @@ impl FlatProgram {
     pub fn link(program: &VmProgram) -> Result<FlatProgram, VmError> {
         program.validate()?;
         let by_name = callees_by_name(program.functions.iter().map(|f| f.name.as_str()));
-        let mut code = Vec::new();
-        let mut callees = Vec::new();
-        let mut ranges = Vec::new();
+        let mut code = Vec::with_capacity(program.inst_count());
+        let mut callees = Vec::with_capacity(program.inst_count());
+        let mut ranges = Vec::with_capacity(program.functions.len());
         for f in &program.functions {
             let start = code.len();
-            // First pass: label → absolute index among non-label insts.
-            let mut labels = HashMap::new();
-            let mut idx = start;
             for inst in &f.code {
-                match inst {
-                    Inst::Label(l) => {
-                        labels.insert(*l, idx);
-                    }
-                    _ => idx += 1,
+                let mut inst = inst.clone();
+                if let Some(t) = inst.target_mut() {
+                    *t += start as u32;
                 }
-            }
-            for inst in &f.code {
-                let rewritten = match inst {
-                    Inst::Label(_) => continue,
-                    Inst::Branch {
-                        cond,
-                        rs,
-                        rt,
-                        target,
-                    } => Inst::Branch {
-                        cond: *cond,
-                        rs: *rs,
-                        rt: *rt,
-                        target: labels[target] as u32,
-                    },
-                    Inst::BranchImm {
-                        cond,
-                        rs,
-                        imm,
-                        target,
-                    } => Inst::BranchImm {
-                        cond: *cond,
-                        rs: *rs,
-                        imm: *imm,
-                        target: labels[target] as u32,
-                    },
-                    Inst::Jump { target } => Inst::Jump {
-                        target: labels[target] as u32,
-                    },
-                    other => other.clone(),
-                };
-                callees.push(match &rewritten {
+                callees.push(match &inst {
                     Inst::Call {
                         target: FuncRef::Symbol(name),
                     } => by_name.get(name.as_str()).copied().unwrap_or(Callee::None),
                     _ => Callee::None,
                 });
-                code.push(rewritten);
+                code.push(inst);
             }
             ranges.push((start, code.len()));
         }
@@ -314,12 +281,11 @@ mod tests {
                 rd: Reg::new(0),
                 imm: 0,
             },
-            Inst::Label(1),
             Inst::BranchImm {
                 cond: Cond::Ge,
                 rs: Reg::new(0),
                 imm: 5,
-                target: 2,
+                target: 4,
             },
             Inst::AluImm {
                 op: crate::isa::AluOp::Add,
@@ -328,27 +294,16 @@ mod tests {
                 imm: 1,
             },
             Inst::Jump { target: 1 },
-            Inst::Label(2),
             Inst::Rjr { rs: Reg::RA },
         ];
         f
     }
 
     #[test]
-    fn label_map_and_counts() {
+    fn targets_inside_the_function_validate() {
         let f = branchy_function();
-        let map = f.label_map().unwrap();
-        assert_eq!(map[&1], 1);
-        assert_eq!(map[&2], 5);
-        assert_eq!(f.inst_count(), 5);
         assert!(f.validate().is_ok());
-    }
-
-    #[test]
-    fn duplicate_label_rejected() {
-        let mut f = VmFunction::new("f", 0, 0);
-        f.code = vec![Inst::Label(1), Inst::Label(1)];
-        assert!(f.label_map().is_err());
+        assert_eq!(branch_targets(&f.code), [false, true, false, false, true]);
     }
 
     #[test]
@@ -356,6 +311,28 @@ mod tests {
         let mut f = VmFunction::new("f", 0, 0);
         f.code = vec![Inst::Jump { target: 9 }];
         assert!(f.validate().is_err());
+    }
+
+    #[test]
+    fn target_one_past_the_end_rejected() {
+        let mut f = VmFunction::new("f", 0, 0);
+        f.code = vec![Inst::Nop, Inst::Jump { target: 2 }];
+        assert!(f.validate().is_err());
+        f.code[1] = Inst::Jump { target: 1 };
+        assert!(f.validate().is_ok());
+    }
+
+    #[test]
+    fn compact_moves_targets_onto_the_next_kept_instruction() {
+        let mut code = branchy_function().code;
+        code.insert(1, Inst::Nop);
+        for t in code.iter_mut().filter_map(Inst::target_mut) {
+            *t += 1;
+        }
+        // The loop head now points at the dropped `nop`; it lands on the
+        // branch after it, and the exit target shifts down by one.
+        compact(&mut code, &[true, false, true, true, true, true]);
+        assert_eq!(code, branchy_function().code);
     }
 
     #[test]
@@ -372,7 +349,7 @@ mod tests {
         p.functions.push(branchy_function());
         p.functions.push({
             let mut g = VmFunction::new("g", 0, 0);
-            g.code = vec![Inst::Label(1), Inst::Jump { target: 1 }];
+            g.code = vec![Inst::Jump { target: 0 }];
             g
         });
         let flat = FlatProgram::link(&p).unwrap();

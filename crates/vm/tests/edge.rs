@@ -167,8 +167,9 @@ fn codegen_rejects_pathological_expression_depth() {
 
 #[test]
 fn validate_rejects_label_number_collisions_with_epilogue() {
-    // The code generator reserves label 1_000_000 internally; a program
-    // using it directly must still behave (labels are per-function).
+    // `$L` names are assembler syntax for instruction indices: the number
+    // the code generator once reserved for its epilogue label is a name
+    // like any other, resolved within its function.
     let text = "\
 .func main params=0 frame=0
     j $L1000000

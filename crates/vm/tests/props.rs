@@ -1,6 +1,6 @@
-//! Randomized (deterministic, seeded) tests: random instructions survive
-//! the assembly and binary representations; the decoders never panic on
-//! arbitrary bytes.
+//! Randomized (deterministic, seeded) tests: random instructions and
+//! functions survive the assembly and binary representations; the
+//! decoders never panic on arbitrary bytes.
 
 use codecomp_core::bytesio::{Cursor, SymbolTable};
 use codecomp_core::fault::XorShift64;
@@ -8,6 +8,7 @@ use codecomp_core::Budget;
 use codecomp_vm::asm::{parse_inst, parse_program};
 use codecomp_vm::encode::{base_op, code_inst, fields, inst_size, rebuild};
 use codecomp_vm::isa::{AluOp, Cond, FuncRef, Inst, MemWidth};
+use codecomp_vm::program::{VmFunction, VmProgram};
 use codecomp_vm::reg::Reg;
 
 const CASES: u64 = 256;
@@ -45,7 +46,7 @@ fn ident(rng: &mut XorShift64) -> String {
     s
 }
 
-/// Any encodable instruction (labels excluded).
+/// Any encodable instruction.
 fn inst(rng: &mut XorShift64) -> Inst {
     match rng.below(23) {
         0 => Inst::Li {
@@ -163,6 +164,25 @@ fn asm_text_roundtrip() {
         let text = i.to_string();
         let back = parse_inst(&text, 1).unwrap();
         assert_eq!(back, i);
+    }
+}
+
+#[test]
+fn asm_program_roundtrip() {
+    for case in 0..CASES {
+        let mut rng = XorShift64::new(0x2A80 + case);
+        let mut f = VmFunction::new("f", 0, 8);
+        f.code = (0..rng.range_usize(1, 32))
+            .map(|_| inst(&mut rng))
+            .collect();
+        let len = f.code.len() as u64;
+        for t in f.code.iter_mut().filter_map(Inst::target_mut) {
+            *t = rng.below(len) as u32;
+        }
+        let mut p = VmProgram::new();
+        p.functions.push(f);
+        let back = parse_program(&p.to_string()).unwrap();
+        assert_eq!(back.functions, p.functions, "case {case}:\n{p}");
     }
 }
 

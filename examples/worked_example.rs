@@ -62,13 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== §4: the OmniVM register code for salt ==\n");
     let vm = compile_module(&ir, IsaConfig::full())?;
     let vm_salt = vm.function("salt").expect("salt exists");
-    for inst in &vm_salt.code {
-        if inst.is_label() {
-            println!("{inst}");
-        } else {
-            println!("    {inst}");
-        }
-    }
+    println!("{vm_salt}");
     let input_bytes: usize = vm_salt
         .code
         .iter()

@@ -1,21 +1,24 @@
-//! The interpreter's buffer decoder and the named decoder used by
-//! `translate` must agree on every item of every image: same entry,
-//! size and instructions, and every call's resolved target must be the
-//! function or host function its name denotes. One buffer is reused
-//! across a whole image, so state left over from a previous item would
-//! show up as a mismatch.
+//! The interpreter's buffer decoder and the named decoder must agree on
+//! every item of every image: same entry, size and instructions, and
+//! every call's resolved target must be the function or host function
+//! its name denotes. One buffer is reused across a whole image, so state
+//! left over from a previous item would show up as a mismatch.
 //!
-//! The synth-gcc-scale (1200-function) case is `#[ignore]`d (too slow
-//! for the debug profile); `scripts/ci.sh` runs it with `--release
-//! --include-ignored`.
+//! Expansion is exact: `translate(compress(vm, options))` is `vm` itself,
+//! with its epilogues folded into `epi` when `options.epi` is on.
+//!
+//! The synth-gcc-scale (1200-function) case, both checks, is
+//! `#[ignore]`d (too slow for the debug profile); `scripts/ci.sh` runs
+//! it with `--release --include-ignored`.
 
-use code_compression::brisc::compress::{compress, BriscOptions};
+use code_compression::brisc::compress::{compress, replace_epilogues, BriscOptions};
 use code_compression::brisc::entry::{DictEntry, InstPattern};
 use code_compression::brisc::image::{
     assemble, BriscImage, DecodeTables, FuncItems, Item, ItemBuf,
 };
 use code_compression::brisc::interp::BriscMachine;
 use code_compression::brisc::markov::BLOCK_START;
+use code_compression::brisc::translate::translate;
 use code_compression::core::dict::MemoryRegime;
 use code_compression::corpus::{
     benchmarks, synthetic, synthetic_modules, MultiModuleConfig, SynthConfig,
@@ -27,7 +30,7 @@ use code_compression::vm::asm::parse_inst;
 use code_compression::vm::codegen::compile_module;
 use code_compression::vm::encode::Field;
 use code_compression::vm::isa::{FuncRef, Inst, IsaConfig};
-use code_compression::vm::program::Callee;
+use code_compression::vm::program::{Callee, VmProgram};
 use code_compression::vm::reg::Reg;
 
 fn option_matrix() -> Vec<(&'static str, BriscOptions)> {
@@ -144,12 +147,40 @@ fn assert_decoders_agree(what: &str, image: &BriscImage) -> usize {
     items
 }
 
+/// Translating `image`, compressed from `vm` under `options`, gives
+/// back `vm` exactly: every function's code, targets included, with its
+/// epilogues folded into `epi` when `options.epi` is on.
+fn assert_translation_gives_back(
+    what: &str,
+    vm: &VmProgram,
+    options: BriscOptions,
+    image: &BriscImage,
+) {
+    let translated = translate(image).unwrap_or_else(|e| panic!("{what}: translate: {e}"));
+    assert_eq!(translated.globals, vm.globals, "{what}: globals");
+    assert_eq!(translated.isa, vm.isa, "{what}: isa");
+    assert_eq!(
+        translated.functions.len(),
+        vm.functions.len(),
+        "{what}: functions"
+    );
+    for (got, f) in translated.functions.iter().zip(&vm.functions) {
+        let mut expect = f.clone();
+        if options.epi {
+            expect.code = replace_epilogues(f);
+        }
+        assert_eq!(got, &expect, "{what}: function {}", f.name);
+    }
+}
+
 fn check_module(what: &str, ir: &Module) -> usize {
     let vm = compile_module(ir, IsaConfig::full()).unwrap();
     let mut items = 0;
     for (opt, options) in option_matrix() {
+        let what = format!("{what}/{opt}");
         let image = compress(&vm, options).unwrap().image;
-        items += assert_decoders_agree(&format!("{what}/{opt}"), &image);
+        items += assert_decoders_agree(&what, &image);
+        assert_translation_gives_back(&what, &vm, options, &image);
     }
     items
 }
@@ -194,6 +225,7 @@ fn synth_gcc_scale_decodes_agree() {
     let image = compress(&vm, BriscOptions::default()).unwrap().image;
     let items = assert_decoders_agree("synth-gcc", &image);
     assert!(items > 100_000, "only {items} items checked");
+    assert_translation_gives_back("synth-gcc", &vm, BriscOptions::default(), &image);
 }
 
 /// 302 distinct dictionary entries, each used once at a block leader,

@@ -23,7 +23,6 @@ use code_compression::ir::tree::Module;
 use code_compression::vm::codegen::compile_module;
 use code_compression::vm::encode::code_inst;
 use code_compression::vm::isa::{FuncRef, Inst, IsaConfig};
-use code_compression::vm::program::FlatProgram;
 use code_compression::wire::demand::code_image;
 use code_compression::wire::format::{
     code_container, code_literal, code_meta, code_pattern, code_symbol_stream,
@@ -230,11 +229,12 @@ fn module_and_instruction_codecs_invert_on_corpus_and_synthetic_modules() {
         check_inverse(&format!("{name}/ccir"), &module, code_module, |c, m| {
             code_module(c, m)
         });
-        // The linked form: labels resolved to instruction indices.
+        // The code as compiled: branch targets are function-relative
+        // instruction indices.
         let vm = compile_module(&module, IsaConfig::full()).unwrap();
-        let code = FlatProgram::link(&vm).unwrap().code;
+        let code = vm.functions.iter().flat_map(|f| &f.code);
         let mut symbols = SymbolTable::default();
-        for i in &code {
+        for i in code.clone() {
             if let Inst::Call {
                 target: FuncRef::Symbol(callee),
             } = i
@@ -242,7 +242,7 @@ fn module_and_instruction_codecs_invert_on_corpus_and_synthetic_modules() {
                 symbols.intern(callee);
             }
         }
-        for (k, inst) in code.iter().enumerate() {
+        for (k, inst) in code.enumerate() {
             check_inverse(
                 &format!("{name}/inst {k} {inst}"),
                 inst,
